@@ -182,22 +182,6 @@ _s_half_tables: dict[int, list[tuple[int, Fraction]]] = {}
 _t_half_tables: dict[int, list[tuple[int, Fraction]]] = {}
 
 
-def _s_half(k: int) -> list[tuple[int, Fraction]]:
-    table = _s_half_tables.get(k)
-    if table is None:
-        table = [(h, dedekind_s(h, k)) for h in range(1, k // 2 + 1) if math.gcd(h, k) == 1]
-        _s_half_tables[k] = table
-    return table
-
-
-def _t_half(k: int) -> list[tuple[int, Fraction]]:
-    table = _t_half_tables.get(k)
-    if table is None:
-        table = [(h, hagis_t(h, k)) for h in range(1, k // 2 + 1) if math.gcd(h, k) == 1]
-        _t_half_tables[k] = table
-    return table
-
-
 def _tier(bits: int) -> int:
     return ((bits + 63) // 64) * 64
 
@@ -211,25 +195,41 @@ _A_cache: dict[tuple[int, int, int], object] = {}
 _inner_cache: dict[tuple[int, int, int], object] = {}
 
 
-def _A_real(k: int, n: int, tier: int):
-    """Real value of the Dedekind exponential sum, via the h <-> k-h pairing."""
+def _cached_sum(cache: dict, k: int, n: int, tier: int, evaluate):
+    """evaluate(r) at the tier's precision for r = n mod k, once per (k, r, tier)."""
     if k == 1:
         return mpf(1)
     r = n % k
     key = (k, r, tier)
-    cached = _A_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(tier):
-        if k == 2:
-            total = _cospi_fraction(Fraction(-r) % 2)
-        else:
-            total = mpf(0)
-            for h, s in _s_half(k):
-                total += _cospi_fraction((s - Fraction(2 * r * h, k)) % 2)
-            total = 2 * total
-    _A_cache[key] = total
-    return total
+    cached = cache.get(key)
+    if cached is None:
+        with mp.workprec(tier):
+            cached = evaluate(r)
+        cache[key] = cached
+    return cached
+
+
+def _paired_sum(half_tables: dict, rational, k: int, r: int):
+    # the h and k - h terms are complex conjugates, so each pair is twice a cosine
+    half = half_tables.get(k)
+    if half is None:
+        half = [(h, rational(h, k)) for h in range(1, k // 2 + 1) if math.gcd(h, k) == 1]
+        half_tables[k] = half
+    total = mpf(0)
+    for h, x in half:
+        total += _cospi_fraction((x - Fraction(2 * r * h, k)) % 2)
+    return 2 * total
+
+
+def _A_real(k: int, n: int, tier: int):
+    """Real value of the Dedekind exponential sum, via the h <-> k-h pairing."""
+
+    def evaluate(r):
+        if k == 2:  # the lone h = 1 is its own partner
+            return _cospi_fraction(Fraction(-r) % 2)
+        return _paired_sum(_s_half_tables, dedekind_s, k, r)
+
+    return _cached_sum(_A_cache, k, n, tier, evaluate)
 
 
 def _inner_real(k: int, n: int, tier: int):
@@ -239,20 +239,7 @@ def _inner_real(k: int, n: int, tier: int):
     takes the single h = 0 term, which is exactly 1, so the first series
     term carries the main weight instead of vanishing.
     """
-    if k == 1:
-        return mpf(1)
-    r = n % k
-    key = (k, r, tier)
-    cached = _inner_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(tier):
-        total = mpf(0)
-        for h, t in _t_half(k):
-            total += _cospi_fraction((t - Fraction(2 * r * h, k)) % 2)
-        total = 2 * total
-    _inner_cache[key] = total
-    return total
+    return _cached_sum(_inner_cache, k, n, tier, lambda r: _paired_sum(_t_half_tables, hagis_t, k, r))
 
 
 def kloosterman_A(k: int, n: int, precision_bits: int) -> HPReal:
@@ -347,6 +334,32 @@ def _resolved(raw, bits: int) -> bool:
     return bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
 
 
+def _sum_and_certify(n: int, k_terms: int, bits: int, prefactor, term, ks) -> SeriesEvalReport:
+    """Sum term(k) over ks, round the partial sum through k <= k_terms, and
+    certify it against the sum over all of ks (the doubled budget)."""
+    with mp.workprec(bits):
+        total = mpf(0)
+        at_budget = None
+        for k in ks:
+            total += term(k)
+            if k <= k_terms:
+                at_budget = total
+        raw = prefactor * at_budget
+        doubled = prefactor * total
+        nearest = nint(raw)
+        residual = abs(raw - nearest)
+        drift = abs(doubled - raw)
+        certified = bool(
+            residual < RESIDUAL_BOUND
+            and drift < STABILITY_BOUND
+            and _resolved(raw, bits)
+        )
+        rounded = int(nearest)
+    return SeriesEvalReport(
+        n, k_terms, bits, HPReal(raw, bits), rounded, HPReal(residual, bits), certified
+    )
+
+
 def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
     tier = _tier(bits)
     with mp.workprec(bits):
@@ -354,60 +367,39 @@ def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
         sm = sqrt(m)
         c0 = pi * sqrt(mpf(2) / 3)
         prefactor = 1 / (pi * sqrt(mpf(2)))
-        total = mpf(0)
-        at_budget = None
-        for k in range(1, 2 * k_terms + 1):
-            C = c0 / k
-            arg = C * sm
-            deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
-            total += sqrt(mpf(k)) * _A_real(k, n, tier) * deriv
-            if k == k_terms:
-                at_budget = total
-        raw = prefactor * at_budget
-        doubled = prefactor * total
-        nearest = nint(raw)
-        residual = abs(raw - nearest)
-        drift = abs(doubled - raw)
-        certified = bool(
-            residual < RESIDUAL_BOUND
-            and drift < STABILITY_BOUND
-            and _resolved(raw, bits)
-        )
-        rounded = int(nearest)
-    return SeriesEvalReport(
-        n, k_terms, bits, HPReal(raw, bits), rounded, HPReal(residual, bits), certified
-    )
+
+    def term(k):
+        C = c0 / k
+        arg = C * sm
+        deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
+        return sqrt(mpf(k)) * _A_real(k, n, tier) * deriv
+
+    return _sum_and_certify(n, k_terms, bits, prefactor, term, range(1, 2 * k_terms + 1))
 
 
 def _eval_q(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
     tier = _tier(bits)
-    last_odd = k_terms if k_terms % 2 else k_terms - 1
     with mp.workprec(bits):
         prefactor = pi / sqrt(mpf(24 * n + 1))
         z_base = pi * sqrt(mpf(48 * n + 2)) / 12
-        total = mpf(0)
-        at_budget = mpf(0)
-        for k in range(1, 2 * k_terms + 1, 2):
-            total += _inner_real(k, n, tier) * _i1_raw(z_base / k, bits) / k
-            if k == last_odd:
-                at_budget = total
-        raw = prefactor * at_budget
-        doubled = prefactor * total
-        nearest = nint(raw)
-        residual = abs(raw - nearest)
-        drift = abs(doubled - raw)
-        certified = bool(
-            residual < RESIDUAL_BOUND
-            and drift < STABILITY_BOUND
-            and _resolved(raw, bits)
-        )
-        rounded = int(nearest)
-    return SeriesEvalReport(
-        n, k_terms, bits, HPReal(raw, bits), rounded, HPReal(residual, bits), certified
-    )
+
+    def term(k):
+        return _inner_real(k, n, tier) * _i1_raw(z_base / k, bits) / k
+
+    # odd k only; the doubled budget must reach an odd k beyond the budget
+    # even at k_terms = 1, or the drift test compares a sum with itself
+    return _sum_and_certify(n, k_terms, bits, prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2))
 
 
-def _certify(n: int, k_terms: int, bits: int, evaluate) -> SeriesEvalReport:
+def _certify(name: str, n: int, k_max, precision_bits, default_bits, evaluate) -> SeriesEvalReport:
+    if n < 1:
+        raise DomainError(f"{name} needs n >= 1, got {n}")
+    k_terms = default_k_terms(n) if k_max is None else k_max
+    bits = default_bits(n) if precision_bits is None else precision_bits
+    if k_terms < 1:
+        raise DomainError("k_max must be >= 1")
+    if bits < 64:
+        raise DomainError("precision_bits must be >= 64")
     report = None
     for _ in range(MAX_ESCALATIONS + 1):
         report = evaluate(n, k_terms, bits)
@@ -426,15 +418,7 @@ def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = 
     in n.  Terms are reduced in ascending k; see the module docstring for
     the rounding certification.
     """
-    if n < 1:
-        raise DomainError(f"rademacher_p needs n >= 1, got {n}")
-    k_terms = default_k_terms(n) if k_max is None else k_max
-    bits = default_bits_p(n) if precision_bits is None else precision_bits
-    if k_terms < 1:
-        raise DomainError("k_max must be >= 1")
-    if bits < 64:
-        raise DomainError("precision_bits must be >= 64")
-    return _certify(n, k_terms, bits, _eval_p)
+    return _certify("rademacher_p", n, k_max, precision_bits, default_bits_p, _eval_p)
 
 
 def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None) -> SeriesEvalReport:
@@ -445,12 +429,4 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
     I_1(pi sqrt(48n+2) / (12k)), with the k = 1 inner sum taken as its
     single h = 0 term.  Certification matches rademacher_p.
     """
-    if n < 1:
-        raise DomainError(f"hagis_q needs n >= 1, got {n}")
-    k_terms = default_k_terms(n) if k_max is None else k_max
-    bits = default_bits_q(n) if precision_bits is None else precision_bits
-    if k_terms < 1:
-        raise DomainError("k_max must be >= 1")
-    if bits < 64:
-        raise DomainError("precision_bits must be >= 64")
-    return _certify(n, k_terms, bits, _eval_q)
+    return _certify("hagis_q", n, k_max, precision_bits, default_bits_q, _eval_q)

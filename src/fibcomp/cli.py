@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mp
 
-from . import analytic, bijection, counting, enumeration, genfun, verify
+from . import analytic, bijection, enumeration, verify
 from .core import DomainError, format_composition, parse_composition
 
 
@@ -27,6 +27,16 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; domain errors own exit 1 here
     def error(self, message):
         raise _UsageError(message)
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -47,7 +57,7 @@ def _build_parser() -> _Parser:
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
     p_enum.add_argument("--class", dest="cls", required=True)
-    p_enum.add_argument("--limit", type=int, default=None, help="emit at most this many items")
+    p_enum.add_argument("--limit", type=_non_negative_int, default=None, help="emit at most this many items")
     p_enum.add_argument("--count", action="store_true", help="print only the stream length")
     p_enum.add_argument("--force", action="store_true", help="allow n above 30")
     p_enum.add_argument("n", type=int)
@@ -60,10 +70,7 @@ def _build_parser() -> _Parser:
     p_map.add_argument("composition", help='composition in "a1+a2+..." form')
 
     p_series = sub.add_parser("series", parents=[common], help="generating function coefficients")
-    p_series.add_argument(
-        "name",
-        choices=["partitions", "compositions", "distinct-partitions", "distinct-compositions"],
-    )
+    p_series.add_argument("name", choices=list(enumeration.SERIES))
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--ell", type=int, default=None, help="part count for distinct-partitions")
 
@@ -93,39 +100,7 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("FIBCOMP_CACHE_DIR") or None
 
 
-def _table_value(kind: str, n: int, cache_dir: str | None) -> int:
-    if cache_dir is not None:
-        return counting.cached_table(kind, n, cache_dir).values[n]
-    return {"p": counting.p_recurrence, "q": counting.q_recurrence, "fib": counting.fibonacci}[
-        kind
-    ](n)
-
-
-def _count_value(cls, n: int, cache_dir: str | None) -> int:
-    if isinstance(cls, enumeration.CompositionClass):
-        if n < 1:
-            raise DomainError(f"compositions need n >= 1, got {n}")
-        if cls.kind == "all":
-            return counting.c_count(n)
-        if cls.kind == "odd-parts":
-            return _table_value("fib", n, cache_dir)
-        if cls.kind == "min-part-2":
-            if n < 2:
-                raise DomainError(f"min-part-2 compositions need n >= 2, got {n}")
-            return _table_value("fib", n - 1, cache_dir)
-        return genfun.distinct_compositions_gf(n).coefficient(n)
-    if n < 0:
-        raise DomainError(f"partitions need n >= 0, got {n}")
-    if cls.kind == "all":
-        return _table_value("p", n, cache_dir)
-    if cls.kind in ("odd-parts", "distinct-parts"):
-        return _table_value("q", n, cache_dir)
-    return genfun.distinct_partitions_ell_gf(cls.ell, n).coefficient(n)
-
-
-def _cmd_count(args) -> int:
-    cls = enumeration.parse_class(args.cls)
-    value = _count_value(cls, args.n, _cache_dir(args))
+def _emit_count(args, cls, value: int) -> int:
     if args.json:
         _emit_json({"n": args.n, "class": str(cls), "count": value})
     else:
@@ -133,21 +108,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _cmd_count(args) -> int:
+    cls = enumeration.parse_class(args.cls)
+    return _emit_count(args, cls, enumeration.exact_count(args.n, cls, _cache_dir(args)))
+
+
 def _cmd_enumerate(args) -> int:
     if args.n > 30 and not args.force:
         raise DomainError(f"enumerate for n={args.n} may be huge; pass --force to proceed")
     cls = enumeration.parse_class(args.cls)
-    if isinstance(cls, enumeration.CompositionClass):
-        stream = enumeration.gen_compositions(args.n, cls)
-    else:
-        stream = enumeration.gen_partitions(args.n, cls)
+    stream = enumeration.gen_class(args.n, cls)
     if args.count:
-        total = sum(1 for _ in stream)
-        if args.json:
-            _emit_json({"n": args.n, "class": str(cls), "count": total})
-        else:
-            _emit([str(total)])
-        return 0
+        return _emit_count(args, cls, sum(1 for _ in stream))
     items = []
     for i, value in enumerate(stream):
         if args.limit is not None and i >= args.limit:
@@ -187,18 +159,13 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.ell is not None and args.name != "distinct-partitions":
-        raise DomainError("--ell only applies to distinct-partitions")
-    if args.name == "partitions":
-        series = genfun.partition_gf(args.order)
-    elif args.name == "compositions":
-        series = genfun.compositions_gf(args.order)
-    elif args.name == "distinct-partitions":
-        if args.ell is None:
-            raise DomainError("distinct-partitions needs --ell")
-        series = genfun.distinct_partitions_ell_gf(args.ell, args.order)
-    else:
-        series = genfun.distinct_compositions_gf(args.order)
+    spec = enumeration.SERIES[args.name]
+    if args.ell is not None and not spec.takes_ell:
+        takers = ", ".join(name for name, s in enumeration.SERIES.items() if s.takes_ell)
+        raise DomainError(f"--ell only applies to {takers}")
+    if spec.takes_ell and args.ell is None:
+        raise DomainError(f"{args.name} needs --ell")
+    series = spec.gf(args.order, args.ell)
     if args.json:
         document = {"name": args.name, "order": series.order}
         if args.ell is not None:
@@ -213,34 +180,21 @@ def _cmd_series(args) -> int:
 def _cmd_analytic(args) -> int:
     evaluate = analytic.rademacher_p if args.series == "p" else analytic.hagis_q
     report = evaluate(args.n, k_max=args.kmax, precision_bits=args.bits)
-    raw_text = mp.nstr(report.raw_value.value, 30)
-    residual_text = mp.nstr(report.residual.value, 3)
+    document = {
+        "series": args.series,
+        "n": report.n,
+        "rounded": report.rounded,
+        "certified": report.certified,
+        "k_terms": report.k_terms_used,
+        "precision_bits": report.precision_bits,
+        "raw": mp.nstr(report.raw_value.value, 30),
+        "residual": mp.nstr(report.residual.value, 3),
+    }
     if args.json:
-        _emit_json(
-            {
-                "series": args.series,
-                "n": report.n,
-                "rounded": report.rounded,
-                "certified": report.certified,
-                "k_terms": report.k_terms_used,
-                "precision_bits": report.precision_bits,
-                "raw": raw_text,
-                "residual": residual_text,
-            }
-        )
+        _emit_json(document)
     else:
-        _emit(
-            [
-                f"series={args.series}",
-                f"n={report.n}",
-                f"rounded={report.rounded}",
-                f"certified={'true' if report.certified else 'false'}",
-                f"k_terms={report.k_terms_used}",
-                f"precision_bits={report.precision_bits}",
-                f"raw={raw_text}",
-                f"residual={residual_text}",
-            ]
-        )
+        # key=value lines; the boolean is spelled as in JSON
+        _emit([f"{k}={json.dumps(v) if isinstance(v, bool) else v}" for k, v in document.items()])
     return 0
 
 
@@ -285,6 +239,19 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    # exact counts run to tens of thousands of digits; lift CPython's
+    # int <-> str digit limit (3.11+, some 3.10 builds) for this call only
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -296,7 +263,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (analytic.NonCertifiedError, analytic.ImaginaryResidueError) as exc:
@@ -306,3 +273,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

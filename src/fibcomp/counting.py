@@ -41,24 +41,28 @@ def _extend_fib(values: list[int], upto: int) -> None:
         values.append(values[-1] + values[-2])
 
 
+def _pentagonal_sum(values: list[int], n: int, scale: int) -> int:
+    # sum_{j>=1} (-1)^(j-1) [ v(n - scale j(3j-1)/2) + v(n - scale j(3j+1)/2) ]
+    total = 0
+    j = 1
+    while True:
+        g1 = scale * (j * (3 * j - 1) // 2)
+        if g1 > n:
+            break
+        sign = 1 if j % 2 else -1
+        term = values[n - g1]
+        g2 = scale * (j * (3 * j + 1) // 2)
+        if g2 <= n:
+            term += values[n - g2]
+        total += sign * term
+        j += 1
+    return total
+
+
 def _extend_p(values: list[int], upto: int) -> None:
     # p(n) = sum_{j>=1} (-1)^(j-1) [ p(n - j(3j-1)/2) + p(n - j(3j+1)/2) ]
     while len(values) <= upto:
-        n = len(values)
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if j % 2 else -1
-            term = values[n - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                term += values[n - g2]
-            total += sign * term
-            j += 1
-        values.append(total)
+        values.append(_pentagonal_sum(values, len(values), 1))
 
 
 def _extend_q(values: list[int], upto: int) -> None:
@@ -66,20 +70,7 @@ def _extend_q(values: list[int], upto: int) -> None:
     #   = 1 if n is triangular else 0
     while len(values) <= upto:
         n = len(values)
-        total = 1 if is_triangular(n) else 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1)
-            if g1 > n:
-                break
-            sign = 1 if k % 2 else -1
-            term = values[n - g1]
-            g2 = k * (3 * k + 1)
-            if g2 <= n:
-                term += values[n - g2]
-            total += sign * term
-            k += 1
-        values.append(total)
+        values.append((1 if is_triangular(n) else 0) + _pentagonal_sum(values, n, 2))
 
 
 _EXTENDERS = {"fib": _extend_fib, "p": _extend_p, "q": _extend_q}
@@ -134,20 +125,7 @@ def q_recurrence_residual(n: int) -> int:
     if n < 0:
         raise DomainError(f"residual needs n >= 0, got {n}")
     q_recurrence(n)
-    total = _q_values[n]
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1)
-        if g1 > n:
-            break
-        sign = -1 if k % 2 else 1
-        term = _q_values[n - g1]
-        g2 = k * (3 * k + 1)
-        if g2 <= n:
-            term += _q_values[n - g2]
-        total += sign * term
-        k += 1
-    return total
+    return _q_values[n] - _pentagonal_sum(_q_values, n, 2)
 
 
 @dataclass(frozen=True)

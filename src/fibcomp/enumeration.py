@@ -7,22 +7,26 @@ so they favor obviousness over speed.
 Ordering is part of the contract: compositions are emitted in lexicographic
 order of their part tuples, partitions in reverse-lexicographic order
 (largest first).  Generators are lazy; counting never materializes a stream.
+
+CLASSES declares each family:kind class once: its generator, its exact
+counter, its generating function and whether it takes a part count ell.
+The generators, the CLI and the verify suites all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
+from . import counting, genfun
 from .core import Composition, DomainError, Partition
-
-COMPOSITION_KINDS = ("all", "odd-parts", "min-part-2", "distinct-parts")
-PARTITION_KINDS = ("all", "odd-parts", "distinct-parts", "distinct-ell")
 
 
 @dataclass(frozen=True)
 class CompositionClass:
     kind: str
+    family = "compositions"
+    ell = None
 
     def __post_init__(self):
         if self.kind not in COMPOSITION_KINDS:
@@ -36,23 +40,133 @@ class CompositionClass:
 class PartitionClass:
     kind: str
     ell: int | None = None
+    family = "partitions"
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise DomainError(f"unknown partition class {self.kind!r}")
-        if self.kind == "distinct-ell":
+        if class_spec(self).takes_ell:
             if self.ell is None or self.ell < 0:
-                raise DomainError("distinct-ell class needs ell >= 0")
+                raise DomainError(f"{self.kind} class needs ell >= 0")
         elif self.ell is not None:
             raise DomainError(f"class {self.kind!r} does not take ell")
 
     def __str__(self) -> str:
-        if self.kind == "distinct-ell":
-            return f"partitions:distinct-ell={self.ell}"
+        if self.ell is not None:
+            return f"partitions:{self.kind}={self.ell}"
         return f"partitions:{self.kind}"
 
 
 EnumClass = Union[CompositionClass, PartitionClass]
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """Everything the package knows about one family:kind class.
+
+    `parts(n, cls)` is the exhaustive oracle and never calls counting or
+    genfun.  `count(n, cls, cache_dir)` is the exact counter for n already
+    inside the class's domain (n >= min_n).  `gf(order, ell)` is the
+    generating function behind the `series` name, where one exists, and
+    `takes_ell` says whether the class (and its series) is indexed by a
+    part count ell.  Entries reach counting and genfun through the module
+    attribute at call time, so a patched or wrapped function is the one
+    that runs.
+    """
+
+    family: str
+    kind: str
+    min_n: int
+    parts: Callable[[int, EnumClass], Iterator[tuple[int, ...]]]
+    count: Callable[[int, EnumClass, str | None], int]
+    series: str | None = None
+    gf: Callable[[int, int | None], genfun.TruncatedSeries] | None = None
+    takes_ell: bool = False
+
+
+def _from_table(kind: str, shift: int = 0):
+    """Counter reading entry n - shift of the p, q or fib recurrence table."""
+
+    def count(n: int, cls: EnumClass, cache_dir: str | None) -> int:
+        m = n - shift
+        if cache_dir is not None:
+            return counting.cached_table(kind, m, cache_dir).values[m]
+        recurrence = {"p": counting.p_recurrence, "q": counting.q_recurrence, "fib": counting.fibonacci}
+        return recurrence[kind](m)
+
+    return count
+
+
+def _series_coefficient(n: int, cls: EnumClass, cache_dir: str | None) -> int:
+    return class_spec(cls).gf(n, cls.ell).coefficient(n)
+
+
+# The paper's theorem is the pair odd-parts / min-part-2: compositions of n
+# into odd parts and of n + 1 into parts >= 2 are both counted by F_n.
+CLASSES: dict[str, ClassSpec] = {
+    f"{spec.family}:{spec.kind}": spec
+    for spec in (
+        ClassSpec(
+            "compositions", "all", 1,
+            lambda n, cls: _comps_all(n),
+            lambda n, cls, cache_dir: counting.c_count(n),
+            "compositions", lambda order, ell: genfun.compositions_gf(order),
+        ),
+        ClassSpec("compositions", "odd-parts", 1, lambda n, cls: _comps_odd(n), _from_table("fib")),
+        ClassSpec("compositions", "min-part-2", 2, lambda n, cls: _comps_min2(n), _from_table("fib", 1)),
+        ClassSpec(
+            "compositions", "distinct-parts", 1,
+            lambda n, cls: _comps_distinct(n, frozenset()),
+            _series_coefficient,
+            "distinct-compositions", lambda order, ell: genfun.distinct_compositions_gf(order),
+        ),
+        ClassSpec(
+            "partitions", "all", 0,
+            lambda n, cls: _parts_all(n, n),
+            _from_table("p"),
+            "partitions", lambda order, ell: genfun.partition_gf(order),
+        ),
+        ClassSpec("partitions", "odd-parts", 0, lambda n, cls: _parts_odd(n, n), _from_table("q")),
+        ClassSpec("partitions", "distinct-parts", 0, lambda n, cls: _parts_distinct(n, n), _from_table("q")),
+        ClassSpec(
+            "partitions", "distinct-ell", 0,
+            lambda n, cls: _parts_distinct_ell(n, cls.ell, n),
+            _series_coefficient,
+            "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
+            takes_ell=True,
+        ),
+    )
+}
+
+COMPOSITION_KINDS = tuple(s.kind for s in CLASSES.values() if s.family == "compositions")
+PARTITION_KINDS = tuple(s.kind for s in CLASSES.values() if s.family == "partitions")
+
+# Series names in the order the CLI has always listed them: plain names
+# before distinct- ones, partitions before compositions.
+SERIES: dict[str, ClassSpec] = {
+    s.series: s
+    for s in sorted(
+        (s for s in CLASSES.values() if s.series),
+        key=lambda s: (s.series.startswith("distinct-"), s.family == "compositions"),
+    )
+}
+
+_FAMILIES = {"compositions": CompositionClass, "partitions": PartitionClass}
+_FAMILY_MIN_N = {"compositions": 1, "partitions": 0}
+
+
+def class_spec(cls: EnumClass) -> ClassSpec:
+    return CLASSES[f"{cls.family}:{cls.kind}"]
+
+
+def _spec_in_domain(n: int, cls: EnumClass) -> ClassSpec:
+    spec = class_spec(cls)
+    floor = _FAMILY_MIN_N[spec.family]
+    if n < floor:
+        raise DomainError(f"{spec.family} need n >= {floor}, got {n}")
+    if n < spec.min_n:
+        raise DomainError(f"{spec.kind} {spec.family} need n >= {spec.min_n}, got {n}")
+    return spec
 
 
 def parse_class(text: str) -> EnumClass:
@@ -60,16 +174,21 @@ def parse_class(text: str) -> EnumClass:
     family, sep, kind = text.partition(":")
     if not sep:
         raise DomainError(f"class must look like family:kind, got {text!r}")
-    if family == "compositions":
-        return CompositionClass(kind)
-    if family == "partitions":
-        if kind.startswith("distinct-ell="):
-            tail = kind[len("distinct-ell="):]
-            if not tail.isdigit():
-                raise DomainError(f"bad ell value in {text!r}")
-            return PartitionClass("distinct-ell", int(tail))
-        return PartitionClass(kind)
-    raise DomainError(f"unknown class family {family!r}")
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown class family {family!r}")
+    name, eq, ell = kind.partition("=")
+    spec = CLASSES.get(f"{family}:{name}")
+    if eq and spec is not None and spec.takes_ell:
+        if not ell.isdigit():
+            raise DomainError(f"bad ell value in {text!r}")
+        return _FAMILIES[family](name, int(ell))
+    return _FAMILIES[family](kind)
+
+
+def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
+    """Size of the class at n from its exact counter, using the table cache in
+    cache_dir when one is given."""
+    return _spec_in_domain(n, cls).count(n, cls, cache_dir)
 
 
 def _comps_all(n: int) -> Iterator[tuple[int, ...]]:
@@ -116,19 +235,7 @@ def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
     """Yield each composition of n in cls exactly once, lexicographically."""
     if not isinstance(cls, CompositionClass):
         raise DomainError(f"expected a composition class, got {cls}")
-    if n < 1:
-        raise DomainError(f"compositions need n >= 1, got {n}")
-    if cls.kind == "all":
-        source = _comps_all(n)
-    elif cls.kind == "odd-parts":
-        source = _comps_odd(n)
-    elif cls.kind == "min-part-2":
-        if n < 2:
-            raise DomainError(f"min-part-2 compositions need n >= 2, got {n}")
-        source = _comps_min2(n)
-    else:
-        source = _comps_distinct(n, frozenset())
-    return (Composition(parts) for parts in source)
+    return (Composition(parts) for parts in _spec_in_domain(n, cls).parts(n, cls))
 
 
 def _parts_all(n: int, maxp: int) -> Iterator[tuple[int, ...]]:
@@ -177,23 +284,16 @@ def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
     """Yield each partition of n in cls exactly once, largest-first."""
     if not isinstance(cls, PartitionClass):
         raise DomainError(f"expected a partition class, got {cls}")
-    if n < 0:
-        raise DomainError(f"partitions need n >= 0, got {n}")
-    if cls.kind == "all":
-        source = _parts_all(n, n)
-    elif cls.kind == "odd-parts":
-        source = _parts_odd(n, n)
-    elif cls.kind == "distinct-parts":
-        source = _parts_distinct(n, n)
-    else:
-        source = _parts_distinct_ell(n, cls.ell, n)
-    return (Partition(parts) for parts in source)
+    return (Partition(parts) for parts in _spec_in_domain(n, cls).parts(n, cls))
+
+
+def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:
+    """Stream any class through gen_compositions or gen_partitions."""
+    if isinstance(cls, CompositionClass):
+        return gen_compositions(n, cls)
+    return gen_partitions(n, cls)
 
 
 def count_by_enumeration(n: int, cls: EnumClass) -> int:
     """Length of the class stream, computed by exhausting it lazily."""
-    if isinstance(cls, CompositionClass):
-        stream: Iterator = gen_compositions(n, cls)
-    else:
-        stream = gen_partitions(n, cls)
-    return sum(1 for _ in stream)
+    return sum(1 for _ in gen_class(n, cls))

@@ -36,96 +36,73 @@ def _result(name: str, cases: int, counterexample: str | None) -> CheckResult:
     return CheckResult(name, False, f"smallest counterexample: {counterexample}")
 
 
-def _all_compositions(limit: int):
+def _compositions(kind: str, limit: int):
+    cls = enumeration.CompositionClass(kind)
     for n in range(1, limit + 1):
-        for c in enumeration.gen_compositions(n, enumeration.CompositionClass("all")):
+        for c in enumeration.gen_compositions(n, cls):
             yield n, c
 
 
+def _check(name: str, cases, holds) -> CheckResult:
+    """Test holds(n, c) on each case in order; the first failure is the counterexample."""
+    count = 0
+    for n, c in cases:
+        count += 1
+        if not holds(n, c):
+            return _result(name, count, str(c))
+    return _result(name, count, None)
+
+
+def _zero_runs_even(c) -> bool:
+    run = 0
+    for b in to_bitseq(c).bits:
+        if b == 0:
+            run += 1
+        elif run % 2:
+            return False
+        else:
+            run = 0
+    return run % 2 == 0
+
+
+def _conjugate_odd_length_even_index_ones(c) -> bool:
+    # odd part count is part of the characterization: c = 2 conjugates
+    # to 1+1, whose lone even-index part is 1, yet 2 is not odd
+    dual = conjugate(c)
+    return dual.ell % 2 == 1 and all(p == 1 for p in dual.parts[1::2])
+
+
+def _all_odd(c) -> bool:
+    return all(p % 2 for p in c.parts)
+
+
+# (check name, property of a composition c of n)
+_CODEC_CHECKS = (
+    ("codec roundtrip", lambda n, c: from_bitseq(to_bitseq(c)).parts == c.parts),
+    ("conjugation involution", lambda n, c: conjugate(conjugate(c)).parts == c.parts),
+    ("conjugate part-count law", lambda n, c: conjugate(c).ell == n - c.ell + 1),
+    ("odd parts iff even zero-runs", lambda n, c: _all_odd(c) == _zero_runs_even(c)),
+    (
+        "odd parts iff conjugate odd length with even-index ones",
+        lambda n, c: _all_odd(c) == _conjugate_odd_length_even_index_ones(c),
+    ),
+)
+
+
 def _suite_codec(bound: int) -> list[CheckResult]:
-    results = []
-
-    cases = 0
-    bad = None
-    for n, c in _all_compositions(bound):
-        cases += 1
-        if from_bitseq(to_bitseq(c)).parts != c.parts:
-            bad = str(c)
-            break
-    results.append(_result(f"codec roundtrip n<={bound}", cases, bad))
-
-    cases = 0
-    bad = None
-    for n, c in _all_compositions(bound):
-        cases += 1
-        if conjugate(conjugate(c)).parts != c.parts:
-            bad = str(c)
-            break
-    results.append(_result(f"conjugation involution n<={bound}", cases, bad))
-
-    cases = 0
-    bad = None
-    for n, c in _all_compositions(bound):
-        cases += 1
-        if conjugate(c).ell != n - c.ell + 1:
-            bad = str(c)
-            break
-    results.append(_result(f"conjugate part-count law n<={bound}", cases, bad))
-
-    cases = 0
-    bad = None
-    for n, c in _all_compositions(bound):
-        cases += 1
-        all_odd = all(p % 2 for p in c.parts)
-        runs_even = True
-        run = 0
-        for b in to_bitseq(c).bits:
-            if b == 0:
-                run += 1
-            else:
-                if run % 2:
-                    runs_even = False
-                run = 0
-        if run % 2:
-            runs_even = False
-        if all_odd != runs_even:
-            bad = str(c)
-            break
-    results.append(_result(f"odd parts iff even zero-runs n<={bound}", cases, bad))
-
-    cases = 0
-    bad = None
-    for n, c in _all_compositions(bound):
-        cases += 1
-        all_odd = all(p % 2 for p in c.parts)
-        dual_comp = conjugate(c)
-        # odd part count is part of the characterization: c = 2 conjugates
-        # to 1+1, whose lone even-index part is 1, yet 2 is not odd
-        dual = dual_comp.ell % 2 == 1 and all(p == 1 for p in dual_comp.parts[1::2])
-        if all_odd != dual:
-            bad = str(c)
-            break
-    results.append(_result(f"odd parts iff conjugate odd length with even-index ones n<={bound}", cases, bad))
-
-    return results
+    return [_check(f"{name} n<={bound}", _compositions("all", bound), holds) for name, holds in _CODEC_CHECKS]
 
 
 def _suite_bijection(bound: int) -> list[CheckResult]:
-    results = []
     odd_cls = enumeration.CompositionClass("odd-parts")
     min2_cls = enumeration.CompositionClass("min-part-2")
-
-    cases = 0
-    bad = None
-    for n in range(1, bound + 1):
-        for a in enumeration.gen_compositions(n, odd_cls):
-            cases += 1
-            if bijection.gt1_to_odd(bijection.odd_to_gt1(a)).parts != a.parts:
-                bad = str(a)
-                break
-        if bad:
-            break
-    results.append(_result(f"roundtrip inverse(forward) n<={bound}", cases, bad))
+    results = [
+        _check(
+            f"roundtrip inverse(forward) n<={bound}",
+            _compositions("odd-parts", bound),
+            lambda n, a: bijection.gt1_to_odd(bijection.odd_to_gt1(a)).parts == a.parts,
+        )
+    ]
 
     cases = 0
     bad = None
@@ -139,17 +116,13 @@ def _suite_bijection(bound: int) -> list[CheckResult]:
             break
     results.append(_result(f"image equals min-part-2 target n<={bound}", cases, bad))
 
-    cases = 0
-    bad = None
-    for n in range(1, bound + 1):
-        for a in enumeration.gen_compositions(n, odd_cls):
-            cases += 1
-            if (a.n - a.ell) % 2:
-                bad = str(a)
-                break
-        if bad:
-            break
-    results.append(_result(f"odd-part parity n == ell (mod 2) n<={bound}", cases, bad))
+    results.append(
+        _check(
+            f"odd-part parity n == ell (mod 2) n<={bound}",
+            _compositions("odd-parts", bound),
+            lambda n, a: (a.n - a.ell) % 2 == 0,
+        )
+    )
 
     cases = 0
     bad = None
@@ -166,54 +139,35 @@ def _suite_bijection(bound: int) -> list[CheckResult]:
     return results
 
 
+def _count_rows(bound: int):
+    """(counter in counting, classes with the n-shift of their enumeration, n range)."""
+    ptop = max(bound, 40)
+    comps, parts = enumeration.CompositionClass, enumeration.PartitionClass
+    return (
+        ("c_count", ((comps("all"), 0),), range(1, min(bound, 16) + 1)),
+        ("Q_count", ((comps("odd-parts"), 0), (comps("min-part-2"), 1)), range(1, bound + 1)),
+        ("p_recurrence", ((parts("all"), 0),), range(ptop + 1)),
+        ("q_recurrence", ((parts("odd-parts"), 0), (parts("distinct-parts"), 0)), range(ptop + 1)),
+    )
+
+
 def _suite_counts(bound: int) -> list[CheckResult]:
     results = []
 
-    top = min(bound, 16)
-    bad = None
-    for n in range(1, top + 1):
-        if counting.c_count(n) != enumeration.count_by_enumeration(
-            n, enumeration.CompositionClass("all")
-        ):
-            bad = f"n={n}"
-            break
-    results.append(_result(f"c_count vs enumeration n<={top}", top, bad))
-
-    bad = None
-    for n in range(1, bound + 1):
-        want = counting.Q_count(n)
-        if want != enumeration.count_by_enumeration(n, enumeration.CompositionClass("odd-parts")):
-            bad = f"n={n} odd-parts"
-            break
-        if want != enumeration.count_by_enumeration(
-            n + 1, enumeration.CompositionClass("min-part-2")
-        ):
-            bad = f"n={n} min-part-2"
-            break
-    results.append(_result(f"Q_count vs both enumerations n<={bound}", bound, bad))
-
-    ptop = max(bound, 40)
-    bad = None
-    for n in range(ptop + 1):
-        if counting.p_recurrence(n) != enumeration.count_by_enumeration(
-            n, enumeration.PartitionClass("all")
-        ):
-            bad = f"n={n}"
-            break
-    results.append(_result(f"p_recurrence vs enumeration n<={ptop}", ptop + 1, bad))
-
-    bad = None
-    for n in range(ptop + 1):
-        want = counting.q_recurrence(n)
-        if want != enumeration.count_by_enumeration(n, enumeration.PartitionClass("odd-parts")):
-            bad = f"n={n} odd-parts"
-            break
-        if want != enumeration.count_by_enumeration(
-            n, enumeration.PartitionClass("distinct-parts")
-        ):
-            bad = f"n={n} distinct-parts"
-            break
-    results.append(_result(f"q_recurrence vs both enumerations n<={ptop}", ptop + 1, bad))
+    for label, classes, ns in _count_rows(bound):
+        # looked up per call so a patched counter is the one checked
+        counter = getattr(counting, label)
+        versus = "enumeration" if len(classes) == 1 else "both enumerations"
+        bad = None
+        for n in ns:
+            want = counter(n)
+            for cls, shift in classes:
+                if want != enumeration.count_by_enumeration(n + shift, cls):
+                    bad = f"n={n}" if len(classes) == 1 else f"n={n} {cls.kind}"
+                    break
+            if bad:
+                break
+        results.append(_result(f"{label} vs {versus} n<={ns[-1]}", len(ns), bad))
 
     bad = None
     for n in range(2001):

@@ -301,6 +301,15 @@ class TestHagisQ:
         with pytest.raises(NonCertifiedError):
             hagis_q(10**6, k_max=1, precision_bits=64)
 
+    def test_small_term_budgets_never_certify_a_wrong_integer(self):
+        # k_max = 1 once certified q(45) as 2047: its doubled budget held no
+        # odd k beyond the first, so the drift test compared a sum with itself
+        for k_max in (1, 2):
+            for n in range(1, 120):
+                report = hagis_q(n, k_max=k_max)
+                assert report.certified
+                assert report.rounded == q_recurrence(n), (n, k_max)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             hagis_q(0)

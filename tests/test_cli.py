@@ -1,5 +1,10 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +124,16 @@ class TestCount:
         assert code == 1
         assert "error" in err
 
+    def test_count_past_int_str_digit_limit(self, capsys):
+        # 2^14299 has 4305 digits, past CPython's default 4300-digit limit
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "count", "--class", "compositions:all", "14300")
+        assert (code, err) == (0, "")
+        digits = out.strip()
+        assert len(digits) == math.floor(14299 * math.log10(2)) + 1
+        assert digits[-12:] == str(pow(2, 14299, 10**12)).zfill(12)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
 
 class TestEnumerate:
     def test_all_of_four(self, capsys):
@@ -137,6 +152,11 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--class", "compositions:all", "6", "--limit", "3")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_negative_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--class", "compositions:all", "--limit", "-1", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --limit: must be >= 0")
 
     def test_count_mode(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--class", "compositions:odd-parts", "20", "--count")
@@ -245,6 +265,13 @@ class TestAnalytic:
         fourth = run_cli(capsys, "analytic", "q", "90", "--json")
         assert third == fourth
 
+    def test_q_single_term_budget_certifies_true_value(self, capsys):
+        # at --kmax 1 the doubled budget used to sum the same single term
+        code, out, _ = run_cli(capsys, "analytic", "q", "45", "--kmax", "1")
+        assert code == 0
+        assert "rounded=2048" in out.splitlines()
+        assert "certified=true" in out.splitlines()
+
     def test_q_matches_recurrence(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "q", "64")
         assert code == 0
@@ -334,6 +361,15 @@ class TestCacheDir:
         assert "error" in err
 
 
+    def test_cache_dir_naming_a_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("", encoding="ascii")
+        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "--cache-dir", str(path), "10")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -365,3 +401,14 @@ class TestUsage:
             _, out, _ = run_cli(capsys, *argv)
             for line in out.splitlines():
                 assert line == line.rstrip()
+
+
+@pytest.mark.parametrize("module", ["fibcomp", "fibcomp.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__import__("fibcomp").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "count", "--class", "compositions:odd-parts", "10"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "55\n", "")

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fibcomp import counting, enumeration, genfun
 from fibcomp.core import DomainError
 from fibcomp.enumeration import (
     CompositionClass,
@@ -260,3 +261,52 @@ def test_streams_stay_inside_their_class(n):
     for p in gen_partitions(n, PartitionClass("odd-parts")):
         assert all(x % 2 == 1 for x in p.parts)
         assert p.n == n
+
+
+def registry_examples():
+    """One class per registry entry; classes indexed by ell take a few ell."""
+    for name, spec in enumeration.CLASSES.items():
+        for suffix in ("=0", "=2", "=3") if spec.takes_ell else ("",):
+            yield parse_class(name + suffix)
+
+
+class TestClassRegistry:
+    def test_kinds_and_series_derive_from_the_registry(self):
+        assert enumeration.COMPOSITION_KINDS == ("all", "odd-parts", "min-part-2", "distinct-parts")
+        assert enumeration.PARTITION_KINDS == ("all", "odd-parts", "distinct-parts", "distinct-ell")
+        assert list(enumeration.SERIES) == [
+            "partitions", "compositions", "distinct-partitions", "distinct-compositions",
+        ]
+
+    @pytest.mark.parametrize("cls", list(registry_examples()), ids=str)
+    def test_exact_count_matches_enumeration_and_series(self, cls, tmp_path):
+        spec = enumeration.class_spec(cls)
+        top = 12
+        for n in range(spec.min_n, top + 1):
+            want = count_by_enumeration(n, cls)
+            assert enumeration.exact_count(n, cls) == want, n
+            assert enumeration.exact_count(n, cls, str(tmp_path)) == want, n
+            if spec.gf is not None:
+                assert spec.gf(top, cls.ell).coefficient(n) == want, n
+
+    @pytest.mark.parametrize("cls", list(registry_examples()), ids=str)
+    def test_domain_errors_match_between_enumeration_and_count(self, cls):
+        spec = enumeration.class_spec(cls)
+        for n in range(spec.min_n - 3, spec.min_n):
+            with pytest.raises(DomainError) as enumerated:
+                enumeration.gen_class(n, cls)
+            with pytest.raises(DomainError) as counted:
+                enumeration.exact_count(n, cls)
+            assert str(enumerated.value) == str(counted.value)
+
+    def test_enumerators_do_not_use_counting_or_genfun(self, monkeypatch):
+        # the generators are the oracles the fast paths are checked against
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an enumerator called into counting or genfun")
+
+        for module in (counting, genfun):
+            for name, value in vars(module).items():
+                if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                    monkeypatch.setattr(module, name, forbidden)
+        for cls in registry_examples():
+            assert count_by_enumeration(6, cls) >= 0
