@@ -193,8 +193,8 @@ def _cmd_analytic(args) -> int:
     if args.json:
         _emit_json(document)
     else:
-        # key=value lines; the boolean is spelled as in JSON
-        _emit([f"{k}={json.dumps(v) if isinstance(v, bool) else v}" for k, v in document.items()])
+        plain = dict(document, certified="true" if report.certified else "false")
+        _emit([f"{key}={value}" for key, value in plain.items()])
     return 0
 
 

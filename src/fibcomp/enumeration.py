@@ -26,7 +26,7 @@ from .core import Composition, DomainError, Partition
 class CompositionClass:
     kind: str
     family = "compositions"
-    ell = None
+    ell = None  # no composition class takes a part count
 
     def __post_init__(self):
         if self.kind not in COMPOSITION_KINDS:
