@@ -1,11 +1,14 @@
 """High-precision evaluation of the convergent series for the partition
 counts p(n) and q(n), with an exact-rational layer underneath.
 
-The rational layer (sawtooth, dedekind_s, hagis_t) is pure integer
-arithmetic packaged as Fractions, so its results are reproducible
-bit-for-bit.  The floating layer evaluates the series under an explicit
-working precision and only ever rounds a truncated sum to an integer when
-a two-sided check passes:
+The rational layer (sawtooth, dedekind_s, hagis_t) is exact integer
+arithmetic packaged as Fractions: dedekind_s follows the reciprocity law
+down Euclid's chain in O(log k) steps, and hagis_t is a difference of two
+Dedekind sums.  The exponential sums need no tables or caches: A_k(n)
+comes from Selberg's formula, a few cosines per k, and the q sum pairs h
+with k - h, one cosine per pair.  The floating layer evaluates the series
+under an explicit working precision and only ever rounds a truncated sum
+to an integer when a two-sided check passes:
 
 * the truncated value sits within 1/4 of an integer,
 * doubling the number of series terms moves the value by less than 2^-4, and
@@ -29,8 +32,6 @@ from fractions import Fraction
 from mpmath import mp, mpf, cospi, sinpi, sqrt, cosh, sinh, pi, nint
 
 from .core import DomainError
-
-ExactRational = Fraction
 
 RESIDUAL_BOUND = 0.25
 STABILITY_BOUND = 0.0625  # 2^-4; tail movement under a doubled term budget
@@ -140,116 +141,102 @@ def _check_coprime_args(h: int, k: int) -> None:
         raise DomainError(f"h and k must be coprime, got h={h}, k={k}")
 
 
-def dedekind_s(h: int, k: int) -> Fraction:
-    """Sum of ((j/k))((hj/k)) over j = 1..k-1, exactly.
+def _dedekind12(h: int, k: int) -> int:
+    """12k * s(h, k) for coprime 0 <= h < k, in O(log k) integer steps: by
+    reciprocity h (12k s(h,k)) + k (12h s(k,h)) = h^2 + k^2 + 1 - 3hk, with
+    s(k, h) = s(k mod h, h) and s(0, 1) = 0.  The division by h is exact."""
+    if h == 0:
+        return 0
+    return (h * h + k * k + 1 - 3 * h * k - k * _dedekind12(k % h, h)) // h
 
-    For 0 < j < k neither j/k nor hj/k is an integer (h coprime to k), so
-    each sawtooth factor is a half-integer offset and the whole sum
-    collapses to integer arithmetic over a denominator of 4k^2.
-    """
+
+def dedekind_s(h: int, k: int) -> Fraction:
+    """Sum of ((j/k))((hj/k)) over j = 1..k-1, exactly, by reciprocity."""
     _check_coprime_args(h, k)
-    acc = 0
-    r = 0
-    for j in range(1, k):
-        r += h
-        if r >= k:
-            r -= k
-        acc += (2 * j - k) * (2 * r - k)
-    return Fraction(acc, 4 * k * k)
+    return Fraction(_dedekind12(h, k), 12 * k)
 
 
 def hagis_t(h: int, k: int) -> Fraction:
     """Sum of (( (2j-1)/(2k) ))(( h(2j-1)/k )) over j = 1..k, k odd, exactly.
 
-    The j with k | (2j-1) contributes 0 through its first factor, so the
-    collapsed integer form needs no special case for it.
+    t(h, k) = s(h, k) - s(2h mod k, k).  Proof: Dedekind sums are
+    homogeneous, s(2h, 2k) = s(h, k).  Split the sum for s(2h, 2k) over
+    m mod 2k: the odd m = 2j-1 give t(h, k) and the even m = 2j give
+    s(2h, k), which is periodic in 2h mod k.
     """
     _check_coprime_args(h, k)
     if k % 2 == 0:
         raise DomainError(f"k must be odd, got {k}")
-    acc = 0
-    u = -h
-    for j in range(1, k + 1):
-        u += 2 * h
-        u %= k
-        acc += (2 * j - 1 - k) * (2 * u - k)
-    return Fraction(acc, 4 * k * k)
-
-
-# Per-k half tables of the rational sums, for h <= k/2 only: the h <-> k-h
-# symmetry (s and t are both odd under it) supplies the other half.
-_s_half_tables: dict[int, list[tuple[int, Fraction]]] = {}
-_t_half_tables: dict[int, list[tuple[int, Fraction]]] = {}
+    return Fraction(_dedekind12(h, k) - _dedekind12(2 * h % k, k), 12 * k)
 
 
 def _tier(bits: int) -> int:
     return ((bits + 63) // 64) * 64
 
 
-def _cospi_fraction(theta: Fraction):
-    return cospi(mpf(theta.numerator) / theta.denominator)
-
-
-# (k, n mod k, tier) -> mpf; exponential sums depend on n only through n mod k
-_A_cache: dict[tuple[int, int, int], object] = {}
-_inner_cache: dict[tuple[int, int, int], object] = {}
-
-
-def _cached_sum(cache: dict, k: int, n: int, tier: int, evaluate):
-    """evaluate(r) at the tier's precision for r = n mod k, once per (k, r, tier)."""
+def _A_real(k: int, n: int, tier: int):
+    """A_k(n) at the tier's precision by Selberg's formula: sqrt(k/3) times
+    the sum of (-1)^l cos(pi (6l+1)/(6k)) over l mod 2k with (3l^2 + l)/2 =
+    -n (mod k) (Johansson, "Efficient implementation of the Hardy-Ramanujan-
+    Rademacher formula", 2012, sec. 2).  Only a few l qualify, so a term
+    costs a few cosines and no Dedekind sum.
+    """
     if k == 1:
         return mpf(1)
-    r = n % k
-    key = (k, r, tier)
-    cached = cache.get(key)
-    if cached is None:
-        with mp.workprec(tier):
-            cached = evaluate(r)
-        cache[key] = cached
-    return cached
-
-
-def _paired_sum(half_tables: dict, rational, k: int, r: int):
-    # the h and k - h terms are complex conjugates, so each pair is twice a cosine
-    half = half_tables.get(k)
-    if half is None:
-        half = [(h, rational(h, k)) for h in range(1, k // 2 + 1) if math.gcd(h, k) == 1]
-        half_tables[k] = half
-    total = mpf(0)
-    for h, x in half:
-        total += _cospi_fraction((x - Fraction(2 * r * h, k)) % 2)
-    return 2 * total
-
-
-def _A_real(k: int, n: int, tier: int):
-    """Real value of the Dedekind exponential sum, via the h <-> k-h pairing."""
-
-    def evaluate(r):
-        if k == 2:  # the lone h = 1 is its own partner
-            return _cospi_fraction(Fraction(-r) % 2)
-        return _paired_sum(_s_half_tables, dedekind_s, k, r)
-
-    return _cached_sum(_A_cache, k, n, tier, evaluate)
+    with mp.workprec(tier):
+        total = mpf(0)
+        for l in range(2 * k):
+            if ((3 * l * l + l) // 2 + n) % k == 0:
+                total += (-1) ** l * cospi(mpf(6 * l + 1) / (6 * k))
+        return sqrt(mpf(k) / 3) * total
 
 
 def _inner_real(k: int, n: int, tier: int):
-    """Real value of the odd-k exponential sum in the distinct-count series.
+    """Real value of the odd-k exponential sum in the distinct-count series,
+    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at the tier's precision.  The h
+    and k-h terms are complex conjugates, so each pair is twice a cosine, of
+    an integer multiple of pi/(12k) because 12k t(h, k) is an integer.
 
     At k = 1 the sum over proper fractions h/k is empty; the evaluation
     takes the single h = 0 term, which is exactly 1, so the first series
     term carries the main weight instead of vanishing.
     """
-    return _cached_sum(_inner_cache, k, n, tier, lambda r: _paired_sum(_t_half_tables, hagis_t, k, r))
+    if k == 1:
+        return mpf(1)
+    with mp.workprec(tier):
+        total = mpf(0)
+        for h in range(1, k // 2 + 1):
+            if math.gcd(h, k) == 1:
+                t = hagis_t(h, k)
+                angle = (t.numerator * (12 * k // t.denominator) - 24 * n * h) % (24 * k)
+                total += cospi(mpf(angle) / (12 * k))
+        return 2 * total
+
+
+def _direct_sum(rational, k: int, n: int, precision_bits: int):
+    """Real part of the explicit complex sum of e^{pi i (rational(h, k) - 2nh/k)}
+    over h coprime to k (h = 0 alone at k = 1).  The imaginary part must
+    cancel to below 2^(-precision_bits/2) or the evaluation is rejected.
+    """
+    with mp.workprec(_tier(precision_bits)):
+        re = im = mpf(0)
+        for h in range(k):
+            if math.gcd(h, k) == 1:
+                theta = (rational(h, k) - Fraction(2 * n * h, k)) % 2
+                x = mpf(theta.numerator) / theta.denominator
+                re += cospi(x)
+                im += sinpi(x)
+        if abs(im) >= mpf(2) ** (-(precision_bits // 2)):
+            raise ImaginaryResidueError(
+                f"imaginary residue {im} at k={k}, n={n}, bits={precision_bits}"
+            )
+    return re
 
 
 def kloosterman_A(k: int, n: int, precision_bits: int) -> HPReal:
-    """Exponential sum over residues h coprime to k, evaluated from the
-    definition as an explicit complex sum.
-
-    The true value is real; the imaginary part must cancel to below
-    2^(-precision_bits/2) or the evaluation is rejected.  (The series
-    evaluators use a pairing shortcut; this direct form is the reference
-    they are checked against.)
+    """A_k(n) from its definition as an explicit complex sum over h coprime
+    to k (see _direct_sum).  The series evaluators use Selberg's formula;
+    this direct form is the reference they are checked against.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -257,23 +244,7 @@ def kloosterman_A(k: int, n: int, precision_bits: int) -> HPReal:
         raise DomainError(f"n must be >= 0, got {n}")
     if precision_bits < 64:
         raise DomainError("precision_bits must be >= 64")
-    with mp.workprec(_tier(precision_bits)):
-        re = mpf(0)
-        im = mpf(0)
-        for h in range(k):
-            if h and math.gcd(h, k) != 1:
-                continue
-            if h == 0 and k != 1:
-                continue
-            theta = (dedekind_s(h, k) - Fraction(2 * n * h, k)) % 2
-            x = mpf(theta.numerator) / theta.denominator
-            re += cospi(x)
-            im += sinpi(x)
-        if abs(im) >= mpf(2) ** (-(precision_bits // 2)):
-            raise ImaginaryResidueError(
-                f"imaginary residue {im} at k={k}, n={n}, bits={precision_bits}"
-            )
-    return HPReal(re, precision_bits)
+    return HPReal(_direct_sum(dedekind_s, k, n, precision_bits), precision_bits)
 
 
 def _i1_raw(z, bits: int):

@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mp
 
-from . import analytic, bijection, enumeration, verify
+from . import analytic, bijection, counting, enumeration, verify
 from .core import DomainError, format_composition, parse_composition
 
 
@@ -238,20 +238,8 @@ _COMMANDS = {
 }
 
 
+@counting.unlimited_int_digits()
 def run(argv=None) -> int:
-    # exact counts run to tens of thousands of digits; lift CPython's
-    # int <-> str digit limit (3.11+, some 3.10 builds) for this call only
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
-
-
-def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -263,6 +251,8 @@ def _run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # main() ends quietly when the reader of stdout goes away
     except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -272,7 +262,13 @@ def _run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # output that fit the buffer meets a closed pipe here
+    except BrokenPipeError:  # reader gone (`| head -1`); devnull keeps the exit flush from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,6 +173,20 @@ def binet_first_failure(limit: int = 100) -> int | None:
     return None
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's int <-> str digit limit (3.11+, some 3.10 builds): exact
+    counts and table entries run to tens of thousands of digits."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
+
+
 @dataclass
 class MemoTable:
     """Values 0..N of one recurrence kind, suitable for saving and loading."""
@@ -196,6 +212,7 @@ def build_table(kind: str, max_n: int) -> MemoTable:
 _HEADER_RE = re.compile(r"fibcomp-table v1 kind=(p|q|fib) max=(0|[1-9][0-9]*)\Z")
 
 
+@unlimited_int_digits()
 def save_table(table: MemoTable, path) -> None:
     lines = [f"fibcomp-table v1 kind={table.kind} max={table.max_n}"]
     lines.extend(str(v) for v in table.values)
@@ -213,6 +230,7 @@ def _check_index(kind: str, values: list[int], i: int) -> bool:
     return probe[i] == values[i]
 
 
+@unlimited_int_digits()
 def load_table(path) -> MemoTable:
     """Load a saved table, re-deriving a 16-index sample before trusting it."""
     text = Path(path).read_text(encoding="ascii")

@@ -7,6 +7,7 @@ counterexample found.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,64 +267,76 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
     return results
 
 
+def _fractions(ks):
+    """(k, h/k) for each coprime 0 < h < k, k in ks; a failing case reports h/k."""
+    return ((k, Fraction(h, k)) for k in ks for h in range(1, k) if math.gcd(h, k) == 1)
+
+
+def _sawtooth_sum(h: int, xs) -> Fraction:
+    """Sum of ((x))((hx)) over xs: s(h, k) over x = j/k, t(h, k) over 2h and x = (2j-1)/(2k)."""
+    return sum((analytic.sawtooth(x) * analytic.sawtooth(h * x) for x in xs), Fraction(0))
+
+
+def _dedekind_holds(k: int, x: Fraction) -> bool:
+    h = x.numerator
+    s = analytic.dedekind_s(h, k)
+    return (
+        s == _sawtooth_sum(h, (Fraction(j, k) for j in range(1, k)))
+        and s + analytic.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
+        and (12 * k * s).denominator == 1
+    )
+
+
+def _hagis_holds(k: int, x: Fraction) -> bool:
+    h = x.numerator
+    t = analytic.hagis_t(h, k)
+    odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
+    return t == _sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k)
+
+
+def _check_exponential_sum(name: str, ks, ns, direct, fast) -> CheckResult:
+    """Compare fast(k, n) with direct(k, n) to 2^-100 for each k in ks, n in ns."""
+    for case, (k, n) in enumerate(itertools.product(ks, ns), 1):
+        try:
+            want = direct(k, n)
+        except analytic.ImaginaryResidueError as exc:
+            return _result(name, case, f"(k={k}, n={n}): {exc}")
+        if abs(want - fast(k, n)) > analytic.mpf(2) ** -100:
+            return _result(name, case, f"(k={k}, n={n}) mismatch")
+    return _result(name, len(ks) * len(ns), None)
+
+
 def _suite_analytic(bound: int) -> list[CheckResult]:
-    results = []
-
-    bad = None
-    cases = 0
-    for k in range(2, 31):
-        for h in range(1, k):
-            if math.gcd(h, k) != 1:
-                continue
-            cases += 1
-            s_hk = analytic.dedekind_s(h, k)
-            if s_hk != analytic.dedekind_s(h, k):
-                bad = f"(h={h}, k={k}) not reproducible"
-                break
-            lhs = s_hk + analytic.dedekind_s(k % h, h)
-            rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
-            if lhs != rhs:
-                bad = f"(h={h}, k={k})"
-                break
-            if (12 * k * s_hk).denominator != 1:
-                bad = f"(h={h}, k={k}) denominator"
-                break
-        if bad:
-            break
-    results.append(_result("dedekind reciprocity and integrality k<=30", cases, bad))
-
-    bad = None
-    cases = 0
-    for k in range(3, 30, 2):
-        for h in range(1, k):
-            if math.gcd(h, k) != 1:
-                continue
-            cases += 1
-            if analytic.hagis_t(h, k) != -analytic.hagis_t(k - h, k):
-                bad = f"(h={h}, k={k})"
-                break
-        if bad:
-            break
-    results.append(_result("hagis sum negation symmetry k<30", cases, bad))
-
-    bad = None
-    cases = 0
+    tier = analytic._tier(128)
     top_k = min(bound, 50)
-    for k in range(1, top_k + 1):
-        for n in range(0, top_k + 1, 7):
-            cases += 1
-            try:
-                direct = analytic.kloosterman_A(k, n, 128)
-            except analytic.ImaginaryResidueError as exc:
-                bad = f"(k={k}, n={n}): {exc}"
-                break
-            fast = analytic._A_real(k, n, analytic._tier(128))
-            if abs(direct.value - fast) > analytic.mpf(2) ** -100:
-                bad = f"(k={k}, n={n}) pairing mismatch"
-                break
-        if bad:
-            break
-    results.append(_result(f"exponential sum direct vs paired k<={top_k}", cases, bad))
+    ns = range(0, top_k + 1, 7)
+    odd_ks = range(1, top_k + 1, 2)
+    results = [
+        _check(
+            "dedekind sum vs sawtooth definition, reciprocity and integrality k<=30",
+            _fractions(range(2, 31)),
+            _dedekind_holds,
+        ),
+        _check(
+            "hagis sum vs sawtooth definition and negation symmetry k<30",
+            _fractions(range(3, 30, 2)),
+            _hagis_holds,
+        ),
+        _check_exponential_sum(
+            f"exponential sum direct vs selberg k<={top_k}",
+            range(1, top_k + 1),
+            ns,
+            lambda k, n: analytic.kloosterman_A(k, n, 128).value,
+            lambda k, n: analytic._A_real(k, n, tier),
+        ),
+        _check_exponential_sum(
+            f"hagis exponential sum direct vs paired odd k<={odd_ks[-1]}",
+            odd_ks,
+            ns,
+            lambda k, n: analytic._direct_sum(analytic.hagis_t, k, n, 128),
+            lambda k, n: analytic._inner_real(k, n, tier),
+        ),
+    ]
 
     z = analytic.HPReal(analytic.mpf(2), 128)
     wide = analytic.bessel_I1(analytic.HPReal(analytic.mpf(2), 320))

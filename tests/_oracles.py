@@ -10,6 +10,7 @@ exponentials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 
 def compositions_bitmask(n: int) -> set[tuple[int, ...]]:
@@ -95,6 +96,7 @@ def sawtooth_def(x: Fraction) -> Fraction:
     return x - floor - Fraction(1, 2)
 
 
+@cache  # pure; spares the exponential-sum oracles one O(k) sum per (h, k, n)
 def dedekind_def(h: int, k: int) -> Fraction:
     return sum(
         (sawtooth_def(Fraction(j, k)) * sawtooth_def(Fraction(h * j, k)) for j in range(1, k)),
@@ -102,6 +104,7 @@ def dedekind_def(h: int, k: int) -> Fraction:
     )
 
 
+@cache
 def hagis_def(h: int, k: int) -> Fraction:
     return sum(
         (
@@ -112,8 +115,40 @@ def hagis_def(h: int, k: int) -> Fraction:
     )
 
 
-def kloosterman_complex(k: int, n: int, dps_bits: int = 256):
-    """Exponential sum evaluated as literal mpmath complex exponentials."""
+def dedekind_loop(h: int, k: int) -> Fraction:
+    """s(h, k) by one pass over j, each sawtooth product an integer over 4k^2.
+
+    For 0 < j < k neither j/k nor hj/k is an integer (h coprime to k), so
+    each sawtooth factor is a half-integer offset.
+    """
+    acc = 0
+    r = 0
+    for j in range(1, k):
+        r += h
+        if r >= k:
+            r -= k
+        acc += (2 * j - k) * (2 * r - k)
+    return Fraction(acc, 4 * k * k)
+
+
+def hagis_loop(h: int, k: int) -> Fraction:
+    """t(h, k) for odd k by one pass over j, each product an integer over 4k^2.
+
+    The j with k | (2j-1) contributes 0 through its first factor, so the
+    integer form needs no special case for it.
+    """
+    acc = 0
+    u = -h
+    for j in range(1, k + 1):
+        u += 2 * h
+        u %= k
+        acc += (2 * j - 1 - k) * (2 * u - k)
+    return Fraction(acc, 4 * k * k)
+
+
+def _exponential_sum_complex(rational, k: int, n: int, dps_bits: int):
+    """Sum over h coprime to k (h = 0 alone at k = 1) of e^{pi i (rational(h, k) - 2nh/k)},
+    as literal mpmath complex exponentials."""
     import math
 
     from mpmath import mp, mpc, exp, mpf, pi
@@ -125,7 +160,17 @@ def kloosterman_complex(k: int, n: int, dps_bits: int = 256):
                 continue
             if h and math.gcd(h, k) != 1:
                 continue
-            s = dedekind_def(h, k)
+            s = rational(h, k)
             angle = mpf(s.numerator) / s.denominator - mpf(2 * n * h) / k
             total += exp(mpc(0, 1) * pi * angle)
         return total
+
+
+def kloosterman_complex(k: int, n: int, dps_bits: int = 256):
+    """Dedekind exponential sum A_k(n) from the sawtooth definition of s."""
+    return _exponential_sum_complex(dedekind_def, k, n, dps_bits)
+
+
+def hagis_complex(k: int, n: int, dps_bits: int = 256):
+    """Odd-k exponential sum of the distinct-count series from the sawtooth definition of t."""
+    return _exponential_sum_complex(hagis_def, k, n, dps_bits)

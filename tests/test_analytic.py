@@ -22,7 +22,17 @@ from fibcomp.analytic import (
 from fibcomp.core import DomainError
 from fibcomp.counting import p_recurrence, q_recurrence
 
-from _oracles import dedekind_def, hagis_def, kloosterman_complex
+from _oracles import (
+    dedekind_def,
+    dedekind_loop,
+    hagis_complex,
+    hagis_def,
+    hagis_loop,
+    kloosterman_complex,
+)
+
+# Every k the evaluators reach for n <= 500 (the doubled budget there is 390).
+LOOP_REFERENCE_K = 400
 
 
 def hp(x, bits=128):
@@ -62,6 +72,12 @@ class TestDedekindSum:
             for h in range(1, k):
                 if math.gcd(h, k) == 1:
                     assert dedekind_s(h, k) == dedekind_def(h, k)
+
+    def test_matches_loop_form_to_k400(self):
+        for k in range(1, LOOP_REFERENCE_K + 1):
+            for h in range(k):
+                if math.gcd(h, k) == 1:
+                    assert dedekind_s(h, k) == dedekind_loop(h, k), (h, k)
 
     def test_reciprocity(self):
         # s is periodic in its first argument, so s(k, h) = s(k mod h, h)
@@ -108,6 +124,12 @@ class TestHagisSum:
             for h in range(1, k):
                 if math.gcd(h, k) == 1:
                     assert hagis_t(h, k) == hagis_def(h, k)
+
+    def test_matches_loop_form_to_k400(self):
+        for k in range(1, LOOP_REFERENCE_K + 1, 2):
+            for h in range(k):
+                if math.gcd(h, k) == 1:
+                    assert hagis_t(h, k) == hagis_loop(h, k), (h, k)
 
     def test_negation_symmetry(self):
         for k in range(3, 30, 2):
@@ -183,6 +205,28 @@ class TestKloosterman:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             kloosterman_A(0, 1, 128)
+
+
+class TestExponentialSums:
+    # the evaluators' sums against literal complex sums over every coprime h
+    NS = (0, 1, 7, 45, 331, 2000)
+
+    def test_selberg_A_matches_complex_oracle(self):
+        for k in range(1, 121):
+            for n in self.NS:
+                got = analytic._A_real(k, n, 256)
+                want = kloosterman_complex(k, n, 256)
+                with mp.workprec(300):
+                    assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
+
+    def test_paired_inner_sum_matches_complex_oracle(self):
+        for k in range(1, 121, 2):
+            for n in self.NS:
+                got = analytic._inner_real(k, n, 256)
+                want = hagis_complex(k, n, 256)
+                with mp.workprec(300):
+                    assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
+                    assert abs(want.imag) < mp.mpf(2) ** -200, (k, n)
 
 
 class TestBessel:

@@ -403,12 +403,32 @@ class TestUsage:
                 assert line == line.rstrip()
 
 
+def _subprocess_env() -> dict:
+    src = str(Path(__import__("fibcomp").__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("module", ["fibcomp", "fibcomp.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(Path(__import__("fibcomp").__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", module, "count", "--class", "compositions:odd-parts", "10"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "55\n", "")
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early (`| head -1`): exit 1, nothing on stderr,
+    # and no "Exception ignored" from the flush at interpreter shutdown
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibcomp", "enumerate", "--class", "compositions:all", "18"],
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +174,23 @@ class TestTables:
         loaded = load_table(path)
         assert loaded.kind == "p"
         assert loaded.values == table.values
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit")
+    def test_save_load_past_int_str_digit_limit(self, tmp_path):
+        # F_21000 has 4389 digits, past CPython's default 4300-digit limit
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path = tmp_path / "fib.table"
+            table = build_table("fib", 21000)
+            save_table(table, path)
+            assert sys.get_int_max_str_digits() == 4300
+            loaded = load_table(path)
+            assert sys.get_int_max_str_digits() == 4300
+            assert loaded.values == table.values
+            assert loaded.values[-1] % 10**12 == fib_list(21000)[-1] % 10**12
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "fib.table"
