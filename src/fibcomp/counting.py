@@ -9,6 +9,7 @@ a small line-oriented cache format for the memo tables.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import sys
@@ -78,17 +79,21 @@ def _extend_q(values: list[int], upto: int) -> None:
 _EXTENDERS = {"fib": _extend_fib, "p": _extend_p, "q": _extend_q}
 _BASES = {"fib": [0, 1], "p": [1], "q": [1]}
 
-_fib_values = list(_BASES["fib"])
 _p_values = list(_BASES["p"])
 _q_values = list(_BASES["q"])
 
 
 def fibonacci(n: int) -> int:
-    """F_0 = 0, F_1 = 1, F_n = F_{n-1} + F_{n-2}, by the recurrence itself."""
+    """F_0 = 0, F_1 = 1, F_n = F_{n-1} + F_{n-2}, by fast doubling over the
+    bits of n: F_2k = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2."""
     if n < 0:
         raise DomainError(f"fibonacci needs n >= 0, got {n}")
-    _extend_fib(_fib_values, n)
-    return _fib_values[n]
+    a, b = 0, 1  # F_k, F_{k+1} for k = the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def Q_count(n: int) -> int:
@@ -214,17 +219,25 @@ _HEADER_RE = re.compile(r"fibcomp-table v1 kind=(p|q|fib) max=(0|[1-9][0-9]*)\Z"
 
 @unlimited_int_digits()
 def save_table(table: MemoTable, path) -> None:
+    """Write the table to a temporary file beside path, then rename it over
+    path, so readers and concurrent writers see a whole old or new file."""
+    path = Path(path)
     lines = [f"fibcomp-table v1 kind={table.kind} max={table.max_n}"]
     lines.extend(str(v) for v in table.values)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        temporary.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)  # already gone once replaced
 
 
 def _check_index(kind: str, values: list[int], i: int) -> bool:
+    if kind == "fib":
+        return values[i] == fibonacci(i)
     base = _BASES[kind]
     if i < len(base):
         return values[i] == base[i]
-    if kind == "fib":
-        return values[i] == values[i - 1] + values[i - 2]
     probe = values[: i]
     _EXTENDERS[kind](probe, i)
     return probe[i] == values[i]
@@ -232,7 +245,8 @@ def _check_index(kind: str, values: list[int], i: int) -> bool:
 
 @unlimited_int_digits()
 def load_table(path) -> MemoTable:
-    """Load a saved table, re-deriving a 16-index sample before trusting it."""
+    """Load a saved table, re-deriving its base entries and a 16-index sample
+    before trusting it."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines:
@@ -250,8 +264,11 @@ def load_table(path) -> MemoTable:
         raise DomainError(f"{path}: non-integer table line ({exc})") from exc
     # deterministic sample so a given file always gets the same audit
     rng = random.Random(f"{kind}:{max_n}")
-    sample = rng.sample(range(max_n + 1), min(16, max_n + 1))
-    for i in sorted(sample):
+    audited = set(rng.sample(range(max_n + 1), min(16, max_n + 1)))
+    # a p or q check trusts the entries below it, so the seeds are always
+    # audited: a table scaled or seeded wrongly satisfies the recurrence elsewhere
+    audited.update(range(min(len(_BASES[kind]), max_n + 1)))
+    for i in sorted(audited):
         if not _check_index(kind, values, i):
             raise DomainError(f"{path}: table fails its recurrence at index {i}")
     return MemoTable(kind, values)

@@ -84,15 +84,14 @@ class ClassSpec:
     takes_ell: bool = False
 
 
-def _from_table(kind: str, shift: int = 0):
-    """Counter reading entry n - shift of the p, q or fib recurrence table."""
+def _from_table(kind: str):
+    """Counter reading entry n of the p or q recurrence table."""
 
     def count(n: int, cls: EnumClass, cache_dir: str | None) -> int:
-        m = n - shift
         if cache_dir is not None:
-            return counting.cached_table(kind, m, cache_dir).values[m]
-        recurrence = {"p": counting.p_recurrence, "q": counting.q_recurrence, "fib": counting.fibonacci}
-        return recurrence[kind](m)
+            return counting.cached_table(kind, n, cache_dir).values[n]
+        recurrence = {"p": counting.p_recurrence, "q": counting.q_recurrence}
+        return recurrence[kind](n)
 
     return count
 
@@ -112,8 +111,16 @@ CLASSES: dict[str, ClassSpec] = {
             lambda n, cls, cache_dir: counting.c_count(n),
             "compositions", lambda order, ell: genfun.compositions_gf(order),
         ),
-        ClassSpec("compositions", "odd-parts", 1, lambda n, cls: _comps_odd(n), _from_table("fib")),
-        ClassSpec("compositions", "min-part-2", 2, lambda n, cls: _comps_min2(n), _from_table("fib", 1)),
+        ClassSpec(
+            "compositions", "odd-parts", 1,
+            lambda n, cls: _comps_odd(n),
+            lambda n, cls, cache_dir: counting.Q_count(n),
+        ),
+        ClassSpec(
+            "compositions", "min-part-2", 2,
+            lambda n, cls: _comps_min2(n),
+            lambda n, cls, cache_dir: counting.fibonacci(n - 1),
+        ),
         ClassSpec(
             "compositions", "distinct-parts", 1,
             lambda n, cls: _comps_distinct(n, frozenset()),
@@ -186,8 +193,8 @@ def parse_class(text: str) -> EnumClass:
 
 
 def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
-    """Size of the class at n from its exact counter, using the table cache in
-    cache_dir when one is given."""
+    """Size of the class at n from its exact counter; the p and q counts use
+    the table cache in cache_dir when one is given."""
     return _spec_in_domain(n, cls).count(n, cls, cache_dir)
 
 

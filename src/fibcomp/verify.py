@@ -306,6 +306,10 @@ def _check_exponential_sum(name: str, ks, ns, direct, fast) -> CheckResult:
     return _result(name, len(ks) * len(ns), None)
 
 
+# a broken evaluator fails its row instead of ending the suite
+_EVALUATION_ERRORS = (analytic.NonCertifiedError, analytic.ImaginaryResidueError)
+
+
 def _suite_analytic(bound: int) -> list[CheckResult]:
     tier = analytic._tier(128)
     top_k = min(bound, 50)
@@ -355,25 +359,31 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
     )
 
     bad = None
-    for n in range(1, bound + 1):
-        p_report = analytic.rademacher_p(n)
-        if not p_report.certified or p_report.rounded != counting.p_recurrence(n):
-            bad = f"p at n={n}"
-            break
-        q_report = analytic.hagis_q(n)
-        if not q_report.certified or q_report.rounded != counting.q_recurrence(n):
-            bad = f"q at n={n}"
-            break
+    try:
+        for n in range(1, bound + 1):
+            p_report = analytic.rademacher_p(n)
+            if not p_report.certified or p_report.rounded != counting.p_recurrence(n):
+                bad = f"p at n={n}"
+                break
+            q_report = analytic.hagis_q(n)
+            if not q_report.certified or q_report.rounded != counting.q_recurrence(n):
+                bad = f"q at n={n}"
+                break
+    except _EVALUATION_ERRORS as exc:
+        bad = f"n={n}: {exc}"
     results.append(_result(f"certified rounding vs recurrences n<={bound}", bound, bad))
 
     probe = min(bound, 30)
-    base = analytic.rademacher_p(probe)
     bad = None
-    for extra in (6, 18, 30, 60, 90):
-        report = analytic.rademacher_p(probe, k_max=base.k_terms_used + extra)
-        if not report.residual < analytic.RESIDUAL_BOUND:
-            bad = f"budget +{extra}"
-            break
+    try:
+        base = analytic.rademacher_p(probe)
+        for extra in (6, 18, 30, 60, 90):
+            report = analytic.rademacher_p(probe, k_max=base.k_terms_used + extra)
+            if not report.residual < analytic.RESIDUAL_BOUND:
+                bad = f"budget +{extra}"
+                break
+    except _EVALUATION_ERRORS as exc:
+        bad = f"n={probe}: {exc}"
     results.append(_result(f"residual stays small above certified budget (n={probe})", 5, bad))
 
     return results

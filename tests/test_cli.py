@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fibcomp import cli
+from fibcomp import cli, counting, enumeration, verify
 from fibcomp.counting import fibonacci, p_recurrence, q_recurrence
 
 
@@ -326,6 +329,26 @@ class TestVerify:
         assert code == 2
         assert "[FAIL]" in out
 
+    def test_uncertifiable_series_fails_rows(self, capsys, monkeypatch):
+        # a broken exponential sum leaves the series uncertifiable; each row
+        # that evaluates it reports the n instead of ending the suite
+        from fibcomp import analytic
+
+        real = analytic._A_real
+        monkeypatch.setattr(analytic, "_A_real", lambda k, n, tier: real(k, n, tier) + (k > 1))
+        code, out, err = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "2")
+        lines = out.splitlines()
+        assert code == 2
+        assert err == ""
+        assert len(lines) == 8
+        assert lines[-1] == "passed 4/7 checks"
+        assert lines[5].startswith(
+            "[FAIL] analytic: certified rounding vs recurrences n<=2 (smallest counterexample: n=2: "
+        )
+        assert lines[6].startswith(
+            "[FAIL] analytic: residual stays small above certified budget (n=2) (smallest counterexample: n=2: "
+        )
+
 
 class TestCacheDir:
     def test_flag_creates_and_reuses_table(self, capsys, tmp_path):
@@ -344,9 +367,23 @@ class TestCacheDir:
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FIBCOMP_CACHE_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "count", "--class", "compositions:odd-parts", "40")
-        assert (code, out) == (0, f"{fibonacci(40)}\n")
-        assert (tmp_path / "fib.table").exists()
+        code, out, _ = run_cli(capsys, "count", "--class", "partitions:all", "40")
+        assert (code, out) == (0, f"{p_recurrence(40)}\n")
+        assert (tmp_path / "p.table").exists()
+
+    def test_fibonacci_classes_write_no_table(self, capsys, tmp_path):
+        # F_n comes from fast doubling; only the p and q tables are cached
+        for cls, n, want in (
+            ("partitions:all", 64, p_recurrence(64)),
+            ("partitions:odd-parts", 64, q_recurrence(64)),
+            ("compositions:odd-parts", 40, fibonacci(40)),
+            ("compositions:min-part-2", 41, fibonacci(40)),
+        ):
+            code, out, _ = run_cli(capsys, "count", "--class", cls, str(n), "--cache-dir", str(tmp_path))
+            assert (code, out) == (0, f"{want}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.table", "q.table"]
+        headers = [(tmp_path / f"{kind}.table").read_text("ascii").splitlines()[0] for kind in "pq"]
+        assert headers == ["fibcomp-table v1 kind=p max=64", "fibcomp-table v1 kind=q max=64"]
 
     def test_corrupt_cache_exit_1(self, capsys, tmp_path):
         run_cli(capsys, "count", "--class", "partitions:distinct-parts", "40", "--cache-dir", str(tmp_path))
@@ -368,6 +405,22 @@ class TestCacheDir:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_fibonacci_classes_ignore_the_cache_dir(self, capsys, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("", encoding="ascii")
+        code, out, _ = run_cli(capsys, "count", "--class", "compositions:odd-parts", "--cache-dir", str(path), "10")
+        assert (code, out) == (0, "55\n")
+
+    @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
+    def test_wrongly_seeded_cache_exit_1(self, capsys, tmp_path, cls, kind):
+        # grown from the seed 2 instead of 1; for p that is every entry doubled
+        values = [2]
+        counting._EXTENDERS[kind](values, 300)
+        counting.save_table(counting.MemoTable(kind, values), tmp_path / f"{kind}.table")
+        code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 class TestUsage:
@@ -432,3 +485,82 @@ def test_closed_stdout_ends_quietly():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+# Bounded argv for every subcommand, valid and malformed.  enumerate stays at
+# n <= 12 unless its size guard (n > 30 without --force) stops it, so no draw
+# streams millions of items; verify runs one suite at a small --max-n.
+_CLASS_TEXT = st.sampled_from(
+    [
+        *enumeration.CLASSES, "partitions:distinct-ell=3", "partitions:distinct-ell=x",
+        "partitions:all=2", "compositions:even-parts", "compositions", "graphs:all", "",
+    ]
+)
+_N = st.integers(-3, 44).map(lambda n: str(n) if n <= 40 else ["x", "1.5", "", "--"][n - 41])
+_COMPOSITION = (
+    st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=8).map(lambda parts: "+".join(map(str, parts)))
+    | st.lists(st.integers(2, 9), min_size=1, max_size=8).map(lambda parts: "+".join(map(str, parts)))
+    | st.text(alphabet="0123456789+- x", max_size=8)
+)
+_FLAG_TEXT = st.sampled_from(["--frob", "-", "--json=1", "--order", "--class=", "7x", "=", "--limit"])
+
+
+@st.composite
+def _argv(draw, command: str, cache_dirs: list[str]) -> list[str]:
+    argv = [command]
+    if command == "count":
+        argv += ["--class", draw(_CLASS_TEXT), draw(_N)]
+        if draw(st.booleans()):
+            argv += ["--cache-dir", draw(st.sampled_from(cache_dirs))]
+    elif command == "enumerate":
+        argv += ["--class", draw(_CLASS_TEXT)]
+        small = draw(st.booleans())
+        argv.append(str(draw(st.integers(-3, 12) if small else st.integers(31, 40))))
+        if small and draw(st.booleans()):
+            argv.append("--force")
+        if draw(st.booleans()):
+            argv.append("--count")
+        if draw(st.booleans()):
+            argv += ["--limit", draw(st.integers(-2, 5).map(str) | st.just("x"))]
+    elif command == "map":
+        directions = ["--odd-to-gt1", "--gt1-to-odd", "--trace"]
+        argv += draw(st.lists(st.sampled_from(directions), min_size=1, max_size=2, unique=True))
+        argv.append(draw(_COMPOSITION))
+    elif command == "series":
+        argv += [draw(st.sampled_from([*enumeration.SERIES, "fibonacci"]))]
+        argv += ["--order", str(draw(st.integers(-3, 60)))]
+        if draw(st.booleans()):
+            argv += ["--ell", str(draw(st.integers(-2, 8)))]
+    elif command == "analytic":
+        argv += [draw(st.sampled_from(["p", "q", "r"])), str(draw(st.integers(-3, 60)))]
+        if draw(st.booleans()):
+            argv += ["--kmax", str(draw(st.integers(0, 60)))]
+        if draw(st.booleans()):
+            argv += ["--bits", str(draw(st.integers(60, 256)))]
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from([*verify.suite_names(), "quantum"]))]
+        argv += ["--max-n", str(draw(st.integers(-1, 6)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_FLAG_TEXT))
+    return argv
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "map", "series", "analytic", "verify"])
+def test_fuzzed_argv_ends_in_an_exit_code(command, tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("fuzz-cache")
+    not_a_directory = cache_dir / "file"
+    not_a_directory.write_text("", encoding="ascii")
+
+    # a verify draw runs a whole suite, up to a second, so it gets fewer draws
+    @settings(max_examples=12) if command == "verify" else settings()
+    @given(_argv(command, [str(cache_dir), str(not_a_directory)]))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    check()

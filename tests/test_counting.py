@@ -1,12 +1,18 @@
 import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fibcomp import counting
 from fibcomp.core import DomainError
 from fibcomp.counting import (
+    MemoTable,
     Q_count,
     binet_first_failure,
     binet_float,
@@ -49,8 +55,8 @@ class TestFibonacci:
         assert fibonacci(25) == 75025
 
     def test_matches_oracle(self):
-        oracle = fib_list(300)
-        for n in range(301):
+        oracle = fib_list(21000)
+        for n in [*range(2001), 21000]:
             assert fibonacci(n) == oracle[n]
 
     def test_rejects_negative(self):
@@ -234,6 +240,83 @@ class TestTables:
         path.write_text("\n".join(lines[:-2]) + "\n", encoding="ascii")
         with pytest.raises(DomainError):
             load_table(path)
+
+    @pytest.mark.parametrize("kind,upto", [("p", 300), ("q", 300), ("fib", 40), ("fib", 300), ("fib", 15000)])
+    def test_load_rejects_wrong_seed(self, tmp_path, kind, upto):
+        # the recurrence grown from a wrong seed: 2 for p (every entry doubled)
+        # and q, the Lucas numbers 2, 1 for fib; past the seed each table
+        # satisfies its recurrence, so a sample that skips index 0 passes it
+        values = [2, 1] if kind == "fib" else [2]
+        counting._EXTENDERS[kind](values, upto)
+        path = tmp_path / f"{kind}.table"
+        save_table(MemoTable(kind, values), path)
+        with pytest.raises(DomainError):
+            load_table(path)
+
+    def test_fib_audit_uses_closed_values(self, tmp_path):
+        # an old fib table keeps loading; one entry off anywhere in the
+        # sample is caught without trusting the entries below it
+        path = tmp_path / "fib.table"
+        save_table(build_table("fib", 500), path)
+        assert load_table(path).values == fib_list(500)
+        target = max(random.Random("fib:500").sample(range(501), 16))
+        values = fib_list(500)
+        values[target - 1 :] = [v + 1 for v in values[target - 1 :]]
+        save_table(MemoTable("fib", values), path)
+        with pytest.raises(DomainError):
+            load_table(path)
+
+    def test_failed_write_leaves_old_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.table"
+        save_table(build_table("p", 50), path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data, encoding=None, errors=None, newline=None):
+            with open(self, "w", encoding=encoding) as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_table(build_table("p", 400), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.table"]
+
+    def test_concurrent_writers_and_readers(self, tmp_path):
+        # two processes take turns extending one p table, each loading the
+        # file between its own writes; a torn or interleaved write fails a load
+        worker = textwrap.dedent(
+            """
+            import sys, time
+            from pathlib import Path
+            from fibcomp.counting import cached_table, load_table
+            directory, first = Path(sys.argv[1]), int(sys.argv[2])
+            (directory / f"ready-{first}").touch()
+            deadline = time.monotonic() + 30
+            while len(list(directory.glob("ready-*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            for m in range(first, 1200, 2):
+                cached_table("p", m, directory)
+                load_table(directory / "p.table")
+            """
+        )
+        src = str(Path(counting.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", worker, str(tmp_path), str(first)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for first in (100, 101)
+        ]
+        for proc in workers:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        table = load_table(tmp_path / "p.table")
+        assert table.max_n >= 1198
+        assert table.values == build_table("p", table.max_n).values
+        assert sorted(p.name for p in tmp_path.glob("*table*")) == ["p.table"]
 
     def test_cached_table_builds_then_reuses(self, tmp_path):
         t1 = cached_table("fib", 30, tmp_path)
