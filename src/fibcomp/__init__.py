@@ -5,63 +5,88 @@ core; enumeration holds the exhaustive oracle generators; counting the
 exact counters and recurrences; genfun the truncated integer power series;
 bijection the odd-parts correspondence; analytic the certified
 high-precision series for p(n) and q(n); verify the cross-check suites.
+
+Every CLI call is a fresh process, so the package imports a module only
+when one of its names is first looked up (PEP 562): `import fibcomp`
+loads no submodule, and mpmath loads with the analytic layer alone.
 """
 
-from .analytic import (
-    HPReal,
-    NonCertifiedError,
-    SeriesEvalReport,
-    bessel_I1,
-    dedekind_s,
-    hagis_q,
-    hagis_t,
-    kloosterman_A,
-    rademacher_p,
-    sawtooth,
-)
-from .bijection import BijectionTrace, gt1_to_odd, odd_to_gt1, trace_forward
-from .core import (
-    BitSeq,
-    Composition,
-    DomainError,
-    Partition,
-    conjugate,
-    format_composition,
-    from_bitseq,
-    make_composition,
-    parse_composition,
-    render_graph,
-    to_bitseq,
-)
-from .counting import (
-    BinetReport,
-    MemoTable,
-    Q_count,
-    binet_first_failure,
-    binet_float,
-    c_count,
-    fibonacci,
-    p_recurrence,
-    q_recurrence,
-    q_recurrence_residual,
-)
-from .enumeration import (
-    CompositionClass,
-    PartitionClass,
-    count_by_enumeration,
-    gen_compositions,
-    gen_partitions,
-    parse_class,
-)
-from .genfun import (
-    TruncatedSeries,
-    compositions_gf,
-    distinct_compositions_gf,
-    distinct_partitions_ell_gf,
-    partition_gf,
-    series_inverse,
-    series_mul,
-)
-from .verify import CheckResult, verify_suite
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "analytic": (
+        "HPReal",
+        "SeriesEvalReport",
+        "bessel_I1",
+        "dedekind_s",
+        "hagis_q",
+        "hagis_t",
+        "kloosterman_A",
+        "rademacher_p",
+        "sawtooth",
+    ),
+    "bijection": ("BijectionTrace", "gt1_to_odd", "odd_to_gt1", "trace_forward"),
+    "core": (
+        "BitSeq",
+        "Composition",
+        "DomainError",
+        "NonCertifiedError",
+        "Partition",
+        "conjugate",
+        "format_composition",
+        "from_bitseq",
+        "make_composition",
+        "parse_composition",
+        "render_graph",
+        "to_bitseq",
+    ),
+    "counting": (
+        "BinetReport",
+        "MemoTable",
+        "Q_count",
+        "binet_first_failure",
+        "binet_float",
+        "c_count",
+        "fibonacci",
+        "p_recurrence",
+        "q_recurrence",
+        "q_recurrence_residual",
+    ),
+    "enumeration": (
+        "CompositionClass",
+        "PartitionClass",
+        "count_by_enumeration",
+        "gen_compositions",
+        "gen_partitions",
+        "parse_class",
+    ),
+    "genfun": (
+        "TruncatedSeries",
+        "compositions_gf",
+        "distinct_compositions_gf",
+        "distinct_partitions_ell_gf",
+        "partition_gf",
+        "series_inverse",
+        "series_mul",
+    ),
+    "verify": ("CheckResult", "verify_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        # looked up in the home module each time, so a rebinding there shows here
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

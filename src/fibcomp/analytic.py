@@ -31,27 +31,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, cospi, sinpi, sqrt, cosh, sinh, pi, nint
 
-from .core import DomainError
+from .core import DomainError, ImaginaryResidueError, NonCertifiedError
 
 RESIDUAL_BOUND = 0.25
 STABILITY_BOUND = 0.0625  # 2^-4; tail movement under a doubled term budget
 RESOLUTION_GUARD_BITS = 16  # fractional bits the raw value must still carry
 MAX_ESCALATIONS = 4
-
-
-class ImaginaryResidueError(ArithmeticError):
-    """The imaginary part of an exponential sum failed to cancel."""
-
-
-class NonCertifiedError(ArithmeticError):
-    """Rounding could not be certified within the escalation budget."""
-
-    def __init__(self, report: "SeriesEvalReport"):
-        super().__init__(
-            f"series for n={report.n} not certified at k_terms={report.k_terms_used}, "
-            f"precision_bits={report.precision_bits}"
-        )
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -378,7 +363,7 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, evaluate) -
             return report
         k_terms *= 2
         bits *= 2
-    raise NonCertifiedError(report)
+    raise NonCertifiedError(name, report)
 
 
 def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = None) -> SeriesEvalReport:

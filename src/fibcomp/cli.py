@@ -9,14 +9,17 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from mpmath import mp
-
-from . import analytic, bijection, counting, enumeration, verify
-from .core import DomainError, format_composition, parse_composition
+from . import bijection, counting, enumeration, verify
+from .core import (
+    DomainError,
+    ImaginaryResidueError,
+    NonCertifiedError,
+    format_composition,
+    parse_composition,
+)
 
 
 class _UsageError(Exception):
@@ -93,6 +96,8 @@ def _emit(lines: list[str]) -> None:
 
 
 def _emit_json(document) -> None:
+    import json  # only --json output needs it
+
     sys.stdout.write(json.dumps(document) + "\n")
 
 
@@ -178,6 +183,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
+    from . import analytic  # loads mpmath; no other subcommand needs it
+
     evaluate = analytic.rademacher_p if args.series == "p" else analytic.hagis_q
     report = evaluate(args.n, k_max=args.kmax, precision_bits=args.bits)
     document = {
@@ -187,8 +194,8 @@ def _cmd_analytic(args) -> int:
         "certified": report.certified,
         "k_terms": report.k_terms_used,
         "precision_bits": report.precision_bits,
-        "raw": mp.nstr(report.raw_value.value, 30),
-        "residual": mp.nstr(report.residual.value, 3),
+        "raw": analytic.mp.nstr(report.raw_value.value, 30),
+        "residual": analytic.mp.nstr(report.residual.value, 3),
     }
     if args.json:
         _emit_json(document)
@@ -256,7 +263,7 @@ def run(argv=None) -> int:
     except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (analytic.NonCertifiedError, analytic.ImaginaryResidueError) as exc:
+    except (NonCertifiedError, ImaginaryResidueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -24,6 +24,23 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's documented domain."""
 
 
+# The analytic layer raises the two errors below; they live here so that
+# callers can catch them without importing that layer and mpmath.
+class ImaginaryResidueError(ArithmeticError):
+    """The imaginary part of an exponential sum failed to cancel."""
+
+
+class NonCertifiedError(ArithmeticError):
+    """Rounding could not be certified within the escalation budget."""
+
+    def __init__(self, name: str, report):
+        super().__init__(
+            f"{name} series for n={report.n} not certified at k_terms={report.k_terms_used}, "
+            f"precision_bits={report.precision_bits}"
+        )
+        self.report = report
+
+
 @dataclass(frozen=True)
 class Composition:
     """Ordered tuple of positive integer parts."""

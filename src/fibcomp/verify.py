@@ -10,10 +10,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import analytic, bijection, counting, enumeration, genfun
-from .core import DomainError, conjugate, from_bitseq, to_bitseq
+from . import bijection, counting, enumeration, genfun
+from .core import (
+    DomainError,
+    ImaginaryResidueError,
+    NonCertifiedError,
+    conjugate,
+    from_bitseq,
+    to_bitseq,
+)
 
 SUITE_DEFAULT_BOUND = {
     "codec": 12,
@@ -267,50 +273,52 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
     return results
 
 
-def _fractions(ks):
-    """(k, h/k) for each coprime 0 < h < k, k in ks; a failing case reports h/k."""
-    return ((k, Fraction(h, k)) for k in ks for h in range(1, k) if math.gcd(h, k) == 1)
-
-
-def _sawtooth_sum(h: int, xs) -> Fraction:
-    """Sum of ((x))((hx)) over xs: s(h, k) over x = j/k, t(h, k) over 2h and x = (2j-1)/(2k)."""
-    return sum((analytic.sawtooth(x) * analytic.sawtooth(h * x) for x in xs), Fraction(0))
-
-
-def _dedekind_holds(k: int, x: Fraction) -> bool:
-    h = x.numerator
-    s = analytic.dedekind_s(h, k)
-    return (
-        s == _sawtooth_sum(h, (Fraction(j, k) for j in range(1, k)))
-        and s + analytic.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
-        and (12 * k * s).denominator == 1
-    )
-
-
-def _hagis_holds(k: int, x: Fraction) -> bool:
-    h = x.numerator
-    t = analytic.hagis_t(h, k)
-    odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
-    return t == _sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k)
-
-
 def _check_exponential_sum(name: str, ks, ns, direct, fast) -> CheckResult:
     """Compare fast(k, n) with direct(k, n) to 2^-100 for each k in ks, n in ns."""
     for case, (k, n) in enumerate(itertools.product(ks, ns), 1):
         try:
             want = direct(k, n)
-        except analytic.ImaginaryResidueError as exc:
+        except ImaginaryResidueError as exc:
             return _result(name, case, f"(k={k}, n={n}): {exc}")
-        if abs(want - fast(k, n)) > analytic.mpf(2) ** -100:
+        if abs(want - fast(k, n)) > 2.0**-100:
             return _result(name, case, f"(k={k}, n={n}) mismatch")
     return _result(name, len(ks) * len(ns), None)
 
 
 # a broken evaluator fails its row instead of ending the suite
-_EVALUATION_ERRORS = (analytic.NonCertifiedError, analytic.ImaginaryResidueError)
+_EVALUATION_ERRORS = (NonCertifiedError, ImaginaryResidueError)
 
 
 def _suite_analytic(bound: int) -> list[CheckResult]:
+    # imported here, where they are used, so that the other suites never
+    # load the analytic layer, mpmath or fractions
+    from fractions import Fraction
+
+    from . import analytic
+
+    def coprime_fractions(ks):
+        """(k, h/k) for each coprime 0 < h < k, k in ks; a failing case reports h/k."""
+        return ((k, Fraction(h, k)) for k in ks for h in range(1, k) if math.gcd(h, k) == 1)
+
+    def sawtooth_sum(h: int, xs) -> Fraction:
+        """Sum of ((x))((hx)) over xs: s(h, k) over x = j/k, t(h, k) over 2h and x = (2j-1)/(2k)."""
+        return sum((analytic.sawtooth(x) * analytic.sawtooth(h * x) for x in xs), Fraction(0))
+
+    def dedekind_holds(k: int, x: Fraction) -> bool:
+        h = x.numerator
+        s = analytic.dedekind_s(h, k)
+        return (
+            s == sawtooth_sum(h, (Fraction(j, k) for j in range(1, k)))
+            and s + analytic.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
+            and (12 * k * s).denominator == 1
+        )
+
+    def hagis_holds(k: int, x: Fraction) -> bool:
+        h = x.numerator
+        t = analytic.hagis_t(h, k)
+        odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
+        return t == sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k)
+
     tier = analytic._tier(128)
     top_k = min(bound, 50)
     ns = range(0, top_k + 1, 7)
@@ -318,13 +326,13 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
     results = [
         _check(
             "dedekind sum vs sawtooth definition, reciprocity and integrality k<=30",
-            _fractions(range(2, 31)),
-            _dedekind_holds,
+            coprime_fractions(range(2, 31)),
+            dedekind_holds,
         ),
         _check(
             "hagis sum vs sawtooth definition and negation symmetry k<30",
-            _fractions(range(3, 30, 2)),
-            _hagis_holds,
+            coprime_fractions(range(3, 30, 2)),
+            hagis_holds,
         ),
         _check_exponential_sum(
             f"exponential sum direct vs selberg k<={top_k}",

@@ -361,6 +361,17 @@ class TestHagisQ:
             hagis_q(3, k_max=-2)
 
 
+@pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])
+def test_non_certification_message_names_the_series(evaluate):
+    with pytest.raises(NonCertifiedError) as exc:
+        evaluate(10**6, k_max=1, precision_bits=64)
+    report = exc.value.report
+    assert str(exc.value) == (
+        f"{evaluate.__name__} series for n=1000000 not certified at "
+        f"k_terms={report.k_terms_used}, precision_bits={report.precision_bits}"
+    )
+
+
 class TestDefaults:
     def test_k_budget_grows_like_sqrt(self):
         assert analytic.default_k_terms(1) == 8 + 16

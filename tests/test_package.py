@@ -1,0 +1,141 @@
+"""The package surface is lazy: names resolve on first lookup, and a CLI
+call loads mpmath and the analytic layer only when it evaluates a series."""
+
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import fibcomp
+
+# every name the package exported when its __init__ imported each module
+EXPORTED = {
+    "analytic": (
+        "HPReal", "NonCertifiedError", "SeriesEvalReport", "bessel_I1", "dedekind_s", "hagis_q",
+        "hagis_t", "kloosterman_A", "rademacher_p", "sawtooth",
+    ),
+    "bijection": ("BijectionTrace", "gt1_to_odd", "odd_to_gt1", "trace_forward"),
+    "core": (
+        "BitSeq", "Composition", "DomainError", "Partition", "conjugate", "format_composition",
+        "from_bitseq", "make_composition", "parse_composition", "render_graph", "to_bitseq",
+    ),
+    "counting": (
+        "BinetReport", "MemoTable", "Q_count", "binet_first_failure", "binet_float", "c_count",
+        "fibonacci", "p_recurrence", "q_recurrence", "q_recurrence_residual",
+    ),
+    "enumeration": (
+        "CompositionClass", "PartitionClass", "count_by_enumeration", "gen_compositions",
+        "gen_partitions", "parse_class",
+    ),
+    "genfun": (
+        "TruncatedSeries", "compositions_gf", "distinct_compositions_gf",
+        "distinct_partitions_ell_gf", "partition_gf", "series_inverse", "series_mul",
+    ),
+    "verify": ("CheckResult", "verify_suite"),
+}
+PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
+SRC = str(Path(fibcomp.__file__).resolve().parents[1])
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter: pytest's own process has loaded every module already
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module, name", PAIRS, ids=[f"{m}.{n}" for m, n in PAIRS])
+def test_exported_name_is_its_home_modules_object(module, name):
+    assert getattr(fibcomp, name) is getattr(importlib.import_module(f"fibcomp.{module}"), name)
+
+
+def test_errors_have_one_home():
+    from fibcomp import analytic, core
+
+    assert fibcomp.NonCertifiedError is analytic.NonCertifiedError is core.NonCertifiedError
+    assert analytic.ImaginaryResidueError is core.ImaginaryResidueError
+
+
+def test_star_import_binds_all():
+    assert sorted(fibcomp.__all__) == sorted([*EXPORTED, *(name for _, name in PAIRS)])
+    assert set(fibcomp.__all__) <= set(dir(fibcomp))
+    namespace = {}
+    exec("from fibcomp import *", namespace)
+    missing = [name for name in fibcomp.__all__ if name not in namespace]
+    assert missing == []
+    assert namespace["rademacher_p"] is fibcomp.analytic.rademacher_p
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fibcomp.no_such_name
+    assert not hasattr(fibcomp, "mp")
+    with pytest.raises(ImportError):
+        exec("from fibcomp import no_such_name", {})
+
+
+def test_import_loads_no_submodule():
+    proc = _run_python(
+        textwrap.dedent(
+            """
+            import sys, fibcomp
+
+            def loaded():
+                return sorted(m for m in sys.modules if m.startswith("fibcomp."))
+
+            print(fibcomp.__version__, loaded())
+            print(fibcomp.counting.fibonacci(10), loaded())
+            print(fibcomp.parse_class("partitions:all"), loaded())
+            """
+        )
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0.1.0 []",
+        "55 ['fibcomp.core', 'fibcomp.counting']",
+        "partitions:all ['fibcomp.core', 'fibcomp.counting', 'fibcomp.enumeration', 'fibcomp.genfun']",
+    ]
+
+
+def test_only_analytic_calls_load_mpmath():
+    proc = _run_python(
+        textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from fibcomp import cli
+
+            for argv in (
+                ["count", "--class", "compositions:odd-parts", "30"],
+                ["count", "--class", "partitions:all", "30"],
+                ["enumerate", "--class", "compositions:min-part-2", "7"],
+                ["series", "partitions", "--order", "10"],
+                ["map", "--trace", "1+1+1+9+1+1+5+3"],
+                *(["verify", "--suite", s, "--max-n", "6"] for s in ("codec", "bijection", "counts", "genfun")),
+                ["analytic", "q", "45"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run(argv)
+                loaded = [m for m in ("mpmath", "fibcomp.analytic") if m in sys.modules]
+                print(argv[0], argv[2] if argv[0] == "verify" else "", code, loaded)
+            """
+        )
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "count  0 []",
+        "count  0 []",
+        "enumerate  0 []",
+        "series  0 []",
+        "map  0 []",
+        "verify codec 0 []",
+        "verify bijection 0 []",
+        "verify counts 0 []",
+        "verify genfun 0 []",
+        "analytic  0 ['mpmath', 'fibcomp.analytic']",
+    ]
