@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "analytic": (
-        "HPReal",
         "SeriesEvalReport",
         "bessel_I1",
         "dedekind_s",

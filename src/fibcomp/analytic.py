@@ -40,72 +40,13 @@ MAX_ESCALATIONS = 4
 
 
 @dataclass(frozen=True)
-class HPReal:
-    """A high-precision real tagged with the precision it was computed at."""
-
-    value: object
-    precision_bits: int
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise DomainError("HPReal needs precision_bits >= 64")
-
-    def _bits_with(self, other) -> int:
-        if isinstance(other, HPReal):
-            return min(self.precision_bits, other.precision_bits)
-        return self.precision_bits
-
-    @staticmethod
-    def _raw(x):
-        return x.value if isinstance(x, HPReal) else x
-
-    def _combine(self, other, op) -> "HPReal":
-        bits = self._bits_with(other)
-        with mp.workprec(bits):
-            return HPReal(op(self.value, self._raw(other)), bits)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return HPReal(-self.value, self.precision_bits)
-
-    def __abs__(self):
-        return HPReal(abs(self.value), self.precision_bits)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __lt__(self, other):
-        return self.value < self._raw(other)
-
-    def __le__(self, other):
-        return self.value <= self._raw(other)
-
-    def __gt__(self, other):
-        return self.value > self._raw(other)
-
-    def __ge__(self, other):
-        return self.value >= self._raw(other)
-
-
-@dataclass(frozen=True)
 class SeriesEvalReport:
     n: int
     k_terms_used: int
     precision_bits: int
-    raw_value: HPReal
+    raw_value: mpf
     rounded: int
-    residual: HPReal
+    residual: mpf
     certified: bool
 
 
@@ -218,7 +159,7 @@ def _direct_sum(rational, k: int, n: int, precision_bits: int):
     return re
 
 
-def kloosterman_A(k: int, n: int, precision_bits: int) -> HPReal:
+def kloosterman_A(k: int, n: int, precision_bits: int) -> mpf:
     """A_k(n) from its definition as an explicit complex sum over h coprime
     to k (see _direct_sum).  The series evaluators use Selberg's formula;
     this direct form is the reference they are checked against.
@@ -229,7 +170,7 @@ def kloosterman_A(k: int, n: int, precision_bits: int) -> HPReal:
         raise DomainError(f"n must be >= 0, got {n}")
     if precision_bits < 64:
         raise DomainError("precision_bits must be >= 64")
-    return HPReal(_direct_sum(dedekind_s, k, n, precision_bits), precision_bits)
+    return _direct_sum(dedekind_s, k, n, precision_bits)
 
 
 def _i1_raw(z, bits: int):
@@ -249,19 +190,21 @@ def _i1_raw(z, bits: int):
         m += 1
 
 
-def bessel_I1(z: HPReal) -> HPReal:
-    """Modified Bessel function of order 1 by its entire series.
+def bessel_I1(z, precision_bits: int) -> mpf:
+    """Modified Bessel function of order 1 by its entire series, with z read
+    at precision_bits (pass a string to keep digits a float would lose).
 
     Terms are summed until one falls below 2^(-precision_bits-8) of the
     running sum; all terms are positive for z >= 0 so truncation error is
     bounded by a geometric tail of the same size.
     """
-    if not isinstance(z, HPReal):
-        raise DomainError("bessel_I1 expects an HPReal argument")
-    if z.value < 0:
-        raise DomainError("bessel_I1 is only evaluated at z >= 0")
-    with mp.workprec(z.precision_bits):
-        return HPReal(_i1_raw(z.value, z.precision_bits), z.precision_bits)
+    if precision_bits < 64:
+        raise DomainError("precision_bits must be >= 64")
+    with mp.workprec(precision_bits):
+        z = mpf(z)
+        if z < 0:
+            raise DomainError("bessel_I1 is only evaluated at z >= 0")
+        return _i1_raw(z, precision_bits)
 
 
 def default_k_terms(n: int) -> int:
@@ -311,9 +254,7 @@ def _sum_and_certify(n: int, k_terms: int, bits: int, prefactor, term, ks) -> Se
             and _resolved(raw, bits)
         )
         rounded = int(nearest)
-    return SeriesEvalReport(
-        n, k_terms, bits, HPReal(raw, bits), rounded, HPReal(residual, bits), certified
-    )
+    return SeriesEvalReport(n, k_terms, bits, raw, rounded, residual, certified)
 
 
 def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
-from . import bijection, counting, enumeration, verify
+from . import bijection, enumeration, verify
 from .core import (
     DomainError,
     ImaginaryResidueError,
@@ -194,8 +195,8 @@ def _cmd_analytic(args) -> int:
         "certified": report.certified,
         "k_terms": report.k_terms_used,
         "precision_bits": report.precision_bits,
-        "raw": analytic.mp.nstr(report.raw_value.value, 30),
-        "residual": analytic.mp.nstr(report.residual.value, 3),
+        "raw": analytic.mp.nstr(report.raw_value, 30),
+        "residual": analytic.mp.nstr(report.residual, 3),
     }
     if args.json:
         _emit_json(document)
@@ -245,7 +246,21 @@ _COMMANDS = {
 }
 
 
-@counting.unlimited_int_digits()
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int <-> str digit limit (3.11+, some 3.10 builds): exact
+    counts and table entries run to tens of thousands of digits."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
+
+
+@_unlimited_int_digits()
 def run(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -12,16 +12,12 @@ import math
 import os
 import random
 import re
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DomainError
 
-BigCount = int
-
-TABLE_KINDS = ("p", "q", "fib")
+TABLE_KINDS = ("p", "q")
 
 
 def c_count(n: int) -> int:
@@ -37,11 +33,6 @@ def is_triangular(n: int) -> bool:
         return False
     root = math.isqrt(8 * n + 1)
     return root * root == 8 * n + 1
-
-
-def _extend_fib(values: list[int], upto: int) -> None:
-    while len(values) <= upto:
-        values.append(values[-1] + values[-2])
 
 
 def _pentagonal_sum(values: list[int], n: int, scale: int) -> int:
@@ -76,11 +67,10 @@ def _extend_q(values: list[int], upto: int) -> None:
         values.append((1 if is_triangular(n) else 0) + _pentagonal_sum(values, n, 2))
 
 
-_EXTENDERS = {"fib": _extend_fib, "p": _extend_p, "q": _extend_q}
-_BASES = {"fib": [0, 1], "p": [1], "q": [1]}
+_EXTENDERS = {"p": _extend_p, "q": _extend_q}  # both seeded with p(0) = q(0) = 1
 
-_p_values = list(_BASES["p"])
-_q_values = list(_BASES["q"])
+_p_values = [1]
+_q_values = [1]
 
 
 def fibonacci(n: int) -> int:
@@ -178,20 +168,6 @@ def binet_first_failure(limit: int = 100) -> int | None:
     return None
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Lift CPython's int <-> str digit limit (3.11+, some 3.10 builds): exact
-    counts and table entries run to tens of thousands of digits."""
-    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if previous:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if previous:
-            sys.set_int_max_str_digits(previous)
-
-
 @dataclass
 class MemoTable:
     """Values 0..N of one recurrence kind, suitable for saving and loading."""
@@ -207,17 +183,16 @@ class MemoTable:
 def build_table(kind: str, max_n: int) -> MemoTable:
     if kind not in TABLE_KINDS:
         raise DomainError(f"unknown table kind {kind!r}")
-    if max_n < len(_BASES[kind]) - 1:
-        raise DomainError(f"table for {kind!r} needs max_n >= {len(_BASES[kind]) - 1}")
-    values = list(_BASES[kind])
+    if max_n < 0:
+        raise DomainError(f"table for {kind!r} needs max_n >= 0")
+    values = [1]
     _EXTENDERS[kind](values, max_n)
     return MemoTable(kind, values)
 
 
-_HEADER_RE = re.compile(r"fibcomp-table v1 kind=(p|q|fib) max=(0|[1-9][0-9]*)\Z")
+_HEADER_RE = re.compile(r"fibcomp-table v1 kind=(p|q) max=(0|[1-9][0-9]*)\Z")
 
 
-@unlimited_int_digits()
 def save_table(table: MemoTable, path) -> None:
     """Write the table to a temporary file beside path, then rename it over
     path, so readers and concurrent writers see a whole old or new file."""
@@ -233,21 +208,20 @@ def save_table(table: MemoTable, path) -> None:
 
 
 def _check_index(kind: str, values: list[int], i: int) -> bool:
-    if kind == "fib":
-        return values[i] == fibonacci(i)
-    base = _BASES[kind]
-    if i < len(base):
-        return values[i] == base[i]
+    if i == 0:
+        return values[0] == 1
     probe = values[: i]
     _EXTENDERS[kind](probe, i)
     return probe[i] == values[i]
 
 
-@unlimited_int_digits()
 def load_table(path) -> MemoTable:
-    """Load a saved table, re-deriving its base entries and a 16-index sample
+    """Load a saved table, re-deriving its seed entry and a 16-index sample
     before trusting it."""
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: non-ASCII byte in table file at offset {exc.start}") from exc
     lines = text.splitlines()
     if not lines:
         raise DomainError(f"{path}: empty table file")
@@ -265,9 +239,9 @@ def load_table(path) -> MemoTable:
     # deterministic sample so a given file always gets the same audit
     rng = random.Random(f"{kind}:{max_n}")
     audited = set(rng.sample(range(max_n + 1), min(16, max_n + 1)))
-    # a p or q check trusts the entries below it, so the seeds are always
-    # audited: a table scaled or seeded wrongly satisfies the recurrence elsewhere
-    audited.update(range(min(len(_BASES[kind]), max_n + 1)))
+    # a check trusts the entries below it, so the seed is always audited:
+    # a table scaled or seeded wrongly satisfies the recurrence elsewhere
+    audited.add(0)
     for i in sorted(audited):
         if not _check_index(kind, values, i):
             raise DomainError(f"{path}: table fails its recurrence at index {i}")

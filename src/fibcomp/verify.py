@@ -21,15 +21,6 @@ from .core import (
     to_bitseq,
 )
 
-SUITE_DEFAULT_BOUND = {
-    "codec": 12,
-    "bijection": 14,
-    "counts": 20,
-    "genfun": 20,
-    "analytic": 50,
-}
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -338,7 +329,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             f"exponential sum direct vs selberg k<={top_k}",
             range(1, top_k + 1),
             ns,
-            lambda k, n: analytic.kloosterman_A(k, n, 128).value,
+            lambda k, n: analytic.kloosterman_A(k, n, 128),
             lambda k, n: analytic._A_real(k, n, tier),
         ),
         _check_exponential_sum(
@@ -350,17 +341,16 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
         ),
     ]
 
-    z = analytic.HPReal(analytic.mpf(2), 128)
-    wide = analytic.bessel_I1(analytic.HPReal(analytic.mpf(2), 320))
-    narrow = analytic.bessel_I1(z)
+    wide = analytic.bessel_I1(2, 320)
+    narrow = analytic.bessel_I1(2, 128)
     with analytic.mp.workprec(320):
         # subtract at the wide precision; the ambient default would round
         # both operands to 53 bits and swamp the quantity being measured
-        drift = abs(wide.value - narrow.value)
+        drift = abs(wide - narrow)
     i1_ok = (
         drift < analytic.mpf(2) ** -120
-        and analytic.bessel_I1(analytic.HPReal(analytic.mpf(0), 64)).value == 0
-        and analytic.bessel_I1(analytic.HPReal(analytic.mpf(3), 128)).value > narrow.value
+        and analytic.bessel_I1(0, 64) == 0
+        and analytic.bessel_I1(3, 128) > narrow
     )
     results.append(
         CheckResult("bessel series self-consistency", bool(i1_ok), f"cross-precision drift {drift}")
@@ -397,12 +387,13 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
     return results
 
 
+# name -> (suite, default enumeration bound)
 _SUITES = {
-    "codec": _suite_codec,
-    "bijection": _suite_bijection,
-    "counts": _suite_counts,
-    "genfun": _suite_genfun,
-    "analytic": _suite_analytic,
+    "codec": (_suite_codec, 12),
+    "bijection": (_suite_bijection, 14),
+    "counts": (_suite_counts, 20),
+    "genfun": (_suite_genfun, 20),
+    "analytic": (_suite_analytic, 50),
 }
 
 
@@ -414,7 +405,8 @@ def verify_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     """Run one named suite; max_n overrides its default enumeration bound."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; pick from {', '.join(_SUITES)}")
-    bound = SUITE_DEFAULT_BOUND[name] if max_n is None else max_n
+    suite, default_bound = _SUITES[name]
+    bound = default_bound if max_n is None else max_n
     if bound < 1:
         raise DomainError(f"max_n must be >= 1, got {bound}")
-    return _SUITES[name](bound)
+    return suite(bound)

@@ -8,7 +8,6 @@ from mpmath import mp
 
 from fibcomp import analytic
 from fibcomp.analytic import (
-    HPReal,
     ImaginaryResidueError,
     NonCertifiedError,
     bessel_I1,
@@ -33,11 +32,6 @@ from _oracles import (
 
 # Every k the evaluators reach for n <= 500 (the doubled budget there is 390).
 LOOP_REFERENCE_K = 400
-
-
-def hp(x, bits=128):
-    with mp.workprec(bits):
-        return HPReal(mp.mpf(x), bits)
 
 
 class TestSawtooth:
@@ -149,29 +143,6 @@ class TestHagisSum:
             hagis_t(0, 3)
 
 
-class TestHPReal:
-    def test_tracks_coarser_precision(self):
-        a = hp(1.5, 256)
-        b = hp(2.5, 128)
-        assert (a + b).precision_bits == 128
-        assert (a * b).precision_bits == 128
-
-    def test_arithmetic(self):
-        a = hp(3, 192)
-        b = hp(2, 192)
-        assert float(a - b) == 1.0
-        assert float(a / b) == 1.5
-        assert float(-a) == -3.0
-        assert float(abs(hp(-4, 128))) == 4.0
-        assert a > b
-        assert b < a
-        assert a >= hp(3, 128)
-
-    def test_rejects_low_precision(self):
-        with pytest.raises(DomainError):
-            hp(1, 32)
-
-
 class TestKloosterman:
     def test_k1_is_one(self):
         for n in (0, 1, 5, 77):
@@ -185,7 +156,7 @@ class TestKloosterman:
         got = kloosterman_A(3, 5, 256)
         want = kloosterman_complex(3, 5, 256)
         with mp.workprec(300):
-            assert abs(got.value - want.real) < mp.mpf(2) ** -200
+            assert abs(got - want.real) < mp.mpf(2) ** -200
             assert abs(want.imag) < mp.mpf(2) ** -200
 
     def test_matches_complex_oracle_sampled(self):
@@ -194,7 +165,7 @@ class TestKloosterman:
                 got = kloosterman_A(k, n, 192)
                 want = kloosterman_complex(k, n, 256)
                 with mp.workprec(300):
-                    assert abs(got.value - want.real) < mp.mpf(2) ** -150
+                    assert abs(got - want.real) < mp.mpf(2) ** -150
 
     def test_imaginary_part_vanishes_k50_n50(self):
         # full grid; the sum must come out real every time
@@ -231,31 +202,32 @@ class TestExponentialSums:
 
 class TestBessel:
     def test_zero(self):
-        assert float(bessel_I1(hp(0))) == 0.0
+        assert bessel_I1(0, 128) == 0
 
     def test_at_two(self):
-        got = bessel_I1(hp(2, 192))
+        got = bessel_I1(2, 192)
+        assert isinstance(got, mp.mpf)
         assert abs(float(got) - 1.5906368546373291) < 1e-15
 
     def test_matches_mpmath(self):
         for z in ("0.5", "1", "2", "3.7", "10", "25"):
             for bits in (128, 256):
-                # parse the literal at target precision, not at the ambient 53 bits
-                got = bessel_I1(hp(z, bits))
+                # the literal is read at the target precision, not at the ambient 53 bits
+                got = bessel_I1(z, bits)
                 with mp.workprec(bits + 16):
                     want = mpmath.besseli(1, mp.mpf(z))
-                    assert abs(got.value / want - 1) < mp.mpf(2) ** (-bits + 12)
+                    assert abs(got / want - 1) < mp.mpf(2) ** (-bits + 12)
 
     def test_monotonic(self):
-        assert float(bessel_I1(hp(3))) > float(bessel_I1(hp(2)))
+        assert bessel_I1(3, 128) > bessel_I1(2, 128)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            bessel_I1(hp(-1))
+            bessel_I1(-1, 128)
 
-    def test_rejects_plain_float(self):
+    def test_rejects_low_precision(self):
         with pytest.raises(DomainError):
-            bessel_I1(2.0)
+            bessel_I1(2, 32)
 
 
 class TestRademacherP:
@@ -321,7 +293,7 @@ class TestRademacherP:
     def test_deterministic(self):
         a = rademacher_p(50)
         b = rademacher_p(50)
-        assert mp.nstr(a.raw_value.value, 30) == mp.nstr(b.raw_value.value, 30)
+        assert mp.nstr(a.raw_value, 30) == mp.nstr(b.raw_value, 30)
         assert a.k_terms_used == b.k_terms_used
 
 

@@ -15,6 +15,16 @@ from fibcomp import cli, counting, enumeration, verify
 from fibcomp.counting import fibonacci, p_recurrence, q_recurrence
 
 
+def _nudged(real):
+    """real, moved by 2^-90: far below what the series need, far above the 2^-100 checks."""
+    def wrong(*args):
+        from mpmath import mp
+
+        with mp.workprec(256):
+            return real(*args) + mp.mpf(2) ** -90
+    return wrong
+
+
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -349,6 +359,31 @@ class TestVerify:
             "[FAIL] analytic: residual stays small above certified budget (n=2) (smallest counterexample: n=2: "
         )
 
+    @pytest.mark.parametrize(
+        "attribute, wrong, row",
+        [
+            # off by 2 at one pair: e^{pi i s} and e^{pi i t} are unchanged, so
+            # the exponential-sum rows cannot see it and only the exact row can
+            ("dedekind_s", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "dedekind sum"),
+            ("hagis_t", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "hagis sum"),
+            ("_A_real", _nudged, "exponential sum direct vs selberg"),
+            ("_inner_real", _nudged, "hagis exponential sum direct vs paired"),
+            ("bessel_I1", _nudged, "bessel series self-consistency"),
+        ],
+        ids=["dedekind", "hagis", "selberg", "paired", "bessel"],
+    )
+    def test_each_analytic_row_fails_alone(self, capsys, monkeypatch, attribute, wrong, row):
+        from fibcomp import analytic
+
+        monkeypatch.setattr(analytic, attribute, wrong(getattr(analytic, attribute)))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "4")
+        lines = out.splitlines()
+        assert code == 2
+        assert lines[-1] == "passed 6/7 checks"
+        failed = [line for line in lines[:-1] if not line.startswith("[OK] analytic: ")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"[FAIL] analytic: {row}")
+
 
 class TestCacheDir:
     def test_flag_creates_and_reuses_table(self, capsys, tmp_path):
@@ -421,6 +456,20 @@ class TestCacheDir:
         code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    def test_non_ascii_cache_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "p.table"
+        path.write_bytes(b"fibcomp-table v1 kind=p max=2\n1\n1\n\xff\n")
+        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "2", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_old_fib_table_is_ignored(self, capsys, tmp_path):
+        (tmp_path / "fib.table").write_text("fibcomp-table v1 kind=fib max=2\n0\n1\n1\n", encoding="ascii")
+        for cls, want in (("compositions:odd-parts", 55), ("partitions:all", 42)):
+            code, out, _ = run_cli(capsys, "count", "--class", cls, "10", "--cache-dir", str(tmp_path))
+            assert (code, out) == (0, f"{want}\n")
 
 
 class TestUsage:

@@ -170,8 +170,6 @@ class TestTables:
         assert list(t.values) == [p_recurrence(n) for n in range(51)]
         t = build_table("q", 50)
         assert list(t.values) == [q_recurrence(n) for n in range(51)]
-        t = build_table("fib", 50)
-        assert list(t.values) == [fibonacci(n) for n in range(51)]
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "p.table"
@@ -182,28 +180,39 @@ class TestTables:
         assert loaded.values == table.values
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit")
-    def test_save_load_past_int_str_digit_limit(self, tmp_path):
-        # F_21000 has 4389 digits, past CPython's default 4300-digit limit
+    def test_load_keeps_int_str_digit_limit(self, tmp_path):
+        # a line past CPython's default 4300-digit limit is refused, not parsed;
+        # p(n) first reaches 4300 digits near n = 1.5e7, so no real table has one
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            path = tmp_path / "fib.table"
-            table = build_table("fib", 21000)
-            save_table(table, path)
+            path = tmp_path / "p.table"
+            path.write_text("fibcomp-table v1 kind=p max=1\n1\n" + "1" * 4301 + "\n", encoding="ascii")
+            with pytest.raises(DomainError, match="non-integer table line"):
+                load_table(path)
             assert sys.get_int_max_str_digits() == 4300
-            loaded = load_table(path)
-            assert sys.get_int_max_str_digits() == 4300
-            assert loaded.values == table.values
-            assert loaded.values[-1] % 10**12 == fib_list(21000)[-1] % 10**12
         finally:
             sys.set_int_max_str_digits(previous)
 
-    def test_header_format(self, tmp_path):
+    def test_load_refuses_fib_table(self, tmp_path):
+        # F_n comes from fast doubling; a fib table from an older version is unknown
         path = tmp_path / "fib.table"
-        save_table(build_table("fib", 5), path)
+        path.write_text("fibcomp-table v1 kind=fib max=5\n0\n1\n1\n2\n3\n5\n", encoding="ascii")
+        with pytest.raises(DomainError, match="bad table header"):
+            load_table(path)
+
+    def test_load_rejects_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "p.table"
+        path.write_bytes(b"fibcomp-table v1 kind=p max=2\n1\n1\n\xff\n")
+        with pytest.raises(DomainError, match="p.table"):
+            load_table(path)
+
+    def test_header_format(self, tmp_path):
+        path = tmp_path / "p.table"
+        save_table(build_table("p", 5), path)
         lines = path.read_text("ascii").splitlines()
-        assert lines[0] == "fibcomp-table v1 kind=fib max=5"
-        assert lines[1:] == ["0", "1", "1", "2", "3", "5"]
+        assert lines[0] == "fibcomp-table v1 kind=p max=5"
+        assert lines[1:] == ["1", "1", "2", "3", "5", "7"]
 
     def test_load_rejects_corrupt_value(self, tmp_path):
         # the audit sample is seeded per (kind, max), so pick a line it will visit
@@ -217,8 +226,8 @@ class TestTables:
             load_table(path)
 
     def test_load_rejects_wholesale_corruption(self, tmp_path):
-        path = tmp_path / "fib.table"
-        save_table(build_table("fib", 40), path)
+        path = tmp_path / "p.table"
+        save_table(build_table("p", 40), path)
         lines = path.read_text("ascii").splitlines()
         shifted = [lines[0]] + [str(int(v) + 1) for v in lines[1:]]
         path.write_text("\n".join(shifted) + "\n", encoding="ascii")
@@ -241,28 +250,15 @@ class TestTables:
         with pytest.raises(DomainError):
             load_table(path)
 
-    @pytest.mark.parametrize("kind,upto", [("p", 300), ("q", 300), ("fib", 40), ("fib", 300), ("fib", 15000)])
+    @pytest.mark.parametrize("kind,upto", [("p", 300), ("q", 300)])
     def test_load_rejects_wrong_seed(self, tmp_path, kind, upto):
-        # the recurrence grown from a wrong seed: 2 for p (every entry doubled)
-        # and q, the Lucas numbers 2, 1 for fib; past the seed each table
-        # satisfies its recurrence, so a sample that skips index 0 passes it
-        values = [2, 1] if kind == "fib" else [2]
+        # the recurrence grown from the wrong seed 2 (for p, every entry
+        # doubled); past the seed each table satisfies its recurrence, so a
+        # sample that skips index 0 passes it
+        values = [2]
         counting._EXTENDERS[kind](values, upto)
         path = tmp_path / f"{kind}.table"
         save_table(MemoTable(kind, values), path)
-        with pytest.raises(DomainError):
-            load_table(path)
-
-    def test_fib_audit_uses_closed_values(self, tmp_path):
-        # an old fib table keeps loading; one entry off anywhere in the
-        # sample is caught without trusting the entries below it
-        path = tmp_path / "fib.table"
-        save_table(build_table("fib", 500), path)
-        assert load_table(path).values == fib_list(500)
-        target = max(random.Random("fib:500").sample(range(501), 16))
-        values = fib_list(500)
-        values[target - 1 :] = [v + 1 for v in values[target - 1 :]]
-        save_table(MemoTable("fib", values), path)
         with pytest.raises(DomainError):
             load_table(path)
 
@@ -319,9 +315,9 @@ class TestTables:
         assert sorted(p.name for p in tmp_path.glob("*table*")) == ["p.table"]
 
     def test_cached_table_builds_then_reuses(self, tmp_path):
-        t1 = cached_table("fib", 30, tmp_path)
-        assert (tmp_path / "fib.table").exists()
-        t2 = cached_table("fib", 20, tmp_path)
+        t1 = cached_table("p", 30, tmp_path)
+        assert (tmp_path / "p.table").exists()
+        t2 = cached_table("p", 20, tmp_path)
         assert t2.values[:21] == t1.values[:21]
 
     def test_cached_table_extends(self, tmp_path):

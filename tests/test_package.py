@@ -3,6 +3,7 @@ call loads mpmath and the analytic layer only when it evaluates a series."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,10 +13,10 @@ import pytest
 
 import fibcomp
 
-# every name the package exported when its __init__ imported each module
+# every name the package exports, by home module
 EXPORTED = {
     "analytic": (
-        "HPReal", "NonCertifiedError", "SeriesEvalReport", "bessel_I1", "dedekind_s", "hagis_q",
+        "NonCertifiedError", "SeriesEvalReport", "bessel_I1", "dedekind_s", "hagis_q",
         "hagis_t", "kloosterman_A", "rademacher_p", "sawtooth",
     ),
     "bijection": ("BijectionTrace", "gt1_to_odd", "odd_to_gt1", "trace_forward"),
@@ -139,3 +140,10 @@ def test_only_analytic_calls_load_mpmath():
         "verify genfun 0 []",
         "analytic  0 ['mpmath', 'fibcomp.analytic']",
     ]
+
+
+def test_version_matches_pyproject():
+    # read by regex rather than tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == fibcomp.__version__
