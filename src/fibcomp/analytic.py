@@ -4,11 +4,12 @@ counts p(n) and q(n), with an exact-rational layer underneath.
 The rational layer (sawtooth, dedekind_s, hagis_t) is exact integer
 arithmetic packaged as Fractions: dedekind_s follows the reciprocity law
 down Euclid's chain in O(log k) steps, and hagis_t is a difference of two
-Dedekind sums.  The exponential sums need no tables or caches: A_k(n)
-comes from Selberg's formula, a few cosines per k, and the q sum pairs h
-with k - h, one cosine per pair.  The floating layer evaluates the series
-under an explicit working precision and only ever rounds a truncated sum
-to an integer when a two-sided check passes:
+Dedekind sums.  The exponential sums keep no caches: A_k(n) comes from
+Selberg's formula, a few cosines per k, and the q sum groups its terms by
+angle and reads every cosine off one fixed-point integer rotation, one
+cospi and one sinpi per k.  The floating layer evaluates the series under
+an explicit working precision and only ever rounds a truncated sum to an
+integer when a two-sided check passes:
 
 * the truncated value sits within 1/4 of an integer,
 * doubling the number of series terms moves the value by less than 2^-4, and
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, cospi, sinpi, sqrt, cosh, sinh, pi, nint
+from mpmath import mp, mpf, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
 
 from .core import DomainError, ImaginaryResidueError, NonCertifiedError
 
@@ -119,9 +120,28 @@ def _A_real(k: int, n: int, tier: int):
 
 def _inner_real(k: int, n: int, tier: int):
     """Real value of the odd-k exponential sum in the distinct-count series,
-    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at the tier's precision.  The h
-    and k-h terms are complex conjugates, so each pair is twice a cosine, of
-    an integer multiple of pi/(12k) because 12k t(h, k) is an integer.
+    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at the tier's precision.
+
+    The h and k-h terms are complex conjugates, so the sum is twice the sum
+    of cos(pi a_h / (12k)) over coprime h < k/2, where the integer
+    a_h = 12k t(h, k) - 24nh = D(h) - D(2h mod k) - 24nh (mod 24k) and
+    D(x) = 12k s(x, k).  For odd k, 2h < k, and s(k-x, k) = -s(x, k), so
+    one Dedekind sum per h fills a table that serves both D terms.  Folding
+    a_h by cos(-x) = cos x and cos(pi - x) = -cos x puts every angle in
+    [0, 6k] with a signed multiplicity.  The angles share the step
+    g = gcd(12k, a_h ...) (in practice 12, or 4 when 3 divides k), so one
+    rotation by theta = pi g/(12k), stepped in P-bit fixed point across
+    0..max(a)/g, yields every cosine the sum needs.
+
+    Error bound, with u = 2^-P: the rotation's entries C, S are rounded to
+    within one unit, so W = (C + iS)u has |W - e^{i theta}| <= sqrt2 u, and
+    each step's floor shifts add at most sqrt2 u.  The step error
+    e_{j+1} = W e_j + (W - e^{i theta}) e^{ij theta} + r_j then gives
+    |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju, and j <= 12k.  The weights
+    sum to at most k/2 in absolute value and the sum is doubled, so the
+    result is off by less than 36 k^2 u < 2^(6 + 2 bitlen(k)) u before its
+    one rounding to the tier.  P = tier + 22 + 2 bitlen(k) makes that
+    2^-(tier+16).
 
     At k = 1 the sum over proper fractions h/k is empty; the evaluation
     takes the single h = 0 term, which is exactly 1, so the first series
@@ -129,14 +149,36 @@ def _inner_real(k: int, n: int, tier: int):
     """
     if k == 1:
         return mpf(1)
+    half = k // 2
+    hs = [h for h in range(1, half + 1) if math.gcd(h, k) == 1]
+    dedekind = [0] * (half + 1)
+    for h in hs:
+        dedekind[h] = _dedekind12(h, k)
+    turn, step = 24 * k, 24 * (n % k)
+    folded = []
+    for h in hs:
+        double = 2 * h
+        d2 = dedekind[double] if double <= half else -dedekind[k - double]
+        a = (dedekind[h] - d2 - step * h) % turn
+        a = min(a, turn - a)  # cos(-x) = cos x
+        folded.append((a, 1) if 2 * a <= 12 * k else (12 * k - a, -1))  # cos(pi - x) = -cos x
+    g = math.gcd(12 * k, *(a for a, _ in folded))
+    weights = [0] * (max(a for a, _ in folded) // g + 1)
+    for a, sign in folded:
+        weights[a // g] += sign
+    bits = tier + 22 + 2 * k.bit_length()
+    with mp.workprec(bits + 8):
+        theta = mpf(g) / (12 * k)
+        C = int(nint(cospi(theta) * 2**bits))
+        S = int(nint(sinpi(theta) * 2**bits))
+    x, y = 1 << bits, 0
+    total = 0
+    for weight in weights:
+        if weight:
+            total += weight * x
+        x, y = (x * C - y * S) >> bits, (y * C + x * S) >> bits
     with mp.workprec(tier):
-        total = mpf(0)
-        for h in range(1, k // 2 + 1):
-            if math.gcd(h, k) == 1:
-                t = hagis_t(h, k)
-                angle = (t.numerator * (12 * k // t.denominator) - 24 * n * h) % (24 * k)
-                total += cospi(mpf(angle) / (12 * k))
-        return 2 * total
+        return ldexp(mpf(total), 1 - bits)
 
 
 def _direct_sum(rational, k: int, n: int, precision_bits: int):
@@ -202,6 +244,8 @@ def bessel_I1(z, precision_bits: int) -> mpf:
         raise DomainError("precision_bits must be >= 64")
     with mp.workprec(precision_bits):
         z = mpf(z)
+        if not mp.isfinite(z):  # the series' stopping test never passes for nan or inf
+            raise DomainError(f"bessel_I1 needs a finite z, got {z}")
         if z < 0:
             raise DomainError("bessel_I1 is only evaluated at z >= 0")
         return _i1_raw(z, precision_bits)

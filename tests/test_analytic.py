@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -199,6 +204,24 @@ class TestExponentialSums:
                     assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
                     assert abs(want.imag) < mp.mpf(2) ** -200, (k, n)
 
+    # 301 = 7*43 and 389 (prime) step the rotation by pi/k; 333 = 9*37 and
+    # 399 = 3*7*19, divisible by 3, by pi/(3k).  n up to 10^6 makes 24nh wrap
+    # many times around 24k.
+    def test_inner_sum_at_large_k_and_n_matches_complex_oracle(self):
+        for k in (301, 333, 389, 399):
+            for n in (0, 2, 331, 999_983, 10**6):
+                want = hagis_complex(k, n, 576).real
+                for tier in (128, 512):
+                    got = analytic._inner_real(k, n, tier)
+                    with mp.workprec(600):
+                        assert abs(got - want) < mp.mpf(2) ** -(tier - 8), (k, n, tier)
+
+    def test_inner_sum_has_period_k_in_n(self):
+        for k in (3, 15, 97, 333):
+            for n in (0, 5, 1000):
+                assert analytic._inner_real(k, n + k, 192) == analytic._inner_real(k, n, 192)
+                assert analytic._inner_real(k, n + 7 * k, 192) == analytic._inner_real(k, n, 192)
+
 
 class TestBessel:
     def test_zero(self):
@@ -228,6 +251,35 @@ class TestBessel:
     def test_rejects_low_precision(self):
         with pytest.raises(DomainError):
             bessel_I1(2, 32)
+
+    def test_rejects_non_finite_without_hanging(self):
+        # in a child with a timeout: the series loop never ends on nan or inf,
+        # so a regression must fail the test rather than stall the suite
+        code = textwrap.dedent(
+            """
+            from fibcomp.analytic import bessel_I1
+            from fibcomp.core import DomainError
+
+            for z in (float("nan"), float("inf"), float("-inf"), "nan", "+inf"):
+                try:
+                    bessel_I1(z, 64)
+                except DomainError as exc:
+                    print(exc)
+            """
+        )
+        src = str(Path(analytic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "bessel_I1 needs a finite z, got nan",
+            "bessel_I1 needs a finite z, got +inf",
+            "bessel_I1 needs a finite z, got -inf",
+            "bessel_I1 needs a finite z, got nan",
+            "bessel_I1 needs a finite z, got +inf",
+        ]
 
 
 class TestRademacherP:

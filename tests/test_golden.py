@@ -1,10 +1,17 @@
-"""Replay a recorded CLI corpus in-process and require byte-identical stdout.
+"""Replay recorded outputs in-process and require them unchanged.
 
 golden_cli.json holds the argv, exit code, stdout and stderr of fresh-process
 `fibcomp` calls covering count, enumerate, series, map, verify and analytic.
 "{cache}" in an argv stands for an empty cache directory.  Program-owned
 `error:` lines on stderr must match too; argparse's usage text varies across
 Python versions, so for usage errors only the exit code and stdout count.
+
+golden_series.json holds the report of `rademacher_p(n)` and `hagis_q(n)` at
+default settings for n = 1..60, 100, 250, 330, 450, 1000 and 2000: `rounded`,
+`certified`, `k_terms`, `precision_bits`, and `raw` and `residual` printed
+with `mp.nstr` to 30 and 3 digits as `fibcomp analytic` prints them.  A
+kernel change must leave every field as recorded; the file is never
+re-captured to make a change pass.
 """
 
 import json
@@ -12,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from fibcomp import cli
+from fibcomp import analytic, cli
 
 CORPUS = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="ascii"))
+SERIES = json.loads(Path(__file__).with_name("golden_series.json").read_text(encoding="ascii"))
 
 
 @pytest.mark.parametrize("record", CORPUS, ids=[" ".join(r["argv"]) for r in CORPUS])
@@ -27,3 +35,19 @@ def test_golden_cli_output(record, tmp_path, capsys, monkeypatch):
     assert out == record["stdout"]
     if record["stderr"].startswith("error:"):
         assert err == record["stderr"]
+
+
+@pytest.mark.parametrize("record", SERIES, ids=[f"{r['series']} {r['n']}" for r in SERIES])
+def test_golden_series_report(record):
+    evaluate = analytic.rademacher_p if record["series"] == "p" else analytic.hagis_q
+    report = evaluate(record["n"])
+    assert {
+        "series": record["series"],
+        "n": report.n,
+        "rounded": report.rounded,
+        "certified": report.certified,
+        "k_terms": report.k_terms_used,
+        "precision_bits": report.precision_bits,
+        "raw": analytic.mp.nstr(report.raw_value, 30),
+        "residual": analytic.mp.nstr(report.residual, 3),
+    } == record

@@ -142,6 +142,38 @@ def test_only_analytic_calls_load_mpmath():
     ]
 
 
+def test_only_verify_calls_load_verify():
+    proc = _run_python(
+        textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from fibcomp import cli
+
+            for argv in (
+                ["count", "--class", "partitions:all", "30"],
+                ["enumerate", "--class", "compositions:min-part-2", "7"],
+                ["series", "partitions", "--order", "10"],
+                ["map", "--trace", "1+1+1+9+1+1+5+3"],
+                ["analytic", "p", "10"],
+                ["verify", "--suite", "codec", "--max-n", "6"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run(argv)
+                print(argv[0], code, "fibcomp.verify" in sys.modules)
+            """
+        )
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "count 0 False",
+        "enumerate 0 False",
+        "series 0 False",
+        "map 0 False",
+        "analytic 0 False",
+        "verify 0 True",
+    ]
+
+
 def test_version_matches_pyproject():
     # read by regex rather than tomllib, which Python 3.10 lacks
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")

@@ -25,6 +25,12 @@ def test_suite_names_cover_all_suites():
     assert set(verify.suite_names()) == {"codec", "bijection", "counts", "genfun", "analytic"}
 
 
+def test_cli_suite_choices_match_verify():
+    from fibcomp import cli
+
+    assert cli.SUITE_NAMES == verify.suite_names()
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         verify.verify_suite("quantum", 5)
