@@ -1,12 +1,17 @@
 """Cross-check suites wiring the fast paths against the enumeration oracles.
 
 Each suite returns a list of CheckResult records; the CLI renders them and
-maps any failure to a nonzero exit.  Failures carry the smallest
-counterexample found.
+maps any failure to a nonzero exit.  Most rows go through one runner,
+_first_failure: it tests the row's cases in order, and the first case that
+fails is the row's smallest counterexample.  A row that names its cases
+also catches the analytic layer's evaluation errors (NonCertifiedError,
+ImaginaryResidueError), so a broken evaluator fails that row alone and the
+suite goes on to the next.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,10 +33,29 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, cases: int, counterexample: str | None) -> CheckResult:
-    if counterexample is None:
-        return CheckResult(name, True, f"{cases} cases")
-    return CheckResult(name, False, f"smallest counterexample: {counterexample}")
+_EVALUATION_ERRORS = (NonCertifiedError, ImaginaryResidueError)
+
+
+def _first_failure(name: str, cases, fails, label: str | None = None) -> CheckResult:
+    """Call fails(*case) on each case in order.  fails returns None when the
+    case holds and the counterexample text when it does not, and the first
+    counterexample ends the row.  With a label, an evaluation error raised
+    while a case is made or tested ends the row too, reported as
+    "<label>: <message>" with the label formatted by the case's values (by
+    none when the first case could not be made); without one it propagates.
+    """
+    count, case = 0, ()
+    try:
+        for case in cases:
+            count += 1
+            bad = fails(*case)
+            if bad is not None:
+                return CheckResult(name, False, f"smallest counterexample: {bad}")
+    except _EVALUATION_ERRORS as exc:
+        if label is None:
+            raise
+        return CheckResult(name, False, f"smallest counterexample: {label.format(*case)}: {exc}")
+    return CheckResult(name, True, f"{count} cases")
 
 
 def _compositions(kind: str, limit: int):
@@ -39,16 +63,6 @@ def _compositions(kind: str, limit: int):
     for n in range(1, limit + 1):
         for c in enumeration.gen_compositions(n, cls):
             yield n, c
-
-
-def _check(name: str, cases, holds) -> CheckResult:
-    """Test holds(n, c) on each case in order; the first failure is the counterexample."""
-    count = 0
-    for n, c in cases:
-        count += 1
-        if not holds(n, c):
-            return _result(name, count, str(c))
-    return _result(name, count, None)
 
 
 def _zero_runs_even(c) -> bool:
@@ -74,67 +88,67 @@ def _all_odd(c) -> bool:
     return all(p % 2 for p in c.parts)
 
 
-# (check name, property of a composition c of n)
+# (check name, test of a composition c of n: None when it holds, else c)
 _CODEC_CHECKS = (
-    ("codec roundtrip", lambda n, c: from_bitseq(to_bitseq(c)).parts == c.parts),
-    ("conjugation involution", lambda n, c: conjugate(conjugate(c)).parts == c.parts),
-    ("conjugate part-count law", lambda n, c: conjugate(c).ell == n - c.ell + 1),
-    ("odd parts iff even zero-runs", lambda n, c: _all_odd(c) == _zero_runs_even(c)),
+    ("codec roundtrip", lambda n, c: None if from_bitseq(to_bitseq(c)).parts == c.parts else str(c)),
+    ("conjugation involution", lambda n, c: None if conjugate(conjugate(c)).parts == c.parts else str(c)),
+    ("conjugate part-count law", lambda n, c: None if conjugate(c).ell == n - c.ell + 1 else str(c)),
+    ("odd parts iff even zero-runs", lambda n, c: None if _all_odd(c) == _zero_runs_even(c) else str(c)),
     (
         "odd parts iff conjugate odd length with even-index ones",
-        lambda n, c: _all_odd(c) == _conjugate_odd_length_even_index_ones(c),
+        lambda n, c: None if _all_odd(c) == _conjugate_odd_length_even_index_ones(c) else str(c),
     ),
 )
 
 
 def _suite_codec(bound: int) -> list[CheckResult]:
-    return [_check(f"{name} n<={bound}", _compositions("all", bound), holds) for name, holds in _CODEC_CHECKS]
+    return [
+        _first_failure(f"{name} n<={bound}", _compositions("all", bound), fails)
+        for name, fails in _CODEC_CHECKS
+    ]
 
 
 def _suite_bijection(bound: int) -> list[CheckResult]:
     odd_cls = enumeration.CompositionClass("odd-parts")
     min2_cls = enumeration.CompositionClass("min-part-2")
-    results = [
-        _check(
-            f"roundtrip inverse(forward) n<={bound}",
-            _compositions("odd-parts", bound),
-            lambda n, a: bijection.gt1_to_odd(bijection.odd_to_gt1(a)).parts == a.parts,
-        )
-    ]
 
-    cases = 0
-    bad = None
-    for n in range(1, bound + 1):
-        image = {bijection.odd_to_gt1(a).parts for a in enumeration.gen_compositions(n, odd_cls)}
-        target = {c.parts for c in enumeration.gen_compositions(n + 1, min2_cls)}
-        cases += len(target)
-        if image != target:
-            diff = sorted(image ^ target)[0]
-            bad = f"n={n}, {'+'.join(map(str, diff))}"
-            break
-    results.append(_result(f"image equals min-part-2 target n<={bound}", cases, bad))
+    def image_and_target():
+        # every composition in the image or the target, in order: the first
+        # that is missing from one of them is the least of the difference
+        for n in range(1, bound + 1):
+            image = {bijection.odd_to_gt1(a).parts for a in enumeration.gen_compositions(n, odd_cls)}
+            target = {c.parts for c in enumeration.gen_compositions(n + 1, min2_cls)}
+            for parts in sorted(image | target):
+                yield n, parts, image, target
 
-    results.append(
-        _check(
-            f"odd-part parity n == ell (mod 2) n<={bound}",
-            _compositions("odd-parts", bound),
-            lambda n, a: (a.n - a.ell) % 2 == 0,
-        )
-    )
-
-    cases = 0
-    bad = None
-    for n in range(1, bound + 1):
-        cases += 1
+    def counts_differ(n):
         odd_count = enumeration.count_by_enumeration(n, odd_cls)
         gt1_count = enumeration.count_by_enumeration(n + 1, min2_cls)
         fib = counting.fibonacci(n)
-        if not odd_count == gt1_count == fib:
-            bad = f"n={n}: {odd_count}, {gt1_count}, F={fib}"
-            break
-    results.append(_result(f"both classes count F_n n<={bound}", cases, bad))
+        return None if odd_count == gt1_count == fib else f"n={n}: {odd_count}, {gt1_count}, F={fib}"
 
-    return results
+    return [
+        _first_failure(
+            f"roundtrip inverse(forward) n<={bound}",
+            _compositions("odd-parts", bound),
+            lambda n, a: None if bijection.gt1_to_odd(bijection.odd_to_gt1(a)).parts == a.parts else str(a),
+        ),
+        _first_failure(
+            f"image equals min-part-2 target n<={bound}",
+            image_and_target(),
+            lambda n, parts, image, target: (
+                None if parts in image and parts in target else f"n={n}, {'+'.join(map(str, parts))}"
+            ),
+        ),
+        _first_failure(
+            f"odd-part parity n == ell (mod 2) n<={bound}",
+            _compositions("odd-parts", bound),
+            lambda n, a: None if (a.n - a.ell) % 2 == 0 else str(a),
+        ),
+        _first_failure(
+            f"both classes count F_n n<={bound}", ((n,) for n in range(1, bound + 1)), counts_differ
+        ),
+    ]
 
 
 def _count_rows(bound: int):
@@ -149,6 +163,14 @@ def _count_rows(bound: int):
     )
 
 
+def _count_differs(n: int, counter, classes) -> str | None:
+    want = counter(n)
+    for cls, shift in classes:
+        if want != enumeration.count_by_enumeration(n + shift, cls):
+            return f"n={n}" if len(classes) == 1 else f"n={n} {cls.kind}"
+    return None
+
+
 def _suite_counts(bound: int) -> list[CheckResult]:
     results = []
 
@@ -156,128 +178,87 @@ def _suite_counts(bound: int) -> list[CheckResult]:
         # looked up per call so a patched counter is the one checked
         counter = getattr(counting, label)
         versus = "enumeration" if len(classes) == 1 else "both enumerations"
-        bad = None
-        for n in ns:
-            want = counter(n)
-            for cls, shift in classes:
-                if want != enumeration.count_by_enumeration(n + shift, cls):
-                    bad = f"n={n}" if len(classes) == 1 else f"n={n} {cls.kind}"
-                    break
-            if bad:
-                break
-        results.append(_result(f"{label} vs {versus} n<={ns[-1]}", len(ns), bad))
+        cases = ((n, counter, classes) for n in ns)
+        results.append(_first_failure(f"{label} vs {versus} n<={ns[-1]}", cases, _count_differs))
 
-    bad = None
-    for n in range(2001):
+    def residual_differs(n: int) -> str | None:
         want = 1 if counting.is_triangular(n) else 0
-        if counting.q_recurrence_residual(n) != want:
-            bad = f"n={n}"
-            break
-    results.append(_result("q recurrence residual 0/1 pattern n<=2000", 2001, bad))
+        return None if counting.q_recurrence_residual(n) == want else f"n={n}"
 
+    cases = ((n,) for n in range(2001))
+    results.append(_first_failure("q recurrence residual 0/1 pattern n<=2000", cases, residual_differs))
+
+    # not a first-failure row: a passing row reports the threshold it found
     first = counting.binet_first_failure(100)
     low_ok = all(counting.binet_float(n).round_correct for n in range(31))
-    if first is None or not low_ok:
-        results.append(
-            CheckResult(
-                "binet failure threshold",
-                False,
-                f"first failure {first}, all correct below 31: {low_ok}",
-            )
-        )
+    passed = first is not None and low_ok
+    if passed:
+        detail = f"rounds correctly n<=30, first failure at n={first}"
     else:
-        results.append(
-            CheckResult(
-                "binet failure threshold",
-                True,
-                f"rounds correctly n<=30, first failure at n={first}",
-            )
-        )
-
-    return results
+        detail = f"first failure {first}, all correct below 31: {low_ok}"
+    return results + [CheckResult("binet failure threshold", passed, detail)]
 
 
 def _suite_genfun(bound: int) -> list[CheckResult]:
-    results = []
     order = 40
+    one = genfun.TruncatedSeries.one(order)
+
+    def monomial(j: int):
+        return genfun.TruncatedSeries.monomial(j, order)
+
+    def product(factors):
+        return functools.reduce(genfun.series_mul, factors, one)
 
     series = genfun.partition_gf(order)
-    bad = None
-    for n in range(order + 1):
-        if series.coefficient(n) != counting.p_recurrence(n):
-            bad = f"n={n}"
-            break
-    results.append(_result(f"partition series vs recurrence order {order}", order + 1, bad))
-
-    top = min(bound, order)
-    bad = None
-    for n in range(top + 1):
-        if series.coefficient(n) != enumeration.count_by_enumeration(
-            n, enumeration.PartitionClass("all")
-        ):
-            bad = f"n={n}"
-            break
-    results.append(_result(f"partition series vs enumeration n<={top}", top + 1, bad))
-
-    odd_product = genfun.TruncatedSeries.one(order)
-    for j in range(1, order + 1, 2):
-        factor = genfun.TruncatedSeries.one(order) - genfun.TruncatedSeries.monomial(j, order)
-        odd_product = genfun.series_mul(odd_product, genfun.series_inverse(factor))
-    distinct_product = genfun.TruncatedSeries.one(order)
-    for j in range(1, order + 1):
-        factor = genfun.TruncatedSeries.one(order) + genfun.TruncatedSeries.monomial(j, order)
-        distinct_product = genfun.series_mul(distinct_product, factor)
-    bad = None
-    if odd_product.coeffs != distinct_product.coeffs:
-        for n in range(order + 1):
-            if odd_product.coefficient(n) != distinct_product.coefficient(n):
-                bad = f"n={n}"
-                break
-    results.append(_result(f"odd/distinct product identity order {order}", order + 1, bad))
-
-    euler = genfun.TruncatedSeries.one(order)
-    for j in range(1, order + 1):
-        euler = genfun.series_mul(
-            euler, genfun.TruncatedSeries.one(order) - genfun.TruncatedSeries.monomial(j, order)
-        )
-    product = genfun.series_mul(genfun.partition_gf(order), euler)
-    bad = None if product.coeffs == genfun.TruncatedSeries.one(order).coeffs else "product != 1"
-    results.append(_result(f"partition series times euler product order {order}", order + 1, bad))
+    partitions = enumeration.PartitionClass("all")
+    odd_product = product(genfun.series_inverse(one - monomial(j)) for j in range(1, order + 1, 2))
+    distinct_product = product(one + monomial(j) for j in range(1, order + 1))
+    times_euler = genfun.series_mul(series, product(one - monomial(j) for j in range(1, order + 1)))
 
     top = min(bound, 20)
-    series = genfun.distinct_compositions_gf(top)
-    bad = None
-    for n in range(top + 1):
-        direct = enumeration.count_by_enumeration(
-            n, enumeration.CompositionClass("distinct-parts")
-        ) if n else 1
+    compositions = genfun.distinct_compositions_gf(top)
+    distinct = enumeration.CompositionClass("distinct-parts")
+
+    def compositions_differ(n):
+        direct = enumeration.count_by_enumeration(n, distinct) if n else 1
         linked = sum(
             math.factorial(ell) * genfun.distinct_partitions_ell_gf(ell, top).coefficient(n)
             for ell in range(top + 1)
             if ell * (ell + 1) // 2 <= top
         )
-        if series.coefficient(n) != direct or series.coefficient(n) != linked:
-            bad = f"n={n}"
-            break
-    results.append(_result(f"distinct compositions series vs enumeration n<={top}", top + 1, bad))
+        return None if compositions.coefficient(n) == direct == linked else f"n={n}"
 
-    return results
-
-
-def _check_exponential_sum(name: str, ks, ns, direct, fast) -> CheckResult:
-    """Compare fast(k, n) with direct(k, n) to 2^-100 for each k in ks, n in ns."""
-    for case, (k, n) in enumerate(itertools.product(ks, ns), 1):
-        try:
-            want = direct(k, n)
-        except ImaginaryResidueError as exc:
-            return _result(name, case, f"(k={k}, n={n}): {exc}")
-        if abs(want - fast(k, n)) > 2.0**-100:
-            return _result(name, case, f"(k={k}, n={n}) mismatch")
-    return _result(name, len(ks) * len(ns), None)
-
-
-# a broken evaluator fails its row instead of ending the suite
-_EVALUATION_ERRORS = (NonCertifiedError, ImaginaryResidueError)
+    orders = [(n,) for n in range(order + 1)]
+    enumerated = min(bound, order)
+    return [
+        _first_failure(
+            f"partition series vs recurrence order {order}",
+            orders,
+            lambda n: None if series.coefficient(n) == counting.p_recurrence(n) else f"n={n}",
+        ),
+        _first_failure(
+            f"partition series vs enumeration n<={enumerated}",
+            ((n,) for n in range(enumerated + 1)),
+            lambda n: (
+                None if series.coefficient(n) == enumeration.count_by_enumeration(n, partitions) else f"n={n}"
+            ),
+        ),
+        _first_failure(
+            f"odd/distinct product identity order {order}",
+            orders,
+            lambda n: None if odd_product.coefficient(n) == distinct_product.coefficient(n) else f"n={n}",
+        ),
+        _first_failure(
+            f"partition series times euler product order {order}",
+            orders,
+            lambda n: None if times_euler.coefficient(n) == one.coefficient(n) else "product != 1",
+        ),
+        _first_failure(
+            f"distinct compositions series vs enumeration n<={top}",
+            ((n,) for n in range(top + 1)),
+            compositions_differ,
+        ),
+    ]
 
 
 def _suite_analytic(bound: int) -> list[CheckResult]:
@@ -295,51 +276,51 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
         """Sum of ((x))((hx)) over xs: s(h, k) over x = j/k, t(h, k) over 2h and x = (2j-1)/(2k)."""
         return sum((analytic.sawtooth(x) * analytic.sawtooth(h * x) for x in xs), Fraction(0))
 
-    def dedekind_holds(k: int, x: Fraction) -> bool:
+    def dedekind_fails(k: int, x: Fraction) -> str | None:
         h = x.numerator
         s = analytic.dedekind_s(h, k)
-        return (
+        holds = (
             s == sawtooth_sum(h, (Fraction(j, k) for j in range(1, k)))
             and s + analytic.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
             and (12 * k * s).denominator == 1
         )
+        return None if holds else str(x)
 
-    def hagis_holds(k: int, x: Fraction) -> bool:
+    def hagis_fails(k: int, x: Fraction) -> str | None:
         h = x.numerator
         t = analytic.hagis_t(h, k)
         odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
-        return t == sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k)
+        return None if t == sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k) else str(x)
 
-    tier = analytic._tier(128)
-    top_k = min(bound, 50)
-    ns = range(0, top_k + 1, 7)
-    odd_ks = range(1, top_k + 1, 2)
-    results = [
-        _check(
-            "dedekind sum vs sawtooth definition, reciprocity and integrality k<=30",
-            coprime_fractions(range(2, 31)),
-            dedekind_holds,
-        ),
-        _check(
-            "hagis sum vs sawtooth definition and negation symmetry k<30",
-            coprime_fractions(range(3, 30, 2)),
-            hagis_holds,
-        ),
-        _check_exponential_sum(
-            f"exponential sum direct vs selberg k<={top_k}",
-            range(1, top_k + 1),
-            ns,
-            lambda k, n: analytic.kloosterman_A(k, n, 128),
-            lambda k, n: analytic._A_real(k, n, tier),
-        ),
-        _check_exponential_sum(
-            f"hagis exponential sum direct vs paired odd k<={odd_ks[-1]}",
-            odd_ks,
-            ns,
-            lambda k, n: analytic._direct_sum(analytic.hagis_t, k, n, 128),
-            lambda k, n: analytic._inner_real(k, n, tier),
-        ),
-    ]
+    def sums_differ(direct, fast):
+        """A test that compares fast(k, n) with direct(k, n) to 2^-100."""
+
+        def differs(k: int, n: int) -> str | None:
+            return f"(k={k}, n={n}) mismatch" if abs(direct(k, n) - fast(k, n)) > 2.0**-100 else None
+
+        return differs
+
+    def rounding_fails(n: int) -> str | None:
+        p_report = analytic.rademacher_p(n)
+        if not p_report.certified or p_report.rounded != counting.p_recurrence(n):
+            return f"p at n={n}"
+        q_report = analytic.hagis_q(n)
+        if not q_report.certified or q_report.rounded != counting.q_recurrence(n):
+            return f"q at n={n}"
+        return None
+
+    probe = min(bound, 30)
+
+    def budgets():
+        # the certified budget is found here, inside the row, so that an
+        # uncertifiable series fails the row rather than the suite
+        base = analytic.rademacher_p(probe).k_terms_used
+        for extra in (6, 18, 30, 60, 90):
+            yield base + extra, extra
+
+    def residual_fails(k_max: int, extra: int) -> str | None:
+        report = analytic.rademacher_p(probe, k_max=k_max)
+        return None if report.residual < analytic.RESIDUAL_BOUND else f"budget +{extra}"
 
     wide = analytic.bessel_I1(2, 320)
     narrow = analytic.bessel_I1(2, 128)
@@ -352,39 +333,54 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
         and analytic.bessel_I1(0, 64) == 0
         and analytic.bessel_I1(3, 128) > narrow
     )
-    results.append(
-        CheckResult("bessel series self-consistency", bool(i1_ok), f"cross-precision drift {drift}")
-    )
 
-    bad = None
-    try:
-        for n in range(1, bound + 1):
-            p_report = analytic.rademacher_p(n)
-            if not p_report.certified or p_report.rounded != counting.p_recurrence(n):
-                bad = f"p at n={n}"
-                break
-            q_report = analytic.hagis_q(n)
-            if not q_report.certified or q_report.rounded != counting.q_recurrence(n):
-                bad = f"q at n={n}"
-                break
-    except _EVALUATION_ERRORS as exc:
-        bad = f"n={n}: {exc}"
-    results.append(_result(f"certified rounding vs recurrences n<={bound}", bound, bad))
-
-    probe = min(bound, 30)
-    bad = None
-    try:
-        base = analytic.rademacher_p(probe)
-        for extra in (6, 18, 30, 60, 90):
-            report = analytic.rademacher_p(probe, k_max=base.k_terms_used + extra)
-            if not report.residual < analytic.RESIDUAL_BOUND:
-                bad = f"budget +{extra}"
-                break
-    except _EVALUATION_ERRORS as exc:
-        bad = f"n={probe}: {exc}"
-    results.append(_result(f"residual stays small above certified budget (n={probe})", 5, bad))
-
-    return results
+    tier = analytic._tier(128)
+    top_k = min(bound, 50)
+    ns = range(0, top_k + 1, 7)
+    odd_ks = range(1, top_k + 1, 2)
+    return [
+        _first_failure(
+            "dedekind sum vs sawtooth definition, reciprocity and integrality k<=30",
+            coprime_fractions(range(2, 31)),
+            dedekind_fails,
+        ),
+        _first_failure(
+            "hagis sum vs sawtooth definition and negation symmetry k<30",
+            coprime_fractions(range(3, 30, 2)),
+            hagis_fails,
+        ),
+        _first_failure(
+            f"exponential sum direct vs selberg k<={top_k}",
+            itertools.product(range(1, top_k + 1), ns),
+            sums_differ(
+                lambda k, n: analytic.kloosterman_A(k, n, 128),
+                lambda k, n: analytic._A_real(k, n, tier),
+            ),
+            "(k={0}, n={1})",
+        ),
+        _first_failure(
+            f"hagis exponential sum direct vs angle classes odd k<={odd_ks[-1]}",
+            itertools.product(odd_ks, ns),
+            sums_differ(
+                lambda k, n: analytic._direct_sum(analytic.hagis_t, k, n, 128),
+                lambda k, n: analytic._inner_real(k, n, tier),
+            ),
+            "(k={0}, n={1})",
+        ),
+        CheckResult("bessel series self-consistency", bool(i1_ok), f"cross-precision drift {drift}"),
+        _first_failure(
+            f"certified rounding vs recurrences n<={bound}",
+            ((n,) for n in range(1, bound + 1)),
+            rounding_fails,
+            "n={0}",
+        ),
+        _first_failure(
+            f"residual stays small above certified budget (n={probe})",
+            budgets(),
+            residual_fails,
+            f"n={probe}",
+        ),
+    ]
 
 
 # name -> (suite, default enumeration bound)

@@ -223,6 +223,15 @@ class TestExponentialSums:
                 assert analytic._inner_real(k, n + 7 * k, 192) == analytic._inner_real(k, n, 192)
 
 
+def _run_child(code: str) -> list[str]:
+    """stdout lines of code run by a fresh interpreter that imports this checkout, within 60 s."""
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestBessel:
     def test_zero(self):
         assert bessel_I1(0, 128) == 0
@@ -267,19 +276,30 @@ class TestBessel:
                     print(exc)
             """
         )
-        src = str(Path(analytic.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
+        assert _run_child(code) == [
             "bessel_I1 needs a finite z, got nan",
             "bessel_I1 needs a finite z, got +inf",
             "bessel_I1 needs a finite z, got -inf",
             "bessel_I1 needs a finite z, got nan",
             "bessel_I1 needs a finite z, got +inf",
         ]
+
+    def test_rejects_large_z_at_once(self):
+        # in a child with a timeout: the series takes time linear in z, so
+        # without the bound 1e12 would stall the suite; 2^16 still returns
+        code = textwrap.dedent(
+            """
+            from fibcomp.analytic import bessel_I1
+            from fibcomp.core import DomainError
+
+            try:
+                bessel_I1("1e12", 64)
+            except DomainError as exc:
+                print(exc)
+            print(bessel_I1(2**16, 64) > 0)
+            """
+        )
+        assert _run_child(code) == ["bessel_I1 is only evaluated at z <= 2^16, got 1000000000000.0", "True"]
 
 
 class TestRademacherP:

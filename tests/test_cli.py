@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcomp import cli, counting, enumeration, verify
+from fibcomp.core import BitSeq, Composition, ImaginaryResidueError, NonCertifiedError
 from fibcomp.counting import fibonacci, p_recurrence, q_recurrence
+from fibcomp.genfun import TruncatedSeries
 
 
 def _nudged(real):
@@ -23,6 +26,72 @@ def _nudged(real):
         with mp.workprec(256):
             return real(*args) + mp.mpf(2) ** -90
     return wrong
+
+
+def _one_more_at(at):
+    """real, one too high at n = at."""
+    return lambda real: lambda n: real(n) + (n == at)
+
+
+def _coefficient_one_more_at(at):
+    """real, a series builder whose coefficient of x^at is one too high."""
+    def wrong(real):
+        def build(*args):
+            coeffs = list(real(*args).coeffs)
+            coeffs[at] += 1
+            return TruncatedSeries(tuple(coeffs))
+        return build
+    return wrong
+
+
+def _residue_at(k, n):
+    """real, an exponential sum whose imaginary part fails to cancel at (k, n)."""
+    def wrong(real):
+        def direct_sum(rational, kk, nn, bits):
+            if (kk, nn) == (k, n):
+                raise ImaginaryResidueError("injected residue")
+            return real(rational, kk, nn, bits)
+        return direct_sum
+    return wrong
+
+
+def _uncertified_at(at):
+    """real, a series evaluator that cannot certify n = at."""
+    def wrong(real):
+        def evaluate(n, *args, **kwargs):
+            report = real(n, *args, **kwargs)
+            if n == at:
+                raise NonCertifiedError(real.__name__, report)
+            return report
+        return evaluate
+    return wrong
+
+
+# stdout of verify --suite analytic --max-n 4, plain and --json, byte for byte;
+# no golden record covers the analytic suite
+_ANALYTIC_PLAIN = (
+    "[OK] analytic: dedekind sum vs sawtooth definition, reciprocity and integrality k<=30 (277 cases)\n"
+    "[OK] analytic: hagis sum vs sawtooth definition and negation symmetry k<30 (182 cases)\n"
+    "[OK] analytic: exponential sum direct vs selberg k<=4 (4 cases)\n"
+    "[OK] analytic: hagis exponential sum direct vs angle classes odd k<=3 (2 cases)\n"
+    "[OK] analytic: bessel series self-consistency (cross-precision drift 6.99077510589062e-39)\n"
+    "[OK] analytic: certified rounding vs recurrences n<=4 (4 cases)\n"
+    "[OK] analytic: residual stays small above certified budget (n=4) (5 cases)\n"
+    "passed 7/7 checks\n"
+)
+_ANALYTIC_JSON = (
+    '{"suites": {"analytic": ['
+    '{"name": "dedekind sum vs sawtooth definition, reciprocity and integrality k<=30", '
+    '"passed": true, "detail": "277 cases"}, '
+    '{"name": "hagis sum vs sawtooth definition and negation symmetry k<30", "passed": true, "detail": "182 cases"}, '
+    '{"name": "exponential sum direct vs selberg k<=4", "passed": true, "detail": "4 cases"}, '
+    '{"name": "hagis exponential sum direct vs angle classes odd k<=3", "passed": true, "detail": "2 cases"}, '
+    '{"name": "bessel series self-consistency", "passed": true, '
+    '"detail": "cross-precision drift 6.99077510589062e-39"}, '
+    '{"name": "certified rounding vs recurrences n<=4", "passed": true, "detail": "4 cases"}, '
+    '{"name": "residual stays small above certified budget (n=4)", "passed": true, "detail": "5 cases"}'
+    ']}, "passed": true}\n'
+)
 
 
 def run_cli(capsys, *argv):
@@ -367,10 +436,10 @@ class TestVerify:
             ("dedekind_s", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "dedekind sum"),
             ("hagis_t", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "hagis sum"),
             ("_A_real", _nudged, "exponential sum direct vs selberg"),
-            ("_inner_real", _nudged, "hagis exponential sum direct vs paired"),
+            ("_inner_real", _nudged, "hagis exponential sum direct vs angle classes"),
             ("bessel_I1", _nudged, "bessel series self-consistency"),
         ],
-        ids=["dedekind", "hagis", "selberg", "paired", "bessel"],
+        ids=["dedekind", "hagis", "selberg", "angle-classes", "bessel"],
     )
     def test_each_analytic_row_fails_alone(self, capsys, monkeypatch, attribute, wrong, row):
         from fibcomp import analytic
@@ -383,6 +452,157 @@ class TestVerify:
         failed = [line for line in lines[:-1] if not line.startswith("[OK] analytic: ")]
         assert len(failed) == 1
         assert failed[0].startswith(f"[FAIL] analytic: {row}")
+
+    @pytest.mark.parametrize(
+        "flags, want", [((), _ANALYTIC_PLAIN), (("--json",), _ANALYTIC_JSON)], ids=["plain", "json"]
+    )
+    def test_analytic_suite_output_is_pinned(self, capsys, flags, want):
+        assert run_cli(capsys, "verify", *flags, "--suite", "analytic", "--max-n", "4") == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "module, attribute, wrong, suite, max_n, want",
+        [
+            (
+                "verify", "from_bitseq", lambda real: lambda bits: Composition(real(bits).parts[::-1]), "codec", 6,
+                [
+                    "[FAIL] codec: codec roundtrip n<=6 (smallest counterexample: 1+2)",
+                    "passed 4/5 checks",
+                ],
+            ),
+            (
+                "verify", "conjugate", lambda real: lambda c: Composition((3,)) if c.parts == (1, 2) else real(c),
+                "codec", 6,
+                [
+                    "[FAIL] codec: conjugation involution n<=6 (smallest counterexample: 1+2)",
+                    "[FAIL] codec: conjugate part-count law n<=6 (smallest counterexample: 1+2)",
+                    "[FAIL] codec: odd parts iff conjugate odd length with even-index ones n<=6 "
+                    "(smallest counterexample: 1+2)",
+                    "passed 2/5 checks",
+                ],
+            ),
+            (
+                "verify", "to_bitseq", lambda real: lambda c: BitSeq(tuple(1 - b for b in real(c).bits)), "codec", 6,
+                [
+                    "[FAIL] codec: codec roundtrip n<=6 (smallest counterexample: 1+1)",
+                    "[FAIL] codec: odd parts iff even zero-runs n<=6 (smallest counterexample: 1+1)",
+                    "passed 3/5 checks",
+                ],
+            ),
+            (
+                "bijection", "gt1_to_odd", lambda real: lambda c: Composition(real(c).parts[::-1]), "bijection", 6,
+                [
+                    "[FAIL] bijection: roundtrip inverse(forward) n<=6 (smallest counterexample: 1+3)",
+                    "passed 3/4 checks",
+                ],
+            ),
+            (
+                "bijection", "odd_to_gt1",
+                lambda real: lambda a: real(Composition((3,)) if a.parts == (1, 1, 1) else a), "bijection", 6,
+                [
+                    "[FAIL] bijection: roundtrip inverse(forward) n<=6 (smallest counterexample: 1+1+1)",
+                    "[FAIL] bijection: image equals min-part-2 target n<=6 (smallest counterexample: n=3, 4)",
+                    "passed 2/4 checks",
+                ],
+            ),
+            (
+                "counting", "fibonacci", _one_more_at(5), "bijection", 6,
+                [
+                    "[FAIL] bijection: both classes count F_n n<=6 (smallest counterexample: n=5: 5, 5, F=6)",
+                    "passed 3/4 checks",
+                ],
+            ),
+            (
+                "counting", "Q_count", _one_more_at(4), "counts", 6,
+                [
+                    "[FAIL] counts: Q_count vs both enumerations n<=6 (smallest counterexample: n=4 odd-parts)",
+                    "passed 5/6 checks",
+                ],
+            ),
+            (
+                "counting", "p_recurrence", _one_more_at(12), "counts", 6,
+                [
+                    "[FAIL] counts: p_recurrence vs enumeration n<=40 (smallest counterexample: n=12)",
+                    "passed 5/6 checks",
+                ],
+            ),
+            (
+                "counting", "q_recurrence", _one_more_at(12), "counts", 6,
+                [
+                    "[FAIL] counts: q_recurrence vs both enumerations n<=40 (smallest counterexample: n=12 odd-parts)",
+                    "passed 5/6 checks",
+                ],
+            ),
+            (
+                "counting", "q_recurrence_residual", _one_more_at(77), "counts", 6,
+                [
+                    "[FAIL] counts: q recurrence residual 0/1 pattern n<=2000 (smallest counterexample: n=77)",
+                    "passed 5/6 checks",
+                ],
+            ),
+            (
+                "counting", "binet_first_failure", lambda real: lambda limit: None, "counts", 6,
+                [
+                    "[FAIL] counts: binet failure threshold (first failure None, all correct below 31: True)",
+                    "passed 5/6 checks",
+                ],
+            ),
+            (
+                "genfun", "partition_gf", _coefficient_one_more_at(9), "genfun", 10,
+                [
+                    "[FAIL] genfun: partition series vs recurrence order 40 (smallest counterexample: n=9)",
+                    "[FAIL] genfun: partition series vs enumeration n<=10 (smallest counterexample: n=9)",
+                    "[FAIL] genfun: partition series times euler product order 40 "
+                    "(smallest counterexample: product != 1)",
+                    "passed 2/5 checks",
+                ],
+            ),
+            (
+                "genfun", "distinct_compositions_gf", _coefficient_one_more_at(6), "genfun", 10,
+                [
+                    "[FAIL] genfun: distinct compositions series vs enumeration n<=10 (smallest counterexample: n=6)",
+                    "passed 4/5 checks",
+                ],
+            ),
+            (
+                "genfun", "series_inverse", _coefficient_one_more_at(11), "genfun", 10,
+                [
+                    "[FAIL] genfun: odd/distinct product identity order 40 (smallest counterexample: n=11)",
+                    "passed 4/5 checks",
+                ],
+            ),
+            (
+                "analytic", "_direct_sum", _residue_at(3, 7), "analytic", 8,
+                [
+                    "[FAIL] analytic: exponential sum direct vs selberg k<=8 "
+                    "(smallest counterexample: (k=3, n=7): injected residue)",
+                    "[FAIL] analytic: hagis exponential sum direct vs angle classes odd k<=7 "
+                    "(smallest counterexample: (k=3, n=7): injected residue)",
+                    "passed 5/7 checks",
+                ],
+            ),
+            (
+                "analytic", "hagis_q", _uncertified_at(3), "analytic", 8,
+                [
+                    "[FAIL] analytic: certified rounding vs recurrences n<=8 (smallest counterexample: "
+                    "n=3: hagis_q series for n=3 not certified at k_terms=30, precision_bits=128)",
+                    "passed 6/7 checks",
+                ],
+            ),
+        ],
+        ids=[
+            "from_bitseq", "conjugate", "to_bitseq", "gt1_to_odd", "odd_to_gt1", "fibonacci", "Q_count",
+            "p_recurrence", "q_recurrence", "residual", "binet", "partition_gf", "distinct_compositions_gf",
+            "series_inverse", "imaginary-residue", "uncertified-q",
+        ],
+    )
+    def test_first_failure_lines(self, capsys, monkeypatch, module, attribute, wrong, suite, max_n, want):
+        # a broken function fails exactly the rows that use it, each at its
+        # smallest counterexample, and the suite still runs to its last row
+        target = importlib.import_module(f"fibcomp.{module}")
+        monkeypatch.setattr(target, attribute, wrong(getattr(target, attribute)))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", str(max_n))
+        assert (code, err) == (2, "")
+        assert [line for line in out.splitlines() if not line.startswith("[OK] ")] == want
 
 
 class TestCacheDir:
