@@ -97,12 +97,8 @@ def hagis_t(h: int, k: int) -> Fraction:
     return Fraction(_dedekind12(h, k) - _dedekind12(2 * h % k, k), 12 * k)
 
 
-def _tier(bits: int) -> int:
-    return ((bits + 63) // 64) * 64
-
-
-def _A_real(k: int, n: int, tier: int):
-    """A_k(n) at the tier's precision by Selberg's formula: sqrt(k/3) times
+def _A_real(k: int, n: int, bits: int):
+    """A_k(n) at a precision of bits by Selberg's formula: sqrt(k/3) times
     the sum of (-1)^l cos(pi (6l+1)/(6k)) over l mod 2k with (3l^2 + l)/2 =
     -n (mod k) (Johansson, "Efficient implementation of the Hardy-Ramanujan-
     Rademacher formula", 2012, sec. 2).  Only a few l qualify, so a term
@@ -110,7 +106,7 @@ def _A_real(k: int, n: int, tier: int):
     """
     if k == 1:
         return mpf(1)
-    with mp.workprec(tier):
+    with mp.workprec(bits):
         total = mpf(0)
         for l in range(2 * k):
             if ((3 * l * l + l) // 2 + n) % k == 0:
@@ -118,9 +114,9 @@ def _A_real(k: int, n: int, tier: int):
         return sqrt(mpf(k) / 3) * total
 
 
-def _inner_real(k: int, n: int, tier: int):
+def _inner_real(k: int, n: int, bits: int):
     """Real value of the odd-k exponential sum in the distinct-count series,
-    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at the tier's precision.
+    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at a precision of bits.
 
     The h and k-h terms are complex conjugates, so the sum is twice the sum
     of cos(pi a_h / (12k)) over coprime h < k/2, where the integer
@@ -140,8 +136,8 @@ def _inner_real(k: int, n: int, tier: int):
     |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju, and j <= 12k.  The weights
     sum to at most k/2 in absolute value and the sum is doubled, so the
     result is off by less than 36 k^2 u < 2^(6 + 2 bitlen(k)) u before its
-    one rounding to the tier.  P = tier + 22 + 2 bitlen(k) makes that
-    2^-(tier+16).
+    one rounding to bits.  P = bits + 22 + 2 bitlen(k) makes that
+    2^-(bits+16).
 
     At k = 1 the sum over proper fractions h/k is empty; the evaluation
     takes the single h = 0 term, which is exactly 1, so the first series
@@ -166,19 +162,19 @@ def _inner_real(k: int, n: int, tier: int):
     weights = [0] * (max(a for a, _ in folded) // g + 1)
     for a, sign in folded:
         weights[a // g] += sign
-    bits = tier + 22 + 2 * k.bit_length()
-    with mp.workprec(bits + 8):
+    P = bits + 22 + 2 * k.bit_length()
+    with mp.workprec(P + 8):
         theta = mpf(g) / (12 * k)
-        C = int(nint(cospi(theta) * 2**bits))
-        S = int(nint(sinpi(theta) * 2**bits))
-    x, y = 1 << bits, 0
+        C = int(nint(cospi(theta) * 2**P))
+        S = int(nint(sinpi(theta) * 2**P))
+    x, y = 1 << P, 0
     total = 0
     for weight in weights:
         if weight:
             total += weight * x
-        x, y = (x * C - y * S) >> bits, (y * C + x * S) >> bits
-    with mp.workprec(tier):
-        return ldexp(mpf(total), 1 - bits)
+        x, y = (x * C - y * S) >> P, (y * C + x * S) >> P
+    with mp.workprec(bits):
+        return ldexp(mpf(total), 1 - P)
 
 
 def _direct_sum(rational, k: int, n: int, precision_bits: int):
@@ -186,7 +182,7 @@ def _direct_sum(rational, k: int, n: int, precision_bits: int):
     over h coprime to k (h = 0 alone at k = 1).  The imaginary part must
     cancel to below 2^(-precision_bits/2) or the evaluation is rejected.
     """
-    with mp.workprec(_tier(precision_bits)):
+    with mp.workprec(precision_bits):
         re = im = mpf(0)
         for h in range(k):
             if math.gcd(h, k) == 1:
@@ -310,7 +306,6 @@ def _sum_and_certify(n: int, k_terms: int, bits: int, prefactor, term, ks) -> Se
 
 
 def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
-    tier = _tier(bits)
     with mp.workprec(bits):
         m = mpf(24 * n - 1) / 24
         sm = sqrt(m)
@@ -321,19 +316,18 @@ def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
         C = c0 / k
         arg = C * sm
         deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
-        return sqrt(mpf(k)) * _A_real(k, n, tier) * deriv
+        return sqrt(mpf(k)) * _A_real(k, n, bits) * deriv
 
     return _sum_and_certify(n, k_terms, bits, prefactor, term, range(1, 2 * k_terms + 1))
 
 
 def _eval_q(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
-    tier = _tier(bits)
     with mp.workprec(bits):
         prefactor = pi / sqrt(mpf(24 * n + 1))
         z_base = pi * sqrt(mpf(48 * n + 2)) / 12
 
     def term(k):
-        return _inner_real(k, n, tier) * _i1_raw(z_base / k, bits) / k
+        return _inner_real(k, n, bits) * _i1_raw(z_base / k, bits) / k
 
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself

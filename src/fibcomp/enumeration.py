@@ -4,11 +4,22 @@ These streams are the independent oracles that every closed-form counter,
 recurrence, and generating function in this package is validated against,
 so they favor obviousness over speed.
 
+Every class streams through one walker, _walk, which runs depth-first over
+sequences of parts on an explicit stack, so a stream of any depth runs
+without recursion.  A class differs from the others only in its part rule:
+given the rest of n still to place, the parts so far and the class's part
+count ell, the rule gives the parts allowed next, in emission order.  A
+sequence that uses up n is emitted (for a class indexed by ell, only with
+ell parts).
+
 Ordering is part of the contract: compositions are emitted in lexicographic
 order of their part tuples, partitions in reverse-lexicographic order
-(largest first).  Generators are lazy; counting never materializes a stream.
+(largest first).  Both follow from the direction of each rule's range:
+composition rules rise from the smallest part allowed, partition rules fall
+from the largest.  Generators are lazy; counting never materializes a
+stream.
 
-CLASSES declares each family:kind class once: its generator, its exact
+CLASSES declares each family:kind class once: its part rule, its exact
 counter, its generating function and whether it takes a part count ell.
 The generators, the CLI and the verify suites all read it.
 """
@@ -16,7 +27,7 @@ The generators, the CLI and the verify suites all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import counting, genfun
 from .core import Composition, DomainError, Partition
@@ -58,14 +69,17 @@ class PartitionClass:
 
 
 EnumClass = Union[CompositionClass, PartitionClass]
+PartRule = Callable[[int, Sequence[int], int | None], Iterable[int]]
 
 
 @dataclass(frozen=True)
 class ClassSpec:
     """Everything the package knows about one family:kind class.
 
-    `parts(n, cls)` is the exhaustive oracle and never calls counting or
-    genfun.  `count(n, cls, cache_dir)` is the exact counter for n already
+    `rule(rest, parts, ell)` is the part rule that _walk turns into the
+    exhaustive oracle: the parts allowed after `parts` (read only) with
+    `rest` of n still to place, in emission order.  It never calls counting
+    or genfun.  `count(n, cls, cache_dir)` is the exact counter for n already
     inside the class's domain (n >= min_n).  `gf(order, ell)` is the
     generating function behind the `series` name, where one exists, and
     `takes_ell` says whether the class (and its series) is indexed by a
@@ -77,7 +91,7 @@ class ClassSpec:
     family: str
     kind: str
     min_n: int
-    parts: Callable[[int, EnumClass], Iterator[tuple[int, ...]]]
+    rule: PartRule
     count: Callable[[int, EnumClass, str | None], int]
     series: str | None = None
     gf: Callable[[int, int | None], genfun.TruncatedSeries] | None = None
@@ -100,6 +114,25 @@ def _series_coefficient(n: int, cls: EnumClass, cache_dir: str | None) -> int:
     return class_spec(cls).gf(n, cls.ell).coefficient(n)
 
 
+def _largest(rest: int, parts: Sequence[int], gap: int) -> int:
+    """Largest part allowed after parts in a partition whose parts fall by
+    at least gap, with rest of n still to place."""
+    return min(rest, parts[-1] - gap) if parts else rest
+
+
+def _odd_partition_parts(rest: int, parts: Sequence[int], ell: int | None) -> range:
+    top = _largest(rest, parts, 0)
+    return range(top if top % 2 else top - 1, 0, -2)
+
+
+def _distinct_ell_parts(rest: int, parts: Sequence[int], ell: int) -> range:
+    left = ell - len(parts)  # parts still to place, each below the last
+    if left == 0:
+        return range(0)
+    # the left - 1 smaller parts need at least 1 + 2 + ... + (left - 1)
+    return range(_largest(rest - left * (left - 1) // 2, parts, 1), 0, -1)
+
+
 # The paper's theorem is the pair odd-parts / min-part-2: compositions of n
 # into odd parts and of n + 1 into parts >= 2 are both counted by F_n.
 CLASSES: dict[str, ClassSpec] = {
@@ -107,37 +140,41 @@ CLASSES: dict[str, ClassSpec] = {
     for spec in (
         ClassSpec(
             "compositions", "all", 1,
-            lambda n, cls: _comps_all(n),
+            lambda rest, parts, ell: range(1, rest + 1),
             lambda n, cls, cache_dir: counting.c_count(n),
             "compositions", lambda order, ell: genfun.compositions_gf(order),
         ),
         ClassSpec(
             "compositions", "odd-parts", 1,
-            lambda n, cls: _comps_odd(n),
+            lambda rest, parts, ell: range(1, rest + 1, 2),
             lambda n, cls, cache_dir: counting.Q_count(n),
         ),
         ClassSpec(
             "compositions", "min-part-2", 2,
-            lambda n, cls: _comps_min2(n),
+            lambda rest, parts, ell: range(2, rest + 1),
             lambda n, cls, cache_dir: counting.fibonacci(n - 1),
         ),
         ClassSpec(
             "compositions", "distinct-parts", 1,
-            lambda n, cls: _comps_distinct(n, frozenset()),
+            lambda rest, parts, ell: (p for p in range(1, rest + 1) if p not in parts),
             _series_coefficient,
             "distinct-compositions", lambda order, ell: genfun.distinct_compositions_gf(order),
         ),
         ClassSpec(
             "partitions", "all", 0,
-            lambda n, cls: _parts_all(n, n),
+            lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
             _from_table("p"),
             "partitions", lambda order, ell: genfun.partition_gf(order),
         ),
-        ClassSpec("partitions", "odd-parts", 0, lambda n, cls: _parts_odd(n, n), _from_table("q")),
-        ClassSpec("partitions", "distinct-parts", 0, lambda n, cls: _parts_distinct(n, n), _from_table("q")),
+        ClassSpec("partitions", "odd-parts", 0, _odd_partition_parts, _from_table("q")),
+        ClassSpec(
+            "partitions", "distinct-parts", 0,
+            lambda rest, parts, ell: range(_largest(rest, parts, 1), 0, -1),
+            _from_table("q"),
+        ),
         ClassSpec(
             "partitions", "distinct-ell", 0,
-            lambda n, cls: _parts_distinct_ell(n, cls.ell, n),
+            _distinct_ell_parts,
             _series_coefficient,
             "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
             takes_ell=True,
@@ -186,7 +223,7 @@ def parse_class(text: str) -> EnumClass:
     name, eq, ell = kind.partition("=")
     spec = CLASSES.get(f"{family}:{name}")
     if eq and spec is not None and spec.takes_ell:
-        if not ell.isdigit():
+        if not (ell.isascii() and ell.isdigit()):
             raise DomainError(f"bad ell value in {text!r}")
         return _FAMILIES[family](name, int(ell))
     return _FAMILIES[family](kind)
@@ -198,100 +235,46 @@ def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
     return _spec_in_domain(n, cls).count(n, cls, cache_dir)
 
 
-def _comps_all(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _comps_all(n - first):
-            yield (first,) + rest
+def _walk(n: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, ...]]:
+    """Every sequence of parts that rule allows and that sums to n, in the
+    order of rule's ranges, depth-first on an explicit stack.
 
-
-def _comps_odd(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1, 2):
-        for rest in _comps_odd(n - first):
-            yield (first,) + rest
-
-
-def _comps_min2(n: int) -> Iterator[tuple[int, ...]]:
-    for first in range(2, n + 1):
-        rem = n - first
-        if rem == 0:
-            yield (first,)
-        elif rem >= 2:
-            for rest in _comps_min2(rem):
-                yield (first,) + rest
-
-
-def _comps_distinct(n: int, used: frozenset[int]) -> Iterator[tuple[int, ...]]:
-    for first in range(1, n + 1):
-        if first in used:
+    The stack holds the root level and one level per part placed: the rest
+    of n at that level and the iterator over the parts its rule allowed
+    there.  `parts` is the path to the top level, so when a level's
+    iterator is resumed, a lazy rule reading parts sees its own level's
+    parts again.  A level is left once its iterator runs dry; its parts are
+    emitted then if they used up n (with ell parts, for a class that takes
+    ell).
+    """
+    parts: list[int] = []
+    stack = [(n, iter(rule(n, parts, ell)))]
+    while stack:
+        rest, allowed = stack[-1]
+        part = next(allowed, None)
+        if part is not None:
+            parts.append(part)
+            stack.append((rest - part, iter(rule(rest - part, parts, ell))))
             continue
-        rem = n - first
-        if rem == 0:
-            yield (first,)
-        else:
-            for rest in _comps_distinct(rem, used | {first}):
-                yield (first,) + rest
+        stack.pop()
+        if rest == 0 and (ell is None or len(parts) == ell):
+            yield tuple(parts)
+        if parts:
+            parts.pop()
 
 
 def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
     """Yield each composition of n in cls exactly once, lexicographically."""
     if not isinstance(cls, CompositionClass):
         raise DomainError(f"expected a composition class, got {cls}")
-    return (Composition(parts) for parts in _spec_in_domain(n, cls).parts(n, cls))
-
-
-def _parts_all(n: int, maxp: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxp), 0, -1):
-        for rest in _parts_all(n - first, first):
-            yield (first,) + rest
-
-
-def _parts_odd(n: int, maxp: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    top = min(n, maxp)
-    if top % 2 == 0:
-        top -= 1
-    for first in range(top, 0, -2):
-        for rest in _parts_odd(n - first, first):
-            yield (first,) + rest
-
-
-def _parts_distinct(n: int, maxp: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxp), 0, -1):
-        for rest in _parts_distinct(n - first, first - 1):
-            yield (first,) + rest
-
-
-def _parts_distinct_ell(n: int, ell: int, maxp: int) -> Iterator[tuple[int, ...]]:
-    if ell == 0:
-        if n == 0:
-            yield ()
-        return
-    # the ell-1 smaller parts need at least 1+2+...+(ell-1)
-    floor_rest = ell * (ell - 1) // 2
-    for first in range(min(n - floor_rest, maxp), 0, -1):
-        for rest in _parts_distinct_ell(n - first, ell - 1, first - 1):
-            yield (first,) + rest
+    return (Composition(parts) for parts in _walk(n, _spec_in_domain(n, cls).rule, cls.ell))
 
 
 def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
     """Yield each partition of n in cls exactly once, largest-first."""
     if not isinstance(cls, PartitionClass):
         raise DomainError(f"expected a partition class, got {cls}")
-    return (Partition(parts) for parts in _spec_in_domain(n, cls).parts(n, cls))
+    return (Partition(parts) for parts in _walk(n, _spec_in_domain(n, cls).rule, cls.ell))
 
 
 def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:

@@ -211,10 +211,10 @@ class TestExponentialSums:
         for k in (301, 333, 389, 399):
             for n in (0, 2, 331, 999_983, 10**6):
                 want = hagis_complex(k, n, 576).real
-                for tier in (128, 512):
-                    got = analytic._inner_real(k, n, tier)
+                for bits in (128, 512):
+                    got = analytic._inner_real(k, n, bits)
                     with mp.workprec(600):
-                        assert abs(got - want) < mp.mpf(2) ** -(tier - 8), (k, n, tier)
+                        assert abs(got - want) < mp.mpf(2) ** -(bits - 8), (k, n, bits)
 
     def test_inner_sum_has_period_k_in_n(self):
         for k in (3, 15, 97, 333):

@@ -44,6 +44,17 @@ def _coefficient_one_more_at(at):
     return wrong
 
 
+def _even_composition_at(at):
+    """real, a composition stream whose odd-parts class also yields 2+2 at n = at."""
+    def wrong(real):
+        def stream(n, cls):
+            yield from real(n, cls)
+            if (n, cls.kind) == (at, "odd-parts"):
+                yield Composition((2, 2))
+        return stream
+    return wrong
+
+
 def _residue_at(k, n):
     """real, an exponential sum whose imaginary part fails to cancel at (k, n)."""
     def wrong(real):
@@ -267,6 +278,18 @@ class TestEnumerate:
         document = json.loads(out)
         assert document["items"] == ["8", "7+1", "6+2", "5+3", "5+2+1", "4+3+1"]
 
+    @pytest.mark.parametrize(
+        "cls", [name + ("=2" if spec.takes_ell else "") for name, spec in enumeration.CLASSES.items()]
+    )
+    def test_deep_stream_starts(self, capsys, cls):
+        # the first items of compositions:all and odd-parts at n = 2000 have
+        # 2000 parts, and of min-part-2 1000: far deeper than Python recursion
+        code, out, err = run_cli(capsys, "enumerate", "--force", "--limit", "3", "--class", cls, "2000")
+        assert (code, err) == (0, "")
+        items = out.splitlines()
+        assert len(items) == 3
+        assert all(sum(map(int, item.split("+"))) == 2000 for item in items)
+
 
 class TestSeries:
     def test_partitions_lines(self, capsys):
@@ -414,7 +437,7 @@ class TestVerify:
         from fibcomp import analytic
 
         real = analytic._A_real
-        monkeypatch.setattr(analytic, "_A_real", lambda k, n, tier: real(k, n, tier) + (k > 1))
+        monkeypatch.setattr(analytic, "_A_real", lambda k, n, bits: real(k, n, bits) + (k > 1))
         code, out, err = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "2")
         lines = out.splitlines()
         assert code == 2
@@ -505,6 +528,15 @@ class TestVerify:
                 ],
             ),
             (
+                "enumeration", "gen_compositions", _even_composition_at(4), "bijection", 6,
+                [
+                    "[FAIL] bijection: roundtrip inverse(forward) n<=6 (smallest counterexample: 2+2)",
+                    "[FAIL] bijection: image equals min-part-2 target n<=6 (smallest counterexample: n=4, 2+2)",
+                    "[FAIL] bijection: both classes count F_n n<=6 (smallest counterexample: n=4: 4, 3, F=3)",
+                    "passed 1/4 checks",
+                ],
+            ),
+            (
                 "counting", "fibonacci", _one_more_at(5), "bijection", 6,
                 [
                     "[FAIL] bijection: both classes count F_n n<=6 (smallest counterexample: n=5: 5, 5, F=6)",
@@ -590,7 +622,7 @@ class TestVerify:
             ),
         ],
         ids=[
-            "from_bitseq", "conjugate", "to_bitseq", "gt1_to_odd", "odd_to_gt1", "fibonacci", "Q_count",
+            "from_bitseq", "conjugate", "to_bitseq", "gt1_to_odd", "odd_to_gt1", "even-part", "fibonacci", "Q_count",
             "p_recurrence", "q_recurrence", "residual", "binet", "partition_gf", "distinct_compositions_gf",
             "series_inverse", "imaginary-residue", "uncertified-q",
         ],
@@ -762,6 +794,7 @@ def test_closed_stdout_ends_quietly():
 _CLASS_TEXT = st.sampled_from(
     [
         *enumeration.CLASSES, "partitions:distinct-ell=3", "partitions:distinct-ell=x",
+        "partitions:distinct-ell=\u00b2", "partitions:distinct-ell=\uff13",
         "partitions:all=2", "compositions:even-parts", "compositions", "graphs:all", "",
     ]
 )

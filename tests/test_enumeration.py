@@ -9,6 +9,7 @@ from fibcomp.enumeration import (
     CompositionClass,
     PartitionClass,
     count_by_enumeration,
+    gen_class,
     gen_compositions,
     gen_partitions,
     parse_class,
@@ -23,6 +24,13 @@ def comp_parts(n, kind):
 
 def part_parts(n, kind, ell=None):
     return [p.parts for p in gen_partitions(n, PartitionClass(kind, ell))]
+
+
+def registry_examples():
+    """One class per registry entry; classes indexed by ell take a few ell."""
+    for name, spec in enumeration.CLASSES.items():
+        for suffix in ("=0", "=2", "=3") if spec.takes_ell else ("",):
+            yield parse_class(name + suffix)
 
 
 class TestClassParsing:
@@ -56,6 +64,8 @@ class TestClassParsing:
             "partitions:distinct-ell",
             "partitions:distinct-ell=-1",
             "partitions:distinct-ell=x",
+            "partitions:distinct-ell=\u00b2",
+            "partitions:distinct-ell=\uff13",
             "widgets:all",
             "compositions:all:extra",
         ],
@@ -139,30 +149,14 @@ class TestPartitionGolden:
 
 
 class TestOrderContracts:
-    def test_compositions_lexicographic(self):
-        for n in range(1, 11):
-            for kind in ("all", "odd-parts", "distinct-parts"):
-                got = comp_parts(n, kind)
-                assert got == sorted(got)
-        for n in range(2, 12):
-            got = comp_parts(n, "min-part-2")
-            assert got == sorted(got)
-
-    def test_partitions_reverse_lexicographic(self):
-        for n in range(0, 13):
-            for kind in ("all", "odd-parts", "distinct-parts"):
-                got = part_parts(n, kind)
-                assert got == sorted(got, reverse=True)
-
-    def test_no_duplicates(self):
-        for n in range(1, 13):
-            for kind in ("all", "odd-parts", "distinct-parts"):
-                got = comp_parts(n, kind)
-                assert len(got) == len(set(got))
-        for n in range(0, 13):
-            for kind in ("all", "odd-parts", "distinct-parts"):
-                got = part_parts(n, kind)
-                assert len(got) == len(set(got))
+    @pytest.mark.parametrize("cls", list(registry_examples()), ids=str)
+    def test_order_and_no_duplicates(self, cls):
+        # compositions lexicographic, partitions largest-first
+        largest_first = cls.family == "partitions"
+        for n in range(enumeration.class_spec(cls).min_n, 13):
+            got = [item.parts for item in gen_class(n, cls)]
+            assert got == sorted(got, reverse=largest_first), n
+            assert len(got) == len(set(got)), n
 
 
 class TestAgainstOracles:
@@ -261,13 +255,6 @@ def test_streams_stay_inside_their_class(n):
     for p in gen_partitions(n, PartitionClass("odd-parts")):
         assert all(x % 2 == 1 for x in p.parts)
         assert p.n == n
-
-
-def registry_examples():
-    """One class per registry entry; classes indexed by ell take a few ell."""
-    for name, spec in enumeration.CLASSES.items():
-        for suffix in ("=0", "=2", "=3") if spec.takes_ell else ("",):
-            yield parse_class(name + suffix)
 
 
 class TestClassRegistry:
