@@ -254,7 +254,8 @@ def _walk(n: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, ...]]:
         part = next(allowed, None)
         if part is not None:
             parts.append(part)
-            stack.append((rest - part, iter(rule(rest - part, parts, ell))))
+            rest -= part  # no part fits in a rest of 0; its rule is not asked
+            stack.append((rest, iter(rule(rest, parts, ell)) if rest else iter(())))
             continue
         stack.pop()
         if rest == 0 and (ell is None or len(parts) == ell):
