@@ -66,8 +66,9 @@ def _build_parser() -> _Parser:
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
     p_enum.add_argument("--class", dest="cls", required=True)
-    p_enum.add_argument("--limit", type=_non_negative_int, default=None, help="emit at most this many items")
-    p_enum.add_argument("--count", action="store_true", help="print only the stream length")
+    shown = p_enum.add_mutually_exclusive_group()
+    shown.add_argument("--limit", type=_non_negative_int, default=None, help="emit at most this many items")
+    shown.add_argument("--count", action="store_true", help="print only the stream length")
     p_enum.add_argument("--force", action="store_true", help="allow n above 30")
     p_enum.add_argument("n", type=int)
 
@@ -128,11 +129,10 @@ def _cmd_enumerate(args) -> int:
     if args.n > 30 and not args.force:
         raise DomainError(f"enumerate for n={args.n} may be huge; pass --force to proceed")
     cls = enumeration.parse_class(args.cls)
-    stream = enumeration.gen_class(args.n, cls)
     if args.count:
-        return _emit_count(args, cls, sum(1 for _ in stream))
+        return _emit_count(args, cls, enumeration.count_by_enumeration(args.n, cls))
     items = []
-    for i, value in enumerate(stream):
+    for i, value in enumerate(enumeration.gen_class(args.n, cls)):
         if args.limit is not None and i >= args.limit:
             break
         items.append(str(value))

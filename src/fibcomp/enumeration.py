@@ -4,20 +4,31 @@ These streams are the independent oracles that every closed-form counter,
 recurrence, and generating function in this package is validated against,
 so they favor obviousness over speed.
 
-Every class streams through one walker, _walk, which runs depth-first over
-sequences of parts on an explicit stack, so a stream of any depth runs
+Every class goes through one walker, _walk, which runs depth-first over
+sequences of parts on an explicit stack, so a walk of any depth runs
 without recursion.  A class differs from the others only in its part rule:
-given the rest of n still to place, the parts so far and the class's part
-count ell, the rule gives the parts allowed next, in emission order.  A
-sequence that uses up n is emitted (for a class indexed by ell, only with
-ell parts).
+given the rest still to place, the parts so far and the class's part count
+ell, the rule gives the parts allowed next, in emission order.  Started
+from a budget top, the walker visits each member of the class of size at
+most top once.  The stream of n keeps the members that use up n;
+tally_by_enumeration counts the members by size, so one walk counts the
+class at every n <= top.
+
+The tally rests on a contract that every part rule keeps:
+
+- a larger rest never allows fewer parts (rest is read only as a cap on
+  the next part);
+- every sequence the walker reaches is a member of the class of its own
+  size (with ell parts, for a class that takes ell).
+
+So the members of size m that a walk from top reaches are exactly those
+that the stream of m yields.
 
 Ordering is part of the contract: compositions are emitted in lexicographic
 order of their part tuples, partitions in reverse-lexicographic order
 (largest first).  Both follow from the direction of each rule's range:
 composition rules rise from the smallest part allowed, partition rules fall
-from the largest.  Generators are lazy; counting never materializes a
-stream.
+from the largest.  Generators are lazy; counting builds no stream.
 
 CLASSES declares each family:kind class once: its part rule, its exact
 counter, its generating function and whether it takes a part count ell.
@@ -78,14 +89,17 @@ class ClassSpec:
 
     `rule(rest, parts, ell)` is the part rule that _walk turns into the
     exhaustive oracle: the parts allowed after `parts` (read only) with
-    `rest` of n still to place, in emission order.  It never calls counting
-    or genfun.  `count(n, cls, cache_dir)` is the exact counter for n already
-    inside the class's domain (n >= min_n).  `gf(order, ell)` is the
-    generating function behind the `series` name, where one exists, and
-    `takes_ell` says whether the class (and its series) is indexed by a
-    part count ell.  Entries reach counting and genfun through the module
-    attribute at call time, so a patched or wrapped function is the one
-    that runs.
+    `rest` still to place, in emission order.  It never calls counting or
+    genfun.  One walk counts every size only if the rule keeps this
+    contract: a larger rest never allows fewer parts, and every sequence
+    the walker reaches is a member of the class of its own size (with ell
+    parts, for a class that takes ell).  `count(n, cls, cache_dir)` is the
+    exact counter for n already inside the class's domain (n >= min_n).
+    `gf(order, ell)` is the generating function behind the `series` name,
+    where one exists, and `takes_ell` says whether the class (and its
+    series) is indexed by a part count ell.  Entries reach counting and
+    genfun through the module attribute at call time, so a patched or
+    wrapped function is the one that runs.
     """
 
     family: str
@@ -235,47 +249,58 @@ def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
     return _spec_in_domain(n, cls).count(n, cls, cache_dir)
 
 
-def _walk(n: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, ...]]:
-    """Every sequence of parts that rule allows and that sums to n, in the
-    order of rule's ranges, depth-first on an explicit stack.
+def _walk(top: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, list[int]]]:
+    """Every member of the class of size at most top, as (rest, parts):
+    parts is a sequence that rule allows (with ell parts, for a class that
+    takes ell) and rest is top less its sum.  Members come in the order of
+    rule's ranges, depth-first on an explicit stack; parts is the walker's
+    own list, valid until the next member is asked for.
 
-    The stack holds the root level and one level per part placed: the rest
-    of n at that level and the iterator over the parts its rule allowed
-    there.  `parts` is the path to the top level, so when a level's
-    iterator is resumed, a lazy rule reading parts sees its own level's
-    parts again.  A level is left once its iterator runs dry; its parts are
-    emitted then if they used up n (with ell parts, for a class that takes
-    ell).
+    The stack holds the iterators over the parts allowed at the root and
+    after each part placed that left some rest.  `parts` is the path to the
+    top iterator, so when it is resumed, a lazy rule reading parts sees its
+    own level's parts again.
     """
     parts: list[int] = []
-    stack = [(n, iter(rule(n, parts, ell)))]
+    rest = top
+    if ell is None or len(parts) == ell:
+        yield rest, parts
+    stack = [iter(rule(rest, parts, ell))] if rest else []
     while stack:
-        rest, allowed = stack[-1]
-        part = next(allowed, None)
-        if part is not None:
-            parts.append(part)
-            rest -= part  # no part fits in a rest of 0; its rule is not asked
-            stack.append((rest, iter(rule(rest, parts, ell)) if rest else iter(())))
+        part = next(stack[-1], None)
+        if part is None:
+            stack.pop()
+            if parts:
+                rest += parts.pop()
             continue
-        stack.pop()
-        if rest == 0 and (ell is None or len(parts) == ell):
-            yield tuple(parts)
-        if parts:
-            parts.pop()
+        parts.append(part)
+        rest -= part
+        if ell is None or len(parts) == ell:
+            yield rest, parts
+        if rest:
+            stack.append(iter(rule(rest, parts, ell)))
+        else:  # no part fits in a rest of 0; its rule is not asked
+            rest += parts.pop()
+
+
+def _sequences(n: int, cls: EnumClass) -> Iterator[tuple[int, ...]]:
+    """The part tuples of the members of size n, checking n first."""
+    members = _walk(n, _spec_in_domain(n, cls).rule, cls.ell)
+    return (tuple(parts) for rest, parts in members if rest == 0)
 
 
 def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
     """Yield each composition of n in cls exactly once, lexicographically."""
     if not isinstance(cls, CompositionClass):
         raise DomainError(f"expected a composition class, got {cls}")
-    return (Composition(parts) for parts in _walk(n, _spec_in_domain(n, cls).rule, cls.ell))
+    return (Composition(parts) for parts in _sequences(n, cls))
 
 
 def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
     """Yield each partition of n in cls exactly once, largest-first."""
     if not isinstance(cls, PartitionClass):
         raise DomainError(f"expected a partition class, got {cls}")
-    return (Partition(parts) for parts in _walk(n, _spec_in_domain(n, cls).rule, cls.ell))
+    return (Partition(parts) for parts in _sequences(n, cls))
 
 
 def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:
@@ -285,6 +310,18 @@ def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partit
     return gen_partitions(n, cls)
 
 
+def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:
+    """Entry m is the number of members of cls of size m, for m = 0..top,
+    from one walk that visits each member once and builds no value object.
+    The empty sequence counts at m = 0, also for a family whose domain
+    starts at 1."""
+    counts = [0] * (top + 1)
+    for rest, _ in _walk(top, _spec_in_domain(top, cls).rule, cls.ell):
+        counts[top - rest] += 1
+    return counts
+
+
 def count_by_enumeration(n: int, cls: EnumClass) -> int:
-    """Length of the class stream, computed by exhausting it lazily."""
-    return sum(1 for _ in gen_class(n, cls))
+    """Size of the class at n, by walking its members rather than by any
+    counter: entry n of tally_by_enumeration(n, cls)."""
+    return tally_by_enumeration(n, cls)[n]

@@ -136,8 +136,9 @@ def _suite_bijection(bound: int) -> list[CheckResult]:
                 yield n, parts, image, target
 
     def counts_differ(n):
-        odd_count = enumeration.count_by_enumeration(n, odd_cls)
-        gt1_count = enumeration.count_by_enumeration(n + 1, min2_cls)
+        # the streams the rows above map, so a wrong stream fails this row too
+        odd_count = sum(1 for _ in enumeration.gen_compositions(n, odd_cls))
+        gt1_count = sum(1 for _ in enumeration.gen_compositions(n + 1, min2_cls))
         fib = counting.fibonacci(n)
         return None if odd_count == gt1_count == fib else f"n={n}: {odd_count}, {gt1_count}, F={fib}"
 
@@ -173,11 +174,11 @@ def _count_rows(bound: int):
     )
 
 
-def _count_differs(n: int, counter, classes) -> str | None:
+def _count_differs(n: int, counter, tallies) -> str | None:
     want = counter(n)
-    for cls, shift in classes:
-        if want != enumeration.count_by_enumeration(n + shift, cls):
-            return f"n={n}" if len(classes) == 1 else f"n={n} {cls.kind}"
+    for cls, tally in tallies:
+        if want != tally[n]:
+            return f"n={n}" if len(tallies) == 1 else f"n={n} {cls.kind}"
     return None
 
 
@@ -188,7 +189,11 @@ def _suite_counts(bound: int) -> list[CheckResult]:
         # looked up per call so a patched counter is the one checked
         counter = getattr(counting, label)
         versus = "enumeration" if len(classes) == 1 else "both enumerations"
-        cases = ((n, counter, classes) for n in ns)
+        # one walk per class counts it at every n of the row
+        tallies = [
+            (cls, enumeration.tally_by_enumeration(ns[-1] + shift, cls)[shift:]) for cls, shift in classes
+        ]
+        cases = ((n, counter, tallies) for n in ns)
         results.append(_first_failure(f"{label} vs {versus} n<={ns[-1]}", cases, _count_differs))
 
     def residual_differs(n: int) -> str | None:
@@ -227,19 +232,19 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
 
     top = min(bound, 20)
     compositions = genfun.distinct_compositions_gf(top)
-    distinct = enumeration.CompositionClass("distinct-parts")
+    # the empty composition counts at n = 0, as in the series
+    direct = enumeration.tally_by_enumeration(top, enumeration.CompositionClass("distinct-parts"))
+    by_ell = [
+        genfun.distinct_partitions_ell_gf(ell, top) for ell in range(top + 1) if ell * (ell + 1) // 2 <= top
+    ]
 
     def compositions_differ(n):
-        direct = enumeration.count_by_enumeration(n, distinct) if n else 1
-        linked = sum(
-            math.factorial(ell) * genfun.distinct_partitions_ell_gf(ell, top).coefficient(n)
-            for ell in range(top + 1)
-            if ell * (ell + 1) // 2 <= top
-        )
-        return None if compositions.coefficient(n) == direct == linked else f"n={n}"
+        linked = sum(math.factorial(ell) * gf.coefficient(n) for ell, gf in enumerate(by_ell))
+        return None if compositions.coefficient(n) == direct[n] == linked else f"n={n}"
 
     orders = [(n,) for n in range(order + 1)]
     enumerated = min(bound, order)
+    counted = enumeration.tally_by_enumeration(enumerated, partitions)
     return [
         _first_failure(
             f"partition series vs recurrence order {order}",
@@ -249,9 +254,7 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
         _first_failure(
             f"partition series vs enumeration n<={enumerated}",
             ((n,) for n in range(enumerated + 1)),
-            lambda n: (
-                None if series.coefficient(n) == enumeration.count_by_enumeration(n, partitions) else f"n={n}"
-            ),
+            lambda n: None if series.coefficient(n) == counted[n] else f"n={n}",
         ),
         _first_failure(
             f"odd/distinct product identity order {order}",

@@ -255,6 +255,20 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--class", "compositions:odd-parts", "20", "--count")
         assert (code, out) == (0, f"{fibonacci(20)}\n")
 
+    @pytest.mark.parametrize(
+        "cls", [name + ("=2" if spec.takes_ell else "") for name, spec in enumeration.CLASSES.items()]
+    )
+    def test_count_mode_counts_the_stream(self, capsys, cls):
+        code, listed, _ = run_cli(capsys, "enumerate", "--class", cls, "8")
+        assert code == 0
+        want = f"{len(listed.splitlines())}\n"
+        assert run_cli(capsys, "enumerate", "--count", "--class", cls, "8") == (0, want, "")
+
+    def test_count_with_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--count", "--limit", "2", "--class", "compositions:all", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --limit: not allowed with argument --count")
+
     def test_guardrail_without_force(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--class", "compositions:all", "31")
         assert code == 1

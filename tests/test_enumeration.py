@@ -13,6 +13,7 @@ from fibcomp.enumeration import (
     gen_compositions,
     gen_partitions,
     parse_class,
+    tally_by_enumeration,
 )
 
 from _oracles import fib_list, partitions_ascending, compositions_bitmask
@@ -157,6 +158,23 @@ class TestOrderContracts:
             got = [item.parts for item in gen_class(n, cls)]
             assert got == sorted(got, reverse=largest_first), n
             assert len(got) == len(set(got)), n
+
+
+class TestTally:
+    @pytest.mark.parametrize("cls", list(registry_examples()), ids=str)
+    def test_one_walk_counts_every_stream(self, cls):
+        # the walk from 14 reaches the members of each smaller size that the
+        # stream of that size yields, and no other sequence
+        tally = tally_by_enumeration(14, cls)
+        assert len(tally) == 15
+        for n in range(enumeration.class_spec(cls).min_n, 15):
+            assert tally[n] == sum(1 for _ in gen_class(n, cls)), n
+
+    def test_tally_checks_its_domain(self):
+        with pytest.raises(DomainError):
+            tally_by_enumeration(1, CompositionClass("min-part-2"))
+        with pytest.raises(DomainError):
+            tally_by_enumeration(-1, PartitionClass("all"))
 
 
 class TestAgainstOracles:
