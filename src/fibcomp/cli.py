@@ -9,9 +9,11 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from contextlib import contextmanager
+from typing import Iterable
 
 from . import bijection, enumeration
 from .core import (
@@ -51,11 +53,6 @@ def _non_negative_int(text: str) -> int:
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for recurrence table files (FIBCOMP_CACHE_DIR as fallback)",
-    )
 
     parser = _Parser(prog="fibcomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,6 +60,11 @@ def _build_parser() -> _Parser:
     p_count = sub.add_parser("count", parents=[common], help="closed-form and recurrence counts")
     p_count.add_argument("--class", dest="cls", required=True, help="family:kind, e.g. compositions:all")
     p_count.add_argument("n", type=int)
+    p_count.add_argument(
+        "--cache-dir",
+        default=None,
+        help="directory for recurrence table files (FIBCOMP_CACHE_DIR as fallback)",
+    )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
     p_enum.add_argument("--class", dest="cls", required=True)
@@ -97,7 +99,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(lines: list[str]) -> None:
+def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         sys.stdout.write(line + "\n")
 
@@ -131,13 +133,11 @@ def _cmd_enumerate(args) -> int:
     cls = enumeration.parse_class(args.cls)
     if args.count:
         return _emit_count(args, cls, enumeration.count_by_enumeration(args.n, cls))
-    items = []
-    for i, value in enumerate(enumeration.gen_class(args.n, cls)):
-        if args.limit is not None and i >= args.limit:
-            break
-        items.append(str(value))
+    # plain lines go out as the stream yields them, so `| head` needs no
+    # more of a huge class than it reads
+    items = map(str, itertools.islice(enumeration.gen_class(args.n, cls), args.limit))
     if args.json:
-        _emit_json({"n": args.n, "class": str(cls), "items": items})
+        _emit_json({"n": args.n, "class": str(cls), "items": list(items)})
     else:
         _emit(items)
     return 0

@@ -38,48 +38,51 @@ The generators, the CLI and the verify suites all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from . import counting, genfun
 from .core import Composition, DomainError, Partition
 
 
 @dataclass(frozen=True)
-class CompositionClass:
-    kind: str
-    family = "compositions"
-    ell = None  # no composition class takes a part count
+class EnumClass:
+    """One family:kind class of CLASSES, with its part count ell for a class
+    that takes one.  A subclass fixes the family, the family's domain floor
+    min_n and the type of its members."""
 
-    def __post_init__(self):
-        if self.kind not in COMPOSITION_KINDS:
-            raise DomainError(f"unknown composition class {self.kind!r}")
-
-    def __str__(self) -> str:
-        return f"compositions:{self.kind}"
-
-
-@dataclass(frozen=True)
-class PartitionClass:
     kind: str
     ell: int | None = None
-    family = "partitions"
+    family: ClassVar[str]
+    min_n: ClassVar[int]
+    value: ClassVar[type]
 
     def __post_init__(self):
-        if self.kind not in PARTITION_KINDS:
-            raise DomainError(f"unknown partition class {self.kind!r}")
-        if class_spec(self).takes_ell:
-            if self.ell is None or self.ell < 0:
+        spec = CLASSES.get(f"{self.family}:{self.kind}")
+        if spec is None:
+            raise DomainError(f"unknown {self.family[:-1]} class {self.kind!r}")
+        if spec.takes_ell:
+            if type(self.ell) is not int or self.ell < 0:  # bool is no part count
                 raise DomainError(f"{self.kind} class needs ell >= 0")
         elif self.ell is not None:
             raise DomainError(f"class {self.kind!r} does not take ell")
 
     def __str__(self) -> str:
-        if self.ell is not None:
-            return f"partitions:{self.kind}={self.ell}"
-        return f"partitions:{self.kind}"
+        suffix = "" if self.ell is None else f"={self.ell}"
+        return f"{self.family}:{self.kind}{suffix}"
 
 
-EnumClass = Union[CompositionClass, PartitionClass]
+class CompositionClass(EnumClass):
+    family = "compositions"
+    min_n = 1
+    value = Composition
+
+
+class PartitionClass(EnumClass):
+    family = "partitions"
+    min_n = 0
+    value = Partition
+
+
 PartRule = Callable[[int, Sequence[int], int | None], Iterable[int]]
 
 
@@ -196,9 +199,6 @@ CLASSES: dict[str, ClassSpec] = {
     )
 }
 
-COMPOSITION_KINDS = tuple(s.kind for s in CLASSES.values() if s.family == "compositions")
-PARTITION_KINDS = tuple(s.kind for s in CLASSES.values() if s.family == "partitions")
-
 # Series names in the order the CLI has always listed them: plain names
 # before distinct- ones, partitions before compositions.
 SERIES: dict[str, ClassSpec] = {
@@ -209,8 +209,7 @@ SERIES: dict[str, ClassSpec] = {
     )
 }
 
-_FAMILIES = {"compositions": CompositionClass, "partitions": PartitionClass}
-_FAMILY_MIN_N = {"compositions": 1, "partitions": 0}
+_FAMILIES = {cls.family: cls for cls in (CompositionClass, PartitionClass)}
 
 
 def class_spec(cls: EnumClass) -> ClassSpec:
@@ -219,9 +218,8 @@ def class_spec(cls: EnumClass) -> ClassSpec:
 
 def _spec_in_domain(n: int, cls: EnumClass) -> ClassSpec:
     spec = class_spec(cls)
-    floor = _FAMILY_MIN_N[spec.family]
-    if n < floor:
-        raise DomainError(f"{spec.family} need n >= {floor}, got {n}")
+    if n < cls.min_n:
+        raise DomainError(f"{cls.family} need n >= {cls.min_n}, got {n}")
     if n < spec.min_n:
         raise DomainError(f"{spec.kind} {spec.family} need n >= {spec.min_n}, got {n}")
     return spec
@@ -293,21 +291,19 @@ def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
     """Yield each composition of n in cls exactly once, lexicographically."""
     if not isinstance(cls, CompositionClass):
         raise DomainError(f"expected a composition class, got {cls}")
-    return (Composition(parts) for parts in _sequences(n, cls))
+    return gen_class(n, cls)
 
 
 def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
     """Yield each partition of n in cls exactly once, largest-first."""
     if not isinstance(cls, PartitionClass):
         raise DomainError(f"expected a partition class, got {cls}")
-    return (Partition(parts) for parts in _sequences(n, cls))
+    return gen_class(n, cls)
 
 
 def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:
-    """Stream any class through gen_compositions or gen_partitions."""
-    if isinstance(cls, CompositionClass):
-        return gen_compositions(n, cls)
-    return gen_partitions(n, cls)
+    """Yield each member of cls of size n exactly once, in the class's order."""
+    return (cls.value(parts) for parts in _sequences(n, cls))
 
 
 def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:

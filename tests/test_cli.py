@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -737,6 +738,15 @@ class TestCacheDir:
             code, out, _ = run_cli(capsys, "count", "--class", cls, "10", "--cache-dir", str(tmp_path))
             assert (code, out) == (0, f"{want}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["series", "partitions", "--order", "3"], ["enumerate", "--class", "partitions:all", "3"]],
+    )
+    def test_flag_only_on_count(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -794,6 +804,30 @@ def test_closed_stdout_ends_quietly():
     )
     try:
         assert proc.stdout.readline() == b"1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_enumerate_streams_under_a_memory_cap():
+    # 2**29 compositions: a writer that held the stream before its first line
+    # would use up the 1 GiB of address space before printing anything
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibcomp", "enumerate", "--class", "compositions:all", "30"],
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=cap,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no output within 60 s"
+        lines = [proc.stdout.readline() for _ in range(3)]
+        assert lines == [b"+".join([b"1"] * 30) + b"\n", b"1+" * 28 + b"2\n", b"1+" * 27 + b"2+1\n"]
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""

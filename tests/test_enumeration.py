@@ -81,6 +81,19 @@ class TestClassParsing:
         with pytest.raises(DomainError):
             PartitionClass("distinct-ell")
 
+    @pytest.mark.parametrize(
+        "kind", sorted({s.kind for s in enumeration.CLASSES.values() if not s.takes_ell})
+    )
+    @pytest.mark.parametrize("family", [CompositionClass, PartitionClass])
+    def test_no_ell_for_a_class_without_one(self, family, kind):
+        with pytest.raises(DomainError):
+            family(kind, 2)
+
+    @pytest.mark.parametrize("ell", [None, -1, True, 2.0, 3.5, "3"])
+    def test_ell_must_be_a_non_negative_int(self, ell):
+        with pytest.raises(DomainError, match="distinct-ell class needs ell >= 0"):
+            PartitionClass("distinct-ell", ell)
+
 
 class TestCompositionGolden:
     def test_eight_compositions_of_four(self):
@@ -253,6 +266,12 @@ class TestErrors:
         with pytest.raises(DomainError):
             list(gen_partitions(-1, PartitionClass("all")))
 
+    def test_generators_guard_their_family(self):
+        with pytest.raises(DomainError, match="expected a composition class"):
+            gen_compositions(3, PartitionClass("all"))
+        with pytest.raises(DomainError, match="expected a partition class"):
+            gen_partitions(3, CompositionClass("all"))
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             CompositionClass("even-parts")
@@ -277,8 +296,6 @@ def test_streams_stay_inside_their_class(n):
 
 class TestClassRegistry:
     def test_kinds_and_series_derive_from_the_registry(self):
-        assert enumeration.COMPOSITION_KINDS == ("all", "odd-parts", "min-part-2", "distinct-parts")
-        assert enumeration.PARTITION_KINDS == ("all", "odd-parts", "distinct-parts", "distinct-ell")
         assert list(enumeration.SERIES) == [
             "partitions", "compositions", "distinct-partitions", "distinct-compositions",
         ]
