@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
+from mpmath import mp, mpf, besseli, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
 
 from .core import DomainError, ImaginaryResidueError, NonCertifiedError
 
@@ -211,48 +211,28 @@ def kloosterman_A(k: int, n: int, precision_bits: int) -> mpf:
     return _direct_sum(dedekind_s, k, n, precision_bits)
 
 
-def _i1_raw(z, bits: int):
-    half = z / 2
-    if half == 0:
-        return mpf(0)
-    eps = mpf(2) ** (-(bits + 8))
-    zz = half * half
-    total = half
-    term = half
-    m = 0
-    while True:
-        term = term * zz / ((m + 1) * (m + 2))
-        total += term
-        if term < eps * total:
-            return total
-        m += 1
-
-
 def bessel_I1(z, precision_bits: int) -> mpf:
-    """Modified Bessel function of order 1 by its entire series, with z read
-    at precision_bits (pass a string to keep digits a float would lose).
+    """Modified Bessel function of order 1, mpmath's besseli(1, z), with z
+    read and the value rounded at precision_bits (pass a string to keep
+    digits a float would lose).  The q series calls besseli the same way,
+    at its working precision.
 
-    Terms are summed until one falls below 2^(-precision_bits-8) of the
-    running sum; all terms are positive for z >= 0 so truncation error is
-    bounded by a geometric tail of the same size.
-
-    z must be at most 2^16.  The terms grow until about the (z/2)-th and
-    only then fall, so the series takes time linear in z: a fraction of a
-    second at 2^16, and no useful time at all at 10^7.  The q series only
-    needs z <= pi sqrt(48n+2)/12, about 574 at n = 10^5, and calls the
-    same kernel without this check.
+    z must be at most 2^16.  besseli's cost grows with the size of z: about
+    a millisecond at 2^16 and at 10^12, about a second at 10^1000, and no
+    useful time at all at 10^100000.  The q series only needs
+    z <= pi sqrt(48n+2)/12, about 574 at n = 10^5.
     """
     if precision_bits < 64:
         raise DomainError("precision_bits must be >= 64")
     with mp.workprec(precision_bits):
         z = mpf(z)
-        if not mp.isfinite(z):  # the series' stopping test never passes for nan or inf
+        if not mp.isfinite(z):  # besseli returns nan at nan and raises TypeError at inf
             raise DomainError(f"bessel_I1 needs a finite z, got {z}")
         if z < 0:
             raise DomainError("bessel_I1 is only evaluated at z >= 0")
         if z > 2**16:
             raise DomainError(f"bessel_I1 is only evaluated at z <= 2^16, got {z}")
-        return _i1_raw(z, precision_bits)
+        return besseli(1, z)
 
 
 def default_k_terms(n: int) -> int:
@@ -327,7 +307,7 @@ def _eval_q(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
         z_base = pi * sqrt(mpf(48 * n + 2)) / 12
 
     def term(k):
-        return _inner_real(k, n, bits) * _i1_raw(z_base / k, bits) / k
+        return _inner_real(k, n, bits) * besseli(1, z_base / k) / k
 
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself

@@ -49,12 +49,12 @@ class TruncatedSeries:
         return cls.from_list([1], order)
 
     @classmethod
-    def monomial(cls, power: int, order: int, coeff: int = 1) -> "TruncatedSeries":
+    def monomial(cls, power: int, order: int) -> "TruncatedSeries":
         if power < 0:
             raise DomainError(f"power must be >= 0, got {power}")
         values = [0] * (order + 1)
         if power <= order:
-            values[power] = coeff
+            values[power] = 1
         return cls(tuple(values))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":

@@ -3,8 +3,8 @@
 Everything here is written from the raw definitions, deliberately not
 sharing code paths with the package: compositions come from separator
 bitmasks, partitions from an ascending-part recursion, the rational sums
-from literal sawtooth products, and the floating sums from mpmath complex
-exponentials.
+from literal sawtooth products, the floating sums from mpmath complex
+exponentials, and I_1 from its power series at four times the precision.
 """
 
 from __future__ import annotations
@@ -174,3 +174,27 @@ def kloosterman_complex(k: int, n: int, dps_bits: int = 256):
 def hagis_complex(k: int, n: int, dps_bits: int = 256):
     """Odd-k exponential sum of the distinct-count series from the sawtooth definition of t."""
     return _exponential_sum_complex(hagis_def, k, n, dps_bits)
+
+
+def bessel_i1_series(z, bits: int):
+    """I_1(z) for z >= 0 from its power series, the sum over m of
+    (z/2)^(2m+1) / (m! (m+1)!), summed in mpf at 4 bits + 64 bits.  The
+    terms grow until m is about z/2, so the sum stops only once they have
+    begun to fall and one is below 2^-(4 bits + 64) of the running sum."""
+    from mpmath import mp, mpf
+
+    wide = 4 * bits + 64
+    with mp.workprec(wide):
+        half = mpf(z) / 2
+        total = term = half
+        if half == 0:
+            return total
+        eps = mpf(2) ** -wide
+        m = 0
+        while True:
+            previous = term
+            term = term * half * half / ((m + 1) * (m + 2))
+            total += term
+            if term < previous and term < eps * total:
+                return total
+            m += 1

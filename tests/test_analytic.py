@@ -6,7 +6,6 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
@@ -27,6 +26,7 @@ from fibcomp.core import DomainError
 from fibcomp.counting import p_recurrence, q_recurrence
 
 from _oracles import (
+    bessel_i1_series,
     dedekind_def,
     dedekind_loop,
     hagis_complex,
@@ -241,14 +241,16 @@ class TestBessel:
         assert isinstance(got, mp.mpf)
         assert abs(float(got) - 1.5906368546373291) < 1e-15
 
-    def test_matches_mpmath(self):
-        for z in ("0.5", "1", "2", "3.7", "10", "25"):
-            for bits in (128, 256):
-                # the literal is read at the target precision, not at the ambient 53 bits
-                got = bessel_I1(z, bits)
-                with mp.workprec(bits + 16):
-                    want = mpmath.besseli(1, mp.mpf(z))
-                    assert abs(got / want - 1) < mp.mpf(2) ** (-bits + 12)
+    def test_matches_power_series_oracle(self):
+        # each z is a double, so both sides read it exactly; 574 is about the
+        # largest argument the q series passes at n = 10^5
+        zs = (0.01, 0.385, 1, 2, 12.2, 38.5, 100, 300, 574)
+        cases = [(z, bits) for bits in (64, 128, 181, 256, 400) for z in zs] + [(65536, 64)]
+        for z, bits in cases:
+            got = bessel_I1(z, bits)
+            want = bessel_i1_series(z, bits)
+            with mp.workprec(4 * bits + 64):
+                assert abs(got - want) <= mp.ldexp(want, -bits), (z, bits)
 
     def test_monotonic(self):
         assert bessel_I1(3, 128) > bessel_I1(2, 128)
@@ -262,8 +264,8 @@ class TestBessel:
             bessel_I1(2, 32)
 
     def test_rejects_non_finite_without_hanging(self):
-        # in a child with a timeout: the series loop never ends on nan or inf,
-        # so a regression must fail the test rather than stall the suite
+        # in a child with a timeout: nan and inf must be refused up front, and
+        # a regression must fail the test rather than stall the suite
         code = textwrap.dedent(
             """
             from fibcomp.analytic import bessel_I1
@@ -285,8 +287,8 @@ class TestBessel:
         ]
 
     def test_rejects_large_z_at_once(self):
-        # in a child with a timeout: the series takes time linear in z, so
-        # without the bound 1e12 would stall the suite; 2^16 still returns
+        # in a child with a timeout: I_1's cost grows with the size of z, so
+        # a z past the bound must be refused at once; 2^16 still returns
         code = textwrap.dedent(
             """
             from fibcomp.analytic import bessel_I1

@@ -86,7 +86,7 @@ _ANALYTIC_PLAIN = (
     "[OK] analytic: hagis sum vs sawtooth definition and negation symmetry k<30 (182 cases)\n"
     "[OK] analytic: exponential sum direct vs selberg k<=4 (4 cases)\n"
     "[OK] analytic: hagis exponential sum direct vs angle classes odd k<=3 (2 cases)\n"
-    "[OK] analytic: bessel series self-consistency (cross-precision drift 6.99077510589062e-39)\n"
+    "[OK] analytic: bessel series self-consistency (cross-precision drift below 2^-120)\n"
     "[OK] analytic: certified rounding vs recurrences n<=4 (4 cases)\n"
     "[OK] analytic: residual stays small above certified budget (n=4) (5 cases)\n"
     "passed 7/7 checks\n"
@@ -99,7 +99,7 @@ _ANALYTIC_JSON = (
     '{"name": "exponential sum direct vs selberg k<=4", "passed": true, "detail": "4 cases"}, '
     '{"name": "hagis exponential sum direct vs angle classes odd k<=3", "passed": true, "detail": "2 cases"}, '
     '{"name": "bessel series self-consistency", "passed": true, '
-    '"detail": "cross-precision drift 6.99077510589062e-39"}, '
+    '"detail": "cross-precision drift below 2^-120"}, '
     '{"name": "certified rounding vs recurrences n<=4", "passed": true, "detail": "4 cases"}, '
     '{"name": "residual stays small above certified budget (n=4)", "passed": true, "detail": "5 cases"}'
     ']}, "passed": true}\n'
