@@ -252,45 +252,12 @@ def default_bits_q(n: int) -> int:
     return max(128, int(math.pi * math.sqrt(n / 3) / math.log(2)) + 64)
 
 
-def _resolved(raw, bits: int) -> bool:
-    # A residual of 0 is meaningless when the working precision cannot even
-    # represent the fractional part at this magnitude, so insist on a margin
-    # of usable bits below the integer scale.
-    if raw == 0:
-        return True
-    return bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
-
-
-def _sum_and_certify(n: int, k_terms: int, bits: int, prefactor, term, ks) -> SeriesEvalReport:
-    """Sum term(k) over ks, round the partial sum through k <= k_terms, and
-    certify it against the sum over all of ks (the doubled budget)."""
-    with mp.workprec(bits):
-        total = mpf(0)
-        at_budget = None
-        for k in ks:
-            total += term(k)
-            if k <= k_terms:
-                at_budget = total
-        raw = prefactor * at_budget
-        doubled = prefactor * total
-        nearest = nint(raw)
-        residual = abs(raw - nearest)
-        drift = abs(doubled - raw)
-        certified = bool(
-            residual < RESIDUAL_BOUND
-            and drift < STABILITY_BOUND
-            and _resolved(raw, bits)
-        )
-        rounded = int(nearest)
-    return SeriesEvalReport(n, k_terms, bits, raw, rounded, residual, certified)
-
-
-def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
-    with mp.workprec(bits):
-        m = mpf(24 * n - 1) / 24
-        sm = sqrt(m)
-        c0 = pi * sqrt(mpf(2) / 3)
-        prefactor = 1 / (pi * sqrt(mpf(2)))
+def _p_series(n: int, k_terms: int, bits: int):
+    """The p series' prefactor, term(k) and the k of the doubled budget, at
+    the working precision bits."""
+    m = mpf(24 * n - 1) / 24
+    sm = sqrt(m)
+    c0 = pi * sqrt(mpf(2) / 3)
 
     def term(k):
         C = c0 / k
@@ -298,23 +265,26 @@ def _eval_p(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
         deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
         return sqrt(mpf(k)) * _A_real(k, n, bits) * deriv
 
-    return _sum_and_certify(n, k_terms, bits, prefactor, term, range(1, 2 * k_terms + 1))
+    return 1 / (pi * sqrt(mpf(2))), term, range(1, 2 * k_terms + 1)
 
 
-def _eval_q(n: int, k_terms: int, bits: int) -> SeriesEvalReport:
-    with mp.workprec(bits):
-        prefactor = pi / sqrt(mpf(24 * n + 1))
-        z_base = pi * sqrt(mpf(48 * n + 2)) / 12
+def _q_series(n: int, k_terms: int, bits: int):
+    """The q series' prefactor, term(k) and the k of the doubled budget, at
+    the working precision bits."""
+    z_base = pi * sqrt(mpf(48 * n + 2)) / 12
 
     def term(k):
         return _inner_real(k, n, bits) * besseli(1, z_base / k) / k
 
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself
-    return _sum_and_certify(n, k_terms, bits, prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2))
+    return pi / sqrt(mpf(24 * n + 1)), term, range(1, max(2 * k_terms, 3) + 1, 2)
 
 
-def _certify(name: str, n: int, k_max, precision_bits, default_bits, evaluate) -> SeriesEvalReport:
+def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> SeriesEvalReport:
+    """Sum the series in ascending k, round the partial sum through k <=
+    k_terms, and certify it against the sum over the doubled budget; a
+    failed check doubles the budget and the precision and tries again."""
     if n < 1:
         raise DomainError(f"{name} needs n >= 1, got {n}")
     k_terms = default_k_terms(n) if k_max is None else k_max
@@ -323,10 +293,28 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, evaluate) -
         raise DomainError("k_max must be >= 1")
     if bits < 64:
         raise DomainError("precision_bits must be >= 64")
-    report = None
     for _ in range(MAX_ESCALATIONS + 1):
-        report = evaluate(n, k_terms, bits)
-        if report.certified:
+        with mp.workprec(bits):
+            prefactor, term, ks = series(n, k_terms, bits)
+            total = mpf(0)
+            for k in ks:
+                total += term(k)
+                if k <= k_terms:
+                    at_budget = total
+            raw = prefactor * at_budget
+            nearest = nint(raw)
+            residual = abs(raw - nearest)
+            # A residual of 0 is meaningless when the working precision cannot
+            # even represent the fractional part at this magnitude, so insist
+            # on a margin of usable bits below the integer scale (mp.mag(0) is
+            # -inf, so a raw value of 0 passes).
+            certified = (
+                residual < RESIDUAL_BOUND
+                and abs(prefactor * total - raw) < STABILITY_BOUND
+                and bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
+            )
+        report = SeriesEvalReport(n, k_terms, bits, raw, int(nearest), residual, certified)
+        if certified:
             return report
         k_terms *= 2
         bits *= 2
@@ -341,7 +329,7 @@ def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = 
     in n.  Terms are reduced in ascending k; see the module docstring for
     the rounding certification.
     """
-    return _certify("rademacher_p", n, k_max, precision_bits, default_bits_p, _eval_p)
+    return _certify("rademacher_p", n, k_max, precision_bits, default_bits_p, _p_series)
 
 
 def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None) -> SeriesEvalReport:
@@ -352,4 +340,4 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
     I_1(pi sqrt(48n+2) / (12k)), with the k = 1 inner sum taken as its
     single h = 0 term.  Certification matches rademacher_p.
     """
-    return _certify("hagis_q", n, k_max, precision_bits, default_bits_q, _eval_q)
+    return _certify("hagis_q", n, k_max, precision_bits, default_bits_q, _q_series)

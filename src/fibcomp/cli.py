@@ -285,6 +285,9 @@ def run(argv=None) -> int:
     except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:  # the request's numbers or lists outgrow the address space
+        sys.stderr.write("error: out of memory\n")
+        return 1
     except (NonCertifiedError, ImaginaryResidueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

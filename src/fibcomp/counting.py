@@ -146,18 +146,9 @@ def binet_float(n: int) -> BinetReport:
     s5 = math.sqrt(5.0)
     try:
         estimate = ((1.0 + s5) ** n - (1.0 - s5) ** n) / (2.0**n * s5)
-    except OverflowError:
-        estimate = math.inf
-    if math.isfinite(estimate):
-        try:
-            err = abs(estimate - exact)
-        except OverflowError:
-            err = math.inf
-        correct = round(estimate) == exact
-    else:
-        err = math.inf
-        correct = False
-    return BinetReport(n, estimate, exact, err, correct)
+    except OverflowError:  # from n = 605 on; below it F_n is well inside float range
+        return BinetReport(n, math.inf, exact, math.inf, False)
+    return BinetReport(n, estimate, exact, abs(estimate - exact), round(estimate) == exact)
 
 
 def binet_first_failure(limit: int = 100) -> int | None:

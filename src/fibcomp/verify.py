@@ -380,7 +380,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             "(k={0}, n={1})",
         ),
         CheckResult(
-            "bessel series self-consistency",
+            "bessel I1 cross-precision consistency",
             bool(i1_ok),
             "cross-precision drift below 2^-120" if i1_ok else f"cross-precision drift {drift}",
         ),

@@ -178,9 +178,13 @@ class TestKloosterman:
             for n in range(51):
                 kloosterman_A(k, n, 128)
 
-    def test_rejects_bad_k(self):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             kloosterman_A(0, 1, 128)
+        with pytest.raises(DomainError):
+            kloosterman_A(3, -1, 128)
+        with pytest.raises(DomainError):
+            kloosterman_A(3, 1, 63)
 
 
 class TestExponentialSums:

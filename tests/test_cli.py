@@ -86,7 +86,7 @@ _ANALYTIC_PLAIN = (
     "[OK] analytic: hagis sum vs sawtooth definition and negation symmetry k<30 (182 cases)\n"
     "[OK] analytic: exponential sum direct vs selberg k<=4 (4 cases)\n"
     "[OK] analytic: hagis exponential sum direct vs angle classes odd k<=3 (2 cases)\n"
-    "[OK] analytic: bessel series self-consistency (cross-precision drift below 2^-120)\n"
+    "[OK] analytic: bessel I1 cross-precision consistency (cross-precision drift below 2^-120)\n"
     "[OK] analytic: certified rounding vs recurrences n<=4 (4 cases)\n"
     "[OK] analytic: residual stays small above certified budget (n=4) (5 cases)\n"
     "passed 7/7 checks\n"
@@ -98,7 +98,7 @@ _ANALYTIC_JSON = (
     '{"name": "hagis sum vs sawtooth definition and negation symmetry k<30", "passed": true, "detail": "182 cases"}, '
     '{"name": "exponential sum direct vs selberg k<=4", "passed": true, "detail": "4 cases"}, '
     '{"name": "hagis exponential sum direct vs angle classes odd k<=3", "passed": true, "detail": "2 cases"}, '
-    '{"name": "bessel series self-consistency", "passed": true, '
+    '{"name": "bessel I1 cross-precision consistency", "passed": true, '
     '"detail": "cross-precision drift below 2^-120"}, '
     '{"name": "certified rounding vs recurrences n<=4", "passed": true, "detail": "4 cases"}, '
     '{"name": "residual stays small above certified budget (n=4)", "passed": true, "detail": "5 cases"}'
@@ -475,7 +475,7 @@ class TestVerify:
             ("hagis_t", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "hagis sum"),
             ("_A_real", _nudged, "exponential sum direct vs selberg"),
             ("_inner_real", _nudged, "hagis exponential sum direct vs angle classes"),
-            ("bessel_I1", _nudged, "bessel series self-consistency"),
+            ("bessel_I1", _nudged, "bessel I1 cross-precision consistency"),
         ],
         ids=["dedekind", "hagis", "selberg", "angle-classes", "bessel"],
     )
@@ -812,17 +812,18 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
 
 
+def _address_space_cap():
+    """A preexec_fn that caps the child's address space at 1 GiB."""
+    resource = pytest.importorskip("resource")
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def test_enumerate_streams_under_a_memory_cap():
     # 2**29 compositions: a writer that held the stream before its first line
     # would use up the 1 GiB of address space before printing anything
-    resource = pytest.importorskip("resource")
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
     proc = subprocess.Popen(
         [sys.executable, "-m", "fibcomp", "enumerate", "--class", "compositions:all", "30"],
-        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=cap,
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_address_space_cap(),
     )
     try:
         assert select.select([proc.stdout], [], [], 60)[0], "no output within 60 s"
@@ -834,6 +835,24 @@ def test_enumerate_streams_under_a_memory_cap():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "partitions", "--order", "100000000000"],  # a list of 10^11 coefficients
+        ["count", "--class", "compositions:all", "100000000000000"],  # 2^(10^14 - 1)
+    ],
+    ids=["series", "count"],
+)
+def test_exhausted_memory_is_an_error_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcomp", *argv],
+        env=_subprocess_env(), capture_output=True, preexec_fn=_address_space_cap(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: out of memory\n"
 
 
 # Bounded argv for every subcommand, valid and malformed.  enumerate stays at

@@ -116,6 +116,13 @@ class TestDistinctRecurrence:
     def test_triangular_indicator(self):
         for n in range(0, 500):
             assert is_triangular(n) == triangular(n)
+        assert not is_triangular(-1)
+
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            q_recurrence(-1)
+        with pytest.raises(DomainError):
+            q_recurrence_residual(-1)
 
 
 class TestLiteralShiftRegression:
@@ -158,6 +165,13 @@ class TestBinet:
         assert not binet_float(failure).round_correct
         assert binet_float(failure - 1).round_correct
 
+    def test_no_failure_below_the_first(self):
+        assert binet_first_failure(limit=50) is None
+
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            binet_float(-1)
+
     def test_huge_index_overflows_to_non_correct(self):
         report = binet_float(1600)
         assert not report.round_correct
@@ -193,6 +207,16 @@ class TestTables:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(previous)
+
+    def test_build_rejects_negative_max_n(self):
+        with pytest.raises(DomainError):
+            build_table("p", -1)
+
+    def test_load_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "p.table"
+        path.write_bytes(b"")
+        with pytest.raises(DomainError, match="empty table file"):
+            load_table(path)
 
     def test_load_refuses_fib_table(self, tmp_path):
         # F_n comes from fast doubling; a fib table from an older version is unknown

@@ -51,6 +51,12 @@ class TestSeriesType:
     def test_monomial_beyond_order_is_zero(self):
         assert TruncatedSeries.monomial(5, 3).coeffs == (0, 0, 0, 0)
 
+    def test_rejects_negative_order_and_power(self):
+        with pytest.raises(DomainError):
+            TruncatedSeries.from_list([1], -1)
+        with pytest.raises(DomainError):
+            TruncatedSeries.monomial(-1, 3)
+
 
 class TestMul:
     def test_difference_of_squares(self):
@@ -148,6 +154,10 @@ class TestDistinctEllGF:
     def test_staircase_beyond_order(self):
         assert distinct_partitions_ell_gf(6, 10).coeffs == (0,) * 11
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError):
+            distinct_partitions_ell_gf(1, -1)
+
     def test_matches_enumeration(self):
         for ell in range(0, 6):
             series = distinct_partitions_ell_gf(ell, 20)
@@ -166,6 +176,10 @@ class TestDistinctCompositionsGF:
 
     def test_coefficient_three(self):
         assert distinct_compositions_gf(3).coefficient(3) == 3
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError):
+            distinct_compositions_gf(-1)
 
     def test_matches_enumeration(self):
         series = distinct_compositions_gf(20)

@@ -1,7 +1,7 @@
 import pytest
 
 from fibcomp import verify
-from fibcomp.core import DomainError
+from fibcomp.core import DomainError, NonCertifiedError
 
 
 def run(name, max_n):
@@ -50,3 +50,16 @@ def test_failure_reports_counterexample(monkeypatch):
     failed = [r for r in results if not r.passed]
     assert failed
     assert any("7" in r.detail for r in failed)
+
+
+def test_first_failure_without_label_lets_evaluation_errors_through():
+    # only a row with a label reports an evaluation error as its counterexample
+    from fibcomp.analytic import rademacher_p
+
+    def fails(n):
+        if n == 2:
+            raise NonCertifiedError("rademacher_p", rademacher_p(n))
+        return None
+
+    with pytest.raises(NonCertifiedError, match="n=2"):
+        verify._first_failure("row", [(1,), (2,), (3,)], fails)
