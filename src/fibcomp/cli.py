@@ -134,8 +134,10 @@ def _cmd_enumerate(args) -> int:
     if args.count:
         return _emit_count(args, cls, enumeration.count_by_enumeration(args.n, cls))
     # plain lines go out as the stream yields them, so `| head` needs no
-    # more of a huge class than it reads
-    items = map(str, itertools.islice(enumeration.gen_class(args.n, cls), args.limit))
+    # more of a huge class than it reads; islice refuses a limit past
+    # sys.maxsize, and no stream is read that far, so such a limit is none
+    limit = None if args.limit is not None and args.limit > sys.maxsize else args.limit
+    items = map(str, itertools.islice(enumeration.gen_class(args.n, cls), limit))
     if args.json:
         _emit_json({"n": args.n, "class": str(cls), "items": list(items)})
     else:
@@ -287,6 +289,9 @@ def run(argv=None) -> int:
         return 1
     except MemoryError:  # the request's numbers or lists outgrow the address space
         sys.stderr.write("error: out of memory\n")
+        return 1
+    except OverflowError as exc:  # a size past the platform's int, index or float range
+        sys.stderr.write(f"error: too large for this platform: {exc}\n")
         return 1
     except (NonCertifiedError, ImaginaryResidueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

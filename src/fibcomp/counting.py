@@ -17,8 +17,6 @@ from pathlib import Path
 
 from .core import DomainError
 
-TABLE_KINDS = ("p", "q")
-
 
 def c_count(n: int) -> int:
     """Number of compositions of n: 2^(n-1)."""
@@ -53,24 +51,35 @@ def _pentagonal_sum(values: list[int], n: int, scale: int) -> int:
     return total
 
 
-def _extend_p(values: list[int], upto: int) -> None:
-    # p(n) = sum_{j>=1} (-1)^(j-1) [ p(n - j(3j-1)/2) + p(n - j(3j+1)/2) ]
+# p and q obey one recurrence and differ only in their row (s, right):
+#   v(n) = right(n) + sum_{j>=1} (-1)^(j-1) [ v(n - s j(3j-1)/2) + v(n - s j(3j+1)/2) ]
+# p: s = 1, right(n) = [n = 0], Euler's pentagonal theorem;
+# q: s = 2, right(n) = [n triangular], Gauss's q(x) prod_k (1 - x^2k) = sum_m x^(m(m+1)/2).
+# q's right side looks up is_triangular when it runs, so a wrapped one is used.
+_ROWS = {
+    "p": (1, lambda n: n == 0),
+    "q": (2, lambda n: is_triangular(n)),
+}
+
+_tables: dict[str, list[int]] = {kind: [] for kind in _ROWS}
+
+
+def _next(kind: str, values: list[int], n: int) -> int:
+    """v(n) for the kind's recurrence, from values[:n]."""
+    scale, right = _ROWS[kind]
+    return (1 if right(n) else 0) + _pentagonal_sum(values, n, scale)
+
+
+def _extend(kind: str, values: list[int], upto: int) -> None:
     while len(values) <= upto:
-        values.append(_pentagonal_sum(values, len(values), 1))
+        values.append(_next(kind, values, len(values)))
 
 
-def _extend_q(values: list[int], upto: int) -> None:
-    # q(n) + sum_{k>=1} (-1)^k [ q(n - k(3k-1)) + q(n - k(3k+1)) ]
-    #   = 1 if n is triangular else 0
-    while len(values) <= upto:
-        n = len(values)
-        values.append((1 if is_triangular(n) else 0) + _pentagonal_sum(values, n, 2))
-
-
-_EXTENDERS = {"p": _extend_p, "q": _extend_q}  # both seeded with p(0) = q(0) = 1
-
-_p_values = [1]
-_q_values = [1]
+def _memo_value(kind: str, n: int, name: str) -> int:
+    if n < 0:
+        raise DomainError(f"{name} needs n >= 0, got {n}")
+    _extend(kind, _tables[kind], n)
+    return _tables[kind][n]
 
 
 def fibonacci(n: int) -> int:
@@ -95,10 +104,7 @@ def Q_count(n: int) -> int:
 
 def p_recurrence(n: int) -> int:
     """Number of partitions of n via the alternating pentagonal-shift recurrence."""
-    if n < 0:
-        raise DomainError(f"p_recurrence needs n >= 0, got {n}")
-    _extend_p(_p_values, n)
-    return _p_values[n]
+    return _memo_value("p", n, "p_recurrence")
 
 
 def q_recurrence(n: int) -> int:
@@ -107,10 +113,7 @@ def q_recurrence(n: int) -> int:
     Uses the alternating recurrence with shifts k(3k-1) and k(3k+1) and a
     right side of 1 exactly at triangular n.
     """
-    if n < 0:
-        raise DomainError(f"q_recurrence needs n >= 0, got {n}")
-    _extend_q(_q_values, n)
-    return _q_values[n]
+    return _memo_value("q", n, "q_recurrence")
 
 
 def q_recurrence_residual(n: int) -> int:
@@ -119,10 +122,7 @@ def q_recurrence_residual(n: int) -> int:
     Returns q(n) + sum_{k>=1} (-1)^k [q(n - k(3k-1)) + q(n - k(3k+1))],
     which should equal 1 at triangular n and 0 elsewhere.
     """
-    if n < 0:
-        raise DomainError(f"residual needs n >= 0, got {n}")
-    q_recurrence(n)
-    return _q_values[n] - _pentagonal_sum(_q_values, n, 2)
+    return _memo_value("q", n, "residual") - _pentagonal_sum(_tables["q"], n, _ROWS["q"][0])
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,12 @@ class MemoTable:
 
 
 def build_table(kind: str, max_n: int) -> MemoTable:
-    if kind not in TABLE_KINDS:
+    if kind not in _ROWS:
         raise DomainError(f"unknown table kind {kind!r}")
     if max_n < 0:
         raise DomainError(f"table for {kind!r} needs max_n >= 0")
-    values = [1]
-    _EXTENDERS[kind](values, max_n)
+    values: list[int] = []
+    _extend(kind, values, max_n)
     return MemoTable(kind, values)
 
 
@@ -196,14 +196,6 @@ def save_table(table: MemoTable, path) -> None:
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)  # already gone once replaced
-
-
-def _check_index(kind: str, values: list[int], i: int) -> bool:
-    if i == 0:
-        return values[0] == 1
-    probe = values[: i]
-    _EXTENDERS[kind](probe, i)
-    return probe[i] == values[i]
 
 
 def load_table(path) -> MemoTable:
@@ -234,7 +226,7 @@ def load_table(path) -> MemoTable:
     # a table scaled or seeded wrongly satisfies the recurrence elsewhere
     audited.add(0)
     for i in sorted(audited):
-        if not _check_index(kind, values, i):
+        if values[i] != _next(kind, values, i):
             raise DomainError(f"{path}: table fails its recurrence at index {i}")
     return MemoTable(kind, values)
 
@@ -250,7 +242,7 @@ def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
             raise DomainError(f"{path}: holds kind {table.kind!r}, wanted {kind!r}")
         if table.max_n >= max_n:
             return table
-        _EXTENDERS[kind](table.values, max_n)
+        _extend(kind, table.values, max_n)
     else:
         table = build_table(kind, max_n)
     save_table(table, path)

@@ -2,7 +2,8 @@
 
 Everything here is written from the raw definitions, deliberately not
 sharing code paths with the package: compositions come from separator
-bitmasks, partitions from an ascending-part recursion, the rational sums
+bitmasks, partitions from an ascending-part recursion, the p and q tables
+from coin-change and 0/1-knapsack counts over the parts, the rational sums
 from literal sawtooth products, the floating sums from mpmath complex
 exponentials, and I_1 from its power series at four times the precision.
 """
@@ -86,6 +87,26 @@ def q_table_corrected(upto: int) -> list[int]:
             total += sign * term
             k += 1
         values.append(total)
+    return values
+
+
+def p_table_coin_change(upto: int) -> list[int]:
+    """p(0..upto) as coin change: the ways to make n from parts 1..upto,
+    each usable any number of times."""
+    values = [1] + [0] * upto
+    for part in range(1, upto + 1):
+        for n in range(part, upto + 1):
+            values[n] += values[n - part]
+    return values
+
+
+def q_table_knapsack(upto: int) -> list[int]:
+    """q(0..upto) as a 0/1 knapsack: the ways to make n from parts 1..upto,
+    each used at most once (n runs downward so no part is reused)."""
+    values = [1] + [0] * upto
+    for part in range(1, upto + 1):
+        for n in range(upto, part - 1, -1):
+            values[n] += values[n - part]
     return values
 
 

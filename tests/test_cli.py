@@ -718,7 +718,7 @@ class TestCacheDir:
     def test_wrongly_seeded_cache_exit_1(self, capsys, tmp_path, cls, kind):
         # grown from the seed 2 instead of 1; for p that is every entry doubled
         values = [2]
-        counting._EXTENDERS[kind](values, 300)
+        counting._extend(kind, values, 300)
         counting.save_table(counting.MemoTable(kind, values), tmp_path / f"{kind}.table")
         code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
         assert (code, out) == (1, "")
@@ -853,6 +853,36 @@ def test_exhausted_memory_is_an_error_line(argv):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr == b"error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "partitions", "--order", "99999999999999999999999"],
+        ["series", "compositions", "--order", "99999999999999999999"],
+        ["count", "--class", "partitions:distinct-ell=3", "99999999999999999999"],
+        ["count", "--class", "compositions:distinct-parts", "9223372036854775808"],
+        ["enumerate", "--count", "--force", "--class", "partitions:all", "99999999999999999999"],
+        ["map", "--odd-to-gt1", "1000000000000000000000000000001"],
+        ["count", "--class", "compositions:all", str(10**400)],  # 2^(10^400 - 1)
+        ["analytic", "p", str(10**400)],  # n past float range
+    ],
+    ids=["series-partitions", "series-compositions", "distinct-ell", "distinct-compositions",
+         "enumerate-count", "map", "compositions", "analytic"],
+)
+def test_size_past_the_platform_is_an_error_line(capsys, argv):
+    # each size overflows an index, a digit count or a float before any list is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_limit_past_sys_maxsize_is_no_limit(capsys):
+    argv = ["enumerate", "--class", "partitions:all", "5"]
+    whole = run_cli(capsys, *argv)
+    assert whole[0] == 0 and whole[1].count("\n") == 7  # p(5)
+    assert run_cli(capsys, *argv, "--limit", str(sys.maxsize + 1)) == whole
 
 
 # Bounded argv for every subcommand, valid and malformed.  enumerate stays at

@@ -29,7 +29,14 @@ from fibcomp.counting import (
 )
 from fibcomp.enumeration import CompositionClass, PartitionClass, count_by_enumeration
 
-from _oracles import fib_list, q_table_corrected, q_table_literal, triangular
+from _oracles import (
+    fib_list,
+    p_table_coin_change,
+    q_table_corrected,
+    q_table_knapsack,
+    q_table_literal,
+    triangular,
+)
 
 
 class TestCompositionCount:
@@ -125,6 +132,17 @@ class TestDistinctRecurrence:
             q_recurrence_residual(-1)
 
 
+@pytest.mark.parametrize(
+    "kind,recurrence,oracle",
+    [("p", p_recurrence, p_table_coin_change), ("q", q_recurrence, q_table_knapsack)],
+)
+def test_recurrence_matches_counting_dp(kind, recurrence, oracle):
+    # the oracles count parts directly and never use the pentagonal formula
+    want = oracle(1000)
+    assert [recurrence(n) for n in range(1001)] == want
+    assert build_table(kind, 1000).values == want
+
+
 class TestLiteralShiftRegression:
     """The uncorrected linear shifts first break at n = 5."""
 
@@ -176,6 +194,15 @@ class TestBinet:
         report = binet_float(1600)
         assert not report.round_correct
         assert report.abs_error == math.inf
+
+
+# every index load_table audits: index 0 and the sample it draws per (kind, max)
+_AUDITED_TABLES = [(kind, max_n) for kind in ("p", "q") for max_n in (40, 300)]
+_AUDITED = [
+    (kind, max_n, index)
+    for kind, max_n in _AUDITED_TABLES
+    for index in sorted({0, *random.Random(f"{kind}:{max_n}").sample(range(max_n + 1), 16)})
+]
 
 
 class TestTables:
@@ -238,15 +265,21 @@ class TestTables:
         assert lines[0] == "fibcomp-table v1 kind=p max=5"
         assert lines[1:] == ["1", "1", "2", "3", "5", "7"]
 
-    def test_load_rejects_corrupt_value(self, tmp_path):
-        # the audit sample is seeded per (kind, max), so pick a line it will visit
-        target = max(random.Random("q:40").sample(range(41), 16))
-        path = tmp_path / "q.table"
-        save_table(build_table("q", 40), path)
+    @pytest.mark.parametrize("kind,max_n", _AUDITED_TABLES)
+    def test_untouched_table_loads(self, tmp_path, kind, max_n):
+        path = tmp_path / f"{kind}.table"
+        save_table(build_table(kind, max_n), path)
+        assert load_table(path).values == build_table(kind, max_n).values
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("kind,max_n,index", _AUDITED)
+    def test_load_rejects_corrupt_value(self, tmp_path, kind, max_n, index, delta):
+        path = tmp_path / f"{kind}.table"
+        save_table(build_table(kind, max_n), path)
         lines = path.read_text("ascii").splitlines()
-        lines[target + 1] = str(int(lines[target + 1]) + 1)
+        lines[index + 1] = str(int(lines[index + 1]) + delta)
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"table fails its recurrence at index {index}\Z"):
             load_table(path)
 
     def test_load_rejects_wholesale_corruption(self, tmp_path):
@@ -280,7 +313,7 @@ class TestTables:
         # doubled); past the seed each table satisfies its recurrence, so a
         # sample that skips index 0 passes it
         values = [2]
-        counting._EXTENDERS[kind](values, upto)
+        counting._extend(kind, values, upto)
         path = tmp_path / f"{kind}.table"
         save_table(MemoTable(kind, values), path)
         with pytest.raises(DomainError):
