@@ -9,16 +9,21 @@ Selberg's formula, a few cosines per k, and the q sum groups its terms by
 angle and reads every cosine off one fixed-point integer rotation, one
 cospi and one sinpi per k.  The floating layer evaluates the series under
 an explicit working precision and only ever rounds a truncated sum to an
-integer when a two-sided check passes:
+integer when the series' own certificate passes.  Each series carries a
+different one:
 
-* the truncated value sits within 1/4 of an integer,
-* doubling the number of series terms moves the value by less than 2^-4, and
-* the working precision leaves at least 16 bits below the integer scale of
-  the value, so a small residual is a measurement rather than an artifact
-  of the representation rounding to integers on its own.
+* p, a proof: a proven bound on the series' tail past the term budget,
+  plus a bound on the evaluation error of the partial sum, plus the
+  residual, is below 1/2 (_p_bounds derives both bounds), so the nearest
+  integer is p(n).
+* q, a heuristic drift test, until a bound on the Hagis sums exists: the
+  truncated value sits within 1/4 of an integer, doubling the number of
+  series terms moves the value by less than 2^-4, and the working
+  precision leaves at least 16 bits below the integer scale of the value,
+  so a small residual is a measurement rather than an artifact of the
+  representation rounding to integers on its own.
 
-Together the bounds force the doubled-budget sum to round to the same
-integer.  A failed check escalates (doubling both the term budget and the
+A failed certificate escalates (doubling both the term budget and the
 working precision) up to four times before signaling non-certification.
 The term sums are reduced in ascending k order, so reports are
 reproducible byte for byte.
@@ -30,13 +35,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, besseli, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
+from mpmath import iv, mp, mpf, besseli, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
 
 from .core import DomainError, ImaginaryResidueError, NonCertifiedError
 
 RESIDUAL_BOUND = 0.25
-STABILITY_BOUND = 0.0625  # 2^-4; tail movement under a doubled term budget
-RESOLUTION_GUARD_BITS = 16  # fractional bits the raw value must still carry
+STABILITY_BOUND = 0.0625  # 2^-4; q's tail movement under a doubled term budget
+RESOLUTION_GUARD_BITS = 16  # fractional bits q's raw value must still carry
 MAX_ESCALATIONS = 4
 
 
@@ -252,9 +257,76 @@ def default_bits_q(n: int) -> int:
     return max(128, int(math.pi * math.sqrt(n / 3) / math.log(2)) + 64)
 
 
+def _iv_cosh(y):
+    return (iv.exp(y) + iv.exp(-y)) / 2
+
+
+def _p_bounds(n: int, k_terms: int, bits: int):
+    """Intervals that enclose upper bounds on the two errors of p's partial
+    sum through k <= N = k_terms evaluated at P = bits: its tail past N and
+    its evaluation error.  Interval arithmetic (mpmath's iv) rounds each
+    bound outward, so the bounds hold as computed.
+
+    Write m = n - 1/24, c0 = pi sqrt(2/3), x = c0 sqrt(m) and x_k = x/k.
+    The k-th term is sqrt(k) A_k(n) D_k with
+    D_k = (c0/k) cosh(x_k)/(2m) - sinh(x_k)/(2m sqrt(m))
+        = (c0/k)(cosh x_k - sinh(x_k)/x_k)/(2m).
+
+    Tail.  Three facts bound it: |A_k(n)| <= phi(k) < k for k > 1; the
+    power series of cosh y - sinh(y)/y, sum over j >= 1 of
+    2j y^(2j)/(2j+1)!, is termwise at most that of (y^2/3) cosh y, so
+    0 <= D_k <= (c0/k)^3 cosh(x_k)/6; and sum over k > N of k^(-3/2) is at
+    most the integral of t^(-3/2) from N on, 2/sqrt(N).  With cosh(x_k) <=
+    cosh(x/N) for k > N and the prefactor 1/(pi sqrt 2), for every n >= 1
+        |p(n) - partial sum| <= c0^3/(3 pi sqrt 2) cosh(x/N)/sqrt(N),
+    where the constant c0^3/(3 pi sqrt 2) is about 1.2663.
+
+    Evaluation error.  Let u = 2^(1-P), one unit in the last place relative
+    to the value, and assume that every mpmath operation a term makes
+    (arithmetic, sqrt, pi, cosh, sinh, cospi) returns its exact value on its
+    rounded inputs to within a factor 1 +- u.  Let w = (N + x + 8) u.  To
+    first order in u:
+    * x_k takes nine rounded operations, so it is off by at most 10u x_k,
+      and the computed cosh x_k and sinh x_k are each within
+      (10 x_k + 1) u cosh(x_k) of the true values.  Each part of D_k is at
+      most B_k/2 = (c0/k) cosh(x_k)/(2m) in size; the first carries
+      (10 x_k + 10) u B_k/2 of error, the second, whose 1/sqrt(m) is
+      (c0/k)/x_k, 18 u B_k/2, and the difference one more rounding of at
+      most B_k, so D_k is off by at most (5 x_k + 15) u B_k.
+    * _A_real sums at most 2k cosines of angles pi t, t < 2, each off by at
+      most (2 pi + 1) u < 8u, in at most 2k - 1 additions, then scales by
+      sqrt(k/3) in three roundings.  With a_k = 2k sqrt(k/3) >= |A_k| (and
+      A_1 = 1 exactly), A_k is off by at most (2k + 11) u a_k.
+    * So term k, formed in three more roundings, is off by at most
+      (2k + 5 x_k + 29) u G_k, with G_k = sqrt(k) a_k B_k.  The N - 1
+      additions of the partial sum add (N - 1) u times the sum of the G_k,
+      and the prefactor and its product 5u of it.
+    In all, since k <= N and x_k <= x, and with S the sum of the G_k,
+        |raw - prefactor partial sum| <= 5 w S/(pi sqrt 2)
+    to first order.  Every factor (1 +- u)^j behind these counts has
+    j <= 16 (N + x + 8), and (1 + u)^j - 1 <= j u e^(ju), so the exact error
+    is at most 5 w e^(16 w) S/(pi sqrt 2); the bound below takes
+    8 w e^(64 w) S/(pi sqrt 2).  It grows without limit once the precision
+    cannot resolve the sum, which is how a too-small P is refused.  Last,
+    G_1 = c0 cosh(x)/m, G_k = (2/sqrt 3) k c0 cosh(x_k)/m and
+    cosh(x_k) <= cosh(x/2) for k >= 2, so
+        S <= (c0/m) (cosh x + N (N + 1) cosh(x/2)/sqrt 3).
+    """
+    N = k_terms
+    m = iv.mpf(24 * n - 1) / 24
+    c0 = iv.pi * iv.sqrt(iv.mpf(2) / 3)
+    x = c0 * iv.sqrt(m)
+    tail = c0**3 / (3 * iv.pi * iv.sqrt(2)) * _iv_cosh(x / N) / iv.sqrt(N)
+    w = (N + x + 8) * iv.mpf(2) ** (1 - bits)
+    S = c0 / m * (_iv_cosh(x) + N * (N + 1) * _iv_cosh(x / 2) / iv.sqrt(3))
+    return tail, 8 * w * iv.exp(64 * w) * S / (iv.pi * iv.sqrt(2))
+
+
 def _p_series(n: int, k_terms: int, bits: int):
-    """The p series' prefactor, term(k) and the k of the doubled budget, at
-    the working precision bits."""
+    """The p series' prefactor, term(k), its k <= k_terms and its
+    certificate, at the working precision bits.  The certificate is a proof:
+    |p(n) - raw| <= tail + error (_p_bounds), so tail + error + residual <
+    1/2 makes the nearest integer p(n)."""
     m = mpf(24 * n - 1) / 24
     sm = sqrt(m)
     c0 = pi * sqrt(mpf(2) / 3)
@@ -265,26 +337,42 @@ def _p_series(n: int, k_terms: int, bits: int):
         deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
         return sqrt(mpf(k)) * _A_real(k, n, bits) * deriv
 
-    return 1 / (pi * sqrt(mpf(2))), term, range(1, 2 * k_terms + 1)
+    def certifies(raw, residual, total):
+        tail, error = _p_bounds(n, k_terms, bits)
+        return (tail + error + residual).b < 0.5
+
+    return 1 / (pi * sqrt(mpf(2))), term, range(1, k_terms + 1), certifies
 
 
 def _q_series(n: int, k_terms: int, bits: int):
-    """The q series' prefactor, term(k) and the k of the doubled budget, at
-    the working precision bits."""
+    """The q series' prefactor, term(k), the k of the doubled budget and its
+    certificate, the drift test, at the working precision bits."""
     z_base = pi * sqrt(mpf(48 * n + 2)) / 12
+    prefactor = pi / sqrt(mpf(24 * n + 1))
 
     def term(k):
         return _inner_real(k, n, bits) * besseli(1, z_base / k) / k
 
+    def certifies(raw, residual, total):
+        # A residual of 0 is meaningless when the working precision cannot
+        # even represent the fractional part at this magnitude, so insist
+        # on a margin of usable bits below the integer scale (mp.mag(0) is
+        # -inf, so a raw value of 0 passes).
+        return (
+            residual < RESIDUAL_BOUND
+            and abs(prefactor * total - raw) < STABILITY_BOUND
+            and bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
+        )
+
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself
-    return pi / sqrt(mpf(24 * n + 1)), term, range(1, max(2 * k_terms, 3) + 1, 2)
+    return prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2), certifies
 
 
 def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> SeriesEvalReport:
-    """Sum the series in ascending k, round the partial sum through k <=
-    k_terms, and certify it against the sum over the doubled budget; a
-    failed check doubles the budget and the precision and tries again."""
+    """Sum the series in ascending k over its k range, round the partial sum
+    through k <= k_terms, and hold it to the series' certificate; a failed
+    certificate doubles the budget and the precision and tries again."""
     if n < 1:
         raise DomainError(f"{name} needs n >= 1, got {n}")
     k_terms = default_k_terms(n) if k_max is None else k_max
@@ -295,7 +383,7 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
         raise DomainError("precision_bits must be >= 64")
     for _ in range(MAX_ESCALATIONS + 1):
         with mp.workprec(bits):
-            prefactor, term, ks = series(n, k_terms, bits)
+            prefactor, term, ks, certifies = series(n, k_terms, bits)
             total = mpf(0)
             for k in ks:
                 total += term(k)
@@ -304,15 +392,7 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
             raw = prefactor * at_budget
             nearest = nint(raw)
             residual = abs(raw - nearest)
-            # A residual of 0 is meaningless when the working precision cannot
-            # even represent the fractional part at this magnitude, so insist
-            # on a margin of usable bits below the integer scale (mp.mag(0) is
-            # -inf, so a raw value of 0 passes).
-            certified = (
-                residual < RESIDUAL_BOUND
-                and abs(prefactor * total - raw) < STABILITY_BOUND
-                and bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
-            )
+            certified = certifies(raw, residual, total)
         report = SeriesEvalReport(n, k_terms, bits, raw, int(nearest), residual, certified)
         if certified:
             return report
@@ -326,8 +406,8 @@ def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = 
 
     p(n) = (1/(pi sqrt 2)) sum_k sqrt(k) A_k(n) D_k(n), where D_k is the
     closed-form derivative of sinh((pi/k) sqrt((2/3)(n - 1/24))) / sqrt(n - 1/24)
-    in n.  Terms are reduced in ascending k; see the module docstring for
-    the rounding certification.
+    in n.  Terms are reduced in ascending k; the rounding is certified by
+    a proven bound on the tail and the evaluation error (_p_bounds).
     """
     return _certify("rademacher_p", n, k_max, precision_bits, default_bits_p, _p_series)
 
@@ -338,6 +418,7 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
 
     q(n) = (pi / sqrt(24n+1)) sum_{k odd} k^-1 (sum_h e^{pi i (t(h,k) - 2nh/k)})
     I_1(pi sqrt(48n+2) / (12k)), with the k = 1 inner sum taken as its
-    single h = 0 term.  Certification matches rademacher_p.
+    single h = 0 term.  It is certified by the drift test of the module
+    docstring, not by a proven bound as rademacher_p is.
     """
     return _certify("hagis_q", n, k_max, precision_bits, default_bits_q, _q_series)

@@ -5,11 +5,14 @@ sharing code paths with the package: compositions come from separator
 bitmasks, partitions from an ascending-part recursion, the p and q tables
 from coin-change and 0/1-knapsack counts over the parts, the rational sums
 from literal sawtooth products, the floating sums from mpmath complex
-exponentials, and I_1 from its power series at four times the precision.
+exponentials, I_1 from its power series at four times the precision, and
+the residues of p(n) and q(n) at any n from Ramanujan's congruences and
+Euler's pentagonal theorem.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -108,6 +111,29 @@ def q_table_knapsack(upto: int) -> list[int]:
         for n in range(upto, part - 1, -1):
             values[n] += values[n - part]
     return values
+
+
+# Ramanujan's congruences p(5j+4) = 0 (mod 5), p(7j+5) = 0 (mod 7) and
+# p(11j+6) = 0 (mod 11): Proc. Cambridge Philos. Soc. 19 (1919), Math. Z. 9 (1921)
+RAMANUJAN_RESIDUES = {5: 4, 7: 5, 11: 6}
+
+
+def ramanujan_moduli(n: int) -> tuple[int, ...]:
+    """The primes l in (5, 7, 11) that divide p(n) by Ramanujan's congruences."""
+    return tuple(ell for ell, residue in RAMANUJAN_RESIDUES.items() if n % ell == residue)
+
+
+def q_is_odd(n: int) -> bool:
+    """Whether q(n) is odd: exactly when n = j(3j-1)/2 for an integer j.
+
+    Mod 2, 1 + x^k = 1 - x^k, so the product of (1 + x^k) that counts
+    distinct parts equals Euler's product of (1 - x^k), whose series has
+    coefficients +-1 at the pentagonal numbers j(3j-1)/2 and 0 elsewhere.
+    n = j(3j-1)/2 exactly when 24n + 1 = (6j-1)^2, and every square that is
+    1 mod 24 has a root prime to 6, of the form +-(6j-1).
+    """
+    root = math.isqrt(24 * n + 1)
+    return root * root == 24 * n + 1
 
 
 def sawtooth_def(x: Fraction) -> Fraction:

@@ -30,7 +30,7 @@ from fibcomp.enumeration import (
 )
 from fibcomp.genfun import distinct_compositions_gf, partition_gf
 
-from _oracles import q_table_corrected, q_table_literal
+from _oracles import q_is_odd, q_table_corrected, q_table_literal, ramanujan_moduli
 
 
 def test_criterion_1_worked_example_via_cli(capsys):
@@ -158,6 +158,22 @@ def test_criterion_7_stretch_ten_thousand():
     assert q_report.certified and q_report.rounded == q_recurrence(10_000)
     elapsed = time.perf_counter() - started
     print(f"[PASS] stretch: certified p(10^4) and q(10^4) match recurrences in {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(os.environ.get("FIBCOMP_STRETCH") != "1", reason="set FIBCOMP_STRETCH=1")
+def test_stretch_congruence_and_parity_past_the_recurrences():
+    # residues the series must reproduce where no recurrence check reaches
+    started = time.perf_counter()
+    assert ramanujan_moduli(99_999) == (5,)
+    p_report = rademacher_p(99_999)
+    assert p_report.certified and p_report.rounded % 5 == 0
+    q_report = hagis_q(10_000)
+    assert q_report.certified and q_report.rounded % 2 == q_is_odd(10_000)
+    elapsed = time.perf_counter() - started
+    print(
+        f"[PASS] stretch: certified p(99999) = 0 (mod 5) and q(10^4) has the parity "
+        f"of Euler's pentagonal theorem in {elapsed:.1f}s"
+    )
 
 
 def test_criterion_8_distinct_composition_series():

@@ -33,6 +33,7 @@ from _oracles import (
     hagis_def,
     hagis_loop,
     kloosterman_complex,
+    ramanujan_moduli,
 )
 
 # Every k the evaluators reach for n <= 500 (the doubled budget there is 390).
@@ -350,10 +351,41 @@ class TestRademacherP:
         assert report.n == 10**6
 
     def test_starved_term_budget_is_refused(self):
-        # plenty of bits, so the failure comes from tail drift, not resolution
+        # plenty of bits, so the failure comes from the tail bound, not the
+        # evaluation error: at 16 terms it is about 10^6
         with pytest.raises(NonCertifiedError) as exc:
             rademacher_p(10000, k_max=1, precision_bits=512)
         assert not exc.value.report.certified
+
+    def test_bound_dominates_the_error_at_the_default_budget(self):
+        # every n <= 200 and a stride to 2000; over all n <= 2000 the largest
+        # error/bound ratio is 0.0072, at n = 1
+        for n in [*range(1, 201), *range(229, 2001, 59), 2000]:
+            report = rademacher_p(n)
+            tail, error = analytic._p_bounds(n, report.k_terms_used, report.precision_bits)
+            with mp.workprec(report.precision_bits + 64):
+                assert abs(report.raw_value - p_recurrence(n)) <= (tail + error).a, n
+            assert report.certified and (tail + error + report.residual).b < 0.5, n
+
+    def test_small_term_budgets_never_certify_a_wrong_integer(self):
+        # from k_max = 1 the tail bound refuses n >= 42: four doublings reach
+        # only 16 terms, where the bound is above 1/2.  Each escalation sums
+        # again at twice the bits, so n above 60 is sampled.
+        for k_max in (1, 2, 5, 10, 20):
+            for n in [*range(1, 61), *range(61, 201, 7)]:
+                try:
+                    report = rademacher_p(n, k_max=k_max)
+                except NonCertifiedError:
+                    report = None
+                assert (report is None) == (k_max == 1 and n >= 42), (n, k_max)
+                assert report is None or report.rounded == p_recurrence(n), (n, k_max)
+
+    @pytest.mark.parametrize("n, ell", [(9999, 5), (10001, 7), (10005, 11)])
+    def test_ramanujan_congruence_past_the_recurrence_checks(self, n, ell):
+        assert ell in ramanujan_moduli(n)
+        report = rademacher_p(n)
+        assert report.certified
+        assert report.rounded % ell == 0
 
     def test_low_bits_still_certify_small_n(self):
         report = rademacher_p(100, precision_bits=64)

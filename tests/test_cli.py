@@ -307,6 +307,10 @@ class TestEnumerate:
 
 
 class TestSeries:
+    def test_choices_match_the_registry(self):
+        # the parser spells the names out so that only `series` loads enumeration
+        assert cli.SERIES_NAMES == tuple(enumeration.SERIES)
+
     def test_partitions_lines(self, capsys):
         code, out, _ = run_cli(capsys, "series", "partitions", "--order", "8")
         assert code == 0
@@ -447,20 +451,20 @@ class TestVerify:
         assert "[FAIL]" in out
 
     def test_uncertifiable_series_fails_rows(self, capsys, monkeypatch):
-        # a broken exponential sum leaves the series uncertifiable; each row
-        # that evaluates it reports the n instead of ending the suite
+        # a tail bound that never falls below 1/2 leaves p uncertifiable; each
+        # row that evaluates it reports the n instead of ending the suite
         from fibcomp import analytic
 
-        real = analytic._A_real
-        monkeypatch.setattr(analytic, "_A_real", lambda k, n, bits: real(k, n, bits) + (k > 1))
+        never = (analytic.iv.mpf(1), analytic.iv.mpf(0))
+        monkeypatch.setattr(analytic, "_p_bounds", lambda n, k_terms, bits: never)
         code, out, err = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "2")
         lines = out.splitlines()
         assert code == 2
         assert err == ""
         assert len(lines) == 8
-        assert lines[-1] == "passed 4/7 checks"
+        assert lines[-1] == "passed 5/7 checks"
         assert lines[5].startswith(
-            "[FAIL] analytic: certified rounding vs recurrences n<=2 (smallest counterexample: n=2: "
+            "[FAIL] analytic: certified rounding vs recurrences n<=2 (smallest counterexample: n=1: "
         )
         assert lines[6].startswith(
             "[FAIL] analytic: residual stays small above certified budget (n=2) (smallest counterexample: n=2: "

@@ -32,9 +32,11 @@ from fibcomp.enumeration import CompositionClass, PartitionClass, count_by_enume
 from _oracles import (
     fib_list,
     p_table_coin_change,
+    q_is_odd,
     q_table_corrected,
     q_table_knapsack,
     q_table_literal,
+    ramanujan_moduli,
     triangular,
 )
 
@@ -141,6 +143,18 @@ def test_recurrence_matches_counting_dp(kind, recurrence, oracle):
     want = oracle(1000)
     assert [recurrence(n) for n in range(1001)] == want
     assert build_table(kind, 1000).values == want
+
+
+def test_residue_oracles_hold_for_the_recurrences():
+    # the congruence and parity oracles check the series where no recurrence reaches
+    for n in range(3001):
+        for ell in ramanujan_moduli(n):
+            assert p_recurrence(n) % ell == 0, (n, ell)
+        assert (q_recurrence(n) % 2 == 1) == q_is_odd(n), n
+    assert [n for n in range(30) if q_is_odd(n)] == [0, 1, 2, 5, 7, 12, 15, 22, 26]
+    assert [ramanujan_moduli(n) for n in (4, 5, 6, 9999, 10001, 10005, 19)] == [
+        (5,), (7,), (11,), (5,), (7,), (11,), (5, 7),
+    ]
 
 
 class TestLiteralShiftRegression:
