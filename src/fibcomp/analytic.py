@@ -15,7 +15,8 @@ different one:
 * p, a proof: a proven bound on the series' tail past the term budget,
   plus a bound on the evaluation error of the partial sum, plus the
   residual, is below 1/2 (_p_bounds derives both bounds), so the nearest
-  integer is p(n).
+  integer is p(n).  The error bound assumes each mpmath operation is
+  accurate to a relative 2^(1-P) at P working bits.
 * q, a heuristic drift test, until a bound on the Hagis sums exists: the
   truncated value sits within 1/4 of an integer, doubling the number of
   series terms moves the value by less than 2^-4, and the working
@@ -265,7 +266,9 @@ def _p_bounds(n: int, k_terms: int, bits: int):
     """Intervals that enclose upper bounds on the two errors of p's partial
     sum through k <= N = k_terms evaluated at P = bits: its tail past N and
     its evaluation error.  Interval arithmetic (mpmath's iv) rounds each
-    bound outward, so the bounds hold as computed.
+    bound outward, so the bounds hold as computed; the error bound also
+    rests on the accuracy assumption stated below, which mpmath does not
+    document for its transcendental functions.
 
     Write m = n - 1/24, c0 = pi sqrt(2/3), x = c0 sqrt(m) and x_k = x/k.
     The k-th term is sqrt(k) A_k(n) D_k with

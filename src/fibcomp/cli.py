@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable
 
+from . import bijection, enumeration
 from .core import (
     DomainError,
     ImaginaryResidueError,
@@ -24,10 +25,9 @@ from .core import (
 )
 
 
-# verify.suite_names() and tuple(enumeration.SERIES), spelled out so that a
-# subcommand loads only the modules it calls (tests keep each pair equal)
+# verify.suite_names(), spelled out so that only the verify subcommand loads
+# verify (a test keeps the two equal)
 SUITE_NAMES = ("codec", "bijection", "counts", "genfun", "analytic")
-SERIES_NAMES = ("partitions", "compositions", "distinct-partitions", "distinct-compositions")
 
 
 class _UsageError(Exception):
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     p_map.add_argument("composition", help='composition in "a1+a2+..." form')
 
     p_series = sub.add_parser("series", parents=[common], help="generating function coefficients")
-    p_series.add_argument("name", choices=list(SERIES_NAMES))
+    p_series.add_argument("name", choices=list(enumeration.SERIES))
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--ell", type=int, default=None, help="part count for distinct-partitions")
 
@@ -123,8 +123,6 @@ def _emit_count(args, cls, value: int) -> int:
 
 
 def _cmd_count(args) -> int:
-    from . import enumeration
-
     cls = enumeration.parse_class(args.cls)
     return _emit_count(args, cls, enumeration.exact_count(args.n, cls, _cache_dir(args)))
 
@@ -132,8 +130,6 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n > 30 and not args.force:
         raise DomainError(f"enumerate for n={args.n} may be huge; pass --force to proceed")
-    from . import enumeration
-
     cls = enumeration.parse_class(args.cls)
     if args.count:
         return _emit_count(args, cls, enumeration.count_by_enumeration(args.n, cls))
@@ -150,8 +146,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    from . import bijection
-
     comp = parse_composition(args.composition)
     if args.trace:
         trace = bijection.trace_forward(comp)
@@ -178,8 +172,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from . import enumeration
-
     spec = enumeration.SERIES[args.name]
     if args.ell is not None and not spec.takes_ell:
         takers = ", ".join(name for name, s in enumeration.SERIES.items() if s.takes_ell)

@@ -307,10 +307,6 @@ class TestEnumerate:
 
 
 class TestSeries:
-    def test_choices_match_the_registry(self):
-        # the parser spells the names out so that only `series` loads enumeration
-        assert cli.SERIES_NAMES == tuple(enumeration.SERIES)
-
     def test_partitions_lines(self, capsys):
         code, out, _ = run_cli(capsys, "series", "partitions", "--order", "8")
         assert code == 0

@@ -174,27 +174,6 @@ def test_only_verify_calls_load_verify():
     ]
 
 
-def test_cold_analytic_loads_only_the_series_layer():
-    # `python -m fibcomp analytic p 10`, listing the loaded modules at exit
-    proc = _run_python(
-        textwrap.dedent(
-            """
-            import atexit, runpy, sys
-
-            atexit.register(lambda: print(*sys.modules, file=sys.stderr))
-            sys.argv = ["fibcomp", "analytic", "p", "10"]
-            runpy.run_module("fibcomp", run_name="__main__", alter_sys=True)
-            """
-        )
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "rounded=42" in proc.stdout.splitlines()
-    loaded = set(proc.stderr.split())
-    assert "fibcomp.analytic" in loaded
-    unused = {f"fibcomp.{m}" for m in ("bijection", "enumeration", "counting", "genfun", "verify")}
-    assert loaded & unused == set()
-
-
 def test_version_matches_pyproject():
     # read by regex rather than tomllib, which Python 3.10 lacks
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
