@@ -149,16 +149,11 @@ def _cmd_map(args) -> int:
     comp = parse_composition(args.composition)
     if args.trace:
         trace = bijection.trace_forward(comp)
-        fields = [
-            ("a", trace.a),
-            ("a_conj", trace.a_conj),
-            ("b", trace.b),
-            ("c", trace.c),
-        ]
+        stages = {key: format_composition(value) for key, value in vars(trace).items()}
         if args.json:
-            _emit_json({key: format_composition(value) for key, value in fields})
+            _emit_json(stages)
         else:
-            _emit([f"{key}={format_composition(value)}" for key, value in fields])
+            _emit([f"{key}={text}" for key, text in stages.items()])
         return 0
     if args.odd_to_gt1:
         result = bijection.odd_to_gt1(comp)
@@ -225,12 +220,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         _emit_json(
             {
-                "suites": {
-                    name: [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-                    ]
-                    for name, checks in all_checks.items()
-                },
+                "suites": {name: list(map(vars, checks)) for name, checks in all_checks.items()},
                 "passed": failed == 0,
             }
         )

@@ -42,28 +42,36 @@ class NonCertifiedError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of positive integer parts."""
+class _Parts:
+    """Tuple of positive int parts, rendered as "a1+a2+..." text."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
-            raise DomainError("composition must have at least one part")
         for i, p in enumerate(self.parts):
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:  # bool is no part
                 raise DomainError(f"part {p!r} at position {i} is not a positive integer")
 
     @property
     def n(self) -> int:
         return sum(self.parts)
 
+    def __str__(self) -> str:
+        return "+".join(map(str, self.parts))
+
+
+@dataclass(frozen=True)
+class Composition(_Parts):
+    """Ordered tuple of positive integer parts."""
+
+    def __post_init__(self):
+        if not self.parts:
+            raise DomainError("composition must have at least one part")
+        super().__post_init__()
+
     @property
     def ell(self) -> int:
         return len(self.parts)
-
-    def __str__(self) -> str:
-        return format_composition(self)
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class BitSeq:
 
     def __post_init__(self):
         for b in self.bits:
-            if b not in (0, 1):
+            if type(b) is not int or b not in (0, 1):  # True and 1.0 are no bits
                 raise DomainError(f"bit value {b!r} is not 0 or 1")
 
     @property
@@ -86,24 +94,13 @@ class BitSeq:
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Parts):
     """Weakly decreasing tuple of positive parts; the empty partition sums to 0."""
 
-    parts: tuple[int, ...]
-
     def __post_init__(self):
-        for i, p in enumerate(self.parts):
-            if not isinstance(p, int) or p < 1:
-                raise DomainError(f"part {p!r} at position {i} is not a positive integer")
-            if i and self.parts[i - 1] < p:
-                raise DomainError("partition parts must be weakly decreasing")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "+".join(str(p) for p in self.parts)
+        super().__post_init__()
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+            raise DomainError("partition parts must be weakly decreasing")
 
 
 def make_composition(parts) -> Composition:
@@ -122,7 +119,7 @@ def parse_composition(text: str) -> Composition:
 
 
 def format_composition(c: Composition) -> str:
-    return "+".join(str(p) for p in c.parts)
+    return str(c)
 
 
 def to_bitseq(c: Composition) -> BitSeq:

@@ -23,7 +23,7 @@ class TruncatedSeries:
         if not self.coeffs:
             raise DomainError("series needs at least the constant coefficient")
         for c in self.coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # bool is no coefficient
                 raise DomainError(f"non-integer coefficient {c!r}")
 
     @property

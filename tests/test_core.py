@@ -40,13 +40,13 @@ class TestMakeComposition:
         assert (c.n, c.ell) == (4, 1)
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^composition must have at least one part\Z"):
             make_composition([])
 
     def test_rejects_nonpositive_part(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^part 0 at position 0 is not a positive integer\Z"):
             make_composition([0, 3])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^part -1 at position 1 is not a positive integer\Z"):
             make_composition([2, -1])
 
     def test_immutable(self):
@@ -98,8 +98,9 @@ class TestBitSeq:
                 assert to_bitseq(c).length == n - 1
 
     def test_rejects_nonbinary(self):
-        with pytest.raises(DomainError):
-            BitSeq((0, 2))
+        for bits, bad in [((0, 2), "2"), ((True, 0), "True"), ((1.0, 0), "1.0")]:
+            with pytest.raises(DomainError, match=rf"^bit value {bad} is not 0 or 1\Z"):
+                BitSeq(bits)
 
     def test_roundtrip_exhaustive(self):
         # every composition of n <= 12, via every bitseq of length n-1
@@ -198,14 +199,34 @@ class TestPartition:
     def test_empty_allowed(self):
         p = Partition(())
         assert p.n == 0
+        assert str(p) == ""
 
     def test_rejects_increasing(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^partition parts must be weakly decreasing\Z"):
             Partition((1, 3))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^part 0 at position 1 is not a positive integer\Z"):
             Partition((3, 0))
+        # the parts are checked before the order
+        with pytest.raises(DomainError, match=r"^part 0 at position 2 is not a positive integer\Z"):
+            Partition((1, 3, 0))
+
+    def test_never_equals_a_composition_with_the_same_parts(self):
+        p, c = Partition((3, 1, 1)), comp(3, 1, 1)
+        assert p != c and c != p
+        assert str(p) == str(c) == format_composition(c) == "3+1+1"
+        assert (repr(p), repr(c)) == ("Partition(parts=(3, 1, 1))", "Composition(parts=(3, 1, 1))")
+
+
+# a bool is an int to isinstance, but no part: True+2 would be text that
+# parse_composition refuses
+@pytest.mark.parametrize("kind", [Composition, Partition])
+@pytest.mark.parametrize("part", [True, 1.0, "1"])
+def test_part_must_be_a_plain_int(kind, part):
+    with pytest.raises(DomainError) as refused:
+        kind((2, part))
+    assert str(refused.value) == f"part {part!r} at position 1 is not a positive integer"
 
 
 @given(st.lists(st.sampled_from((0, 1)), max_size=64).map(tuple))

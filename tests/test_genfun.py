@@ -34,10 +34,11 @@ class TestSeriesType:
         assert TruncatedSeries.from_list([1, 2, 3, 4], 2).coeffs == (1, 2, 3)
 
     def test_rejects_empty_and_nonint(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^series needs at least the constant coefficient\Z"):
             TruncatedSeries(())
-        with pytest.raises(DomainError):
-            TruncatedSeries((1, 0.5))
+        for bad in (0.5, True):
+            with pytest.raises(DomainError, match=rf"^non-integer coefficient {bad}\Z"):
+                TruncatedSeries((1, bad))
 
     def test_add_sub_truncate_to_min_order(self):
         a = S(1, 2, 3, 4)
