@@ -24,8 +24,10 @@ different one:
   so a small residual is a measurement rather than an artifact of the
   representation rounding to integers on its own.
 
-A failed certificate escalates (doubling both the term budget and the
-working precision) up to four times before signaling non-certification.
+A failed certificate escalates up to four times before signaling
+non-certification.  Each escalation doubles what the certificate found
+short: for p the term budget when the tail bound blocks and the working
+precision when the error bound does, for q both.
 The term sums are reduced in ascending k order, so reports are
 reproducible byte for byte.
 """
@@ -33,8 +35,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import iv, mp, mpf, besseli, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
 
@@ -46,8 +47,7 @@ RESOLUTION_GUARD_BITS = 16  # fractional bits q's raw value must still carry
 MAX_ESCALATIONS = 4
 
 
-@dataclass(frozen=True)
-class SeriesEvalReport:
+class SeriesEvalReport(NamedTuple):
     n: int
     k_terms_used: int
     precision_bits: int
@@ -59,6 +59,8 @@ class SeriesEvalReport:
 
 def sawtooth(x) -> Fraction:
     """x - floor(x) - 1/2 for non-integer x, 0 at integers."""
+    from fractions import Fraction  # here, not at the top: the series never build one
+
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
@@ -85,6 +87,8 @@ def _dedekind12(h: int, k: int) -> int:
 
 def dedekind_s(h: int, k: int) -> Fraction:
     """Sum of ((j/k))((hj/k)) over j = 1..k-1, exactly, by reciprocity."""
+    from fractions import Fraction
+
     _check_coprime_args(h, k)
     return Fraction(_dedekind12(h, k), 12 * k)
 
@@ -97,6 +101,8 @@ def hagis_t(h: int, k: int) -> Fraction:
     m mod 2k: the odd m = 2j-1 give t(h, k) and the even m = 2j give
     s(2h, k), which is periodic in 2h mod k.
     """
+    from fractions import Fraction
+
     _check_coprime_args(h, k)
     if k % 2 == 0:
         raise DomainError(f"k must be odd, got {k}")
@@ -188,6 +194,8 @@ def _direct_sum(rational, k: int, n: int, precision_bits: int):
     over h coprime to k (h = 0 alone at k = 1).  The imaginary part must
     cancel to below 2^(-precision_bits/2) or the evaluation is rejected.
     """
+    from fractions import Fraction
+
     with mp.workprec(precision_bits):
         re = im = mpf(0)
         for h in range(k):
@@ -329,7 +337,11 @@ def _p_series(n: int, k_terms: int, bits: int):
     """The p series' prefactor, term(k), its k <= k_terms and its
     certificate, at the working precision bits.  The certificate is a proof:
     |p(n) - raw| <= tail + error (_p_bounds), so tail + error + residual <
-    1/2 makes the nearest integer p(n)."""
+    1/2 makes the nearest integer p(n).  A failure means tail + error >= 1/4,
+    since the residual is at most tail + error, so at least one of the two
+    is 1/8 or more: needs asks for more terms when the tail is and for more
+    bits when the error is, and for both if neither is (which the bounds rule
+    out), so that a failure always asks for more."""
     m = mpf(24 * n - 1) / 24
     sm = sqrt(m)
     c0 = pi * sqrt(mpf(2) / 3)
@@ -340,11 +352,14 @@ def _p_series(n: int, k_terms: int, bits: int):
         deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
         return sqrt(mpf(k)) * _A_real(k, n, bits) * deriv
 
-    def certifies(raw, residual, total):
+    def needs(raw, residual, total):
         tail, error = _p_bounds(n, k_terms, bits)
-        return (tail + error + residual).b < 0.5
+        if (tail + error + residual).b < 0.5:
+            return False, False
+        terms, precision = tail.b >= 0.125, error.b >= 0.125
+        return (terms, precision) if terms or precision else (True, True)
 
-    return 1 / (pi * sqrt(mpf(2))), term, range(1, k_terms + 1), certifies
+    return 1 / (pi * sqrt(mpf(2))), term, range(1, k_terms + 1), needs
 
 
 def _q_series(n: int, k_terms: int, bits: int):
@@ -356,26 +371,30 @@ def _q_series(n: int, k_terms: int, bits: int):
     def term(k):
         return _inner_real(k, n, bits) * besseli(1, z_base / k) / k
 
-    def certifies(raw, residual, total):
+    def needs(raw, residual, total):
         # A residual of 0 is meaningless when the working precision cannot
         # even represent the fractional part at this magnitude, so insist
         # on a margin of usable bits below the integer scale (mp.mag(0) is
-        # -inf, so a raw value of 0 passes).
-        return (
+        # -inf, so a raw value of 0 passes).  The drift test cannot tell
+        # which budget fell short, so a failure grows both.
+        failed = not (
             residual < RESIDUAL_BOUND
             and abs(prefactor * total - raw) < STABILITY_BOUND
             and bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
         )
+        return failed, failed
 
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself
-    return prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2), certifies
+    return prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2), needs
 
 
 def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> SeriesEvalReport:
     """Sum the series in ascending k over its k range, round the partial sum
-    through k <= k_terms, and hold it to the series' certificate; a failed
-    certificate doubles the budget and the precision and tries again."""
+    through k <= k_terms, and hold it to the series' certificate.  The
+    certificate, needs(raw, residual, total), says whether more terms and
+    whether more bits are needed; a failed one doubles the term budget, the
+    precision or both, as it asks, and tries again."""
     if n < 1:
         raise DomainError(f"{name} needs n >= 1, got {n}")
     k_terms = default_k_terms(n) if k_max is None else k_max
@@ -386,7 +405,7 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
         raise DomainError("precision_bits must be >= 64")
     for _ in range(MAX_ESCALATIONS + 1):
         with mp.workprec(bits):
-            prefactor, term, ks, certifies = series(n, k_terms, bits)
+            prefactor, term, ks, needs = series(n, k_terms, bits)
             total = mpf(0)
             for k in ks:
                 total += term(k)
@@ -395,12 +414,15 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
             raw = prefactor * at_budget
             nearest = nint(raw)
             residual = abs(raw - nearest)
-            certified = certifies(raw, residual, total)
+            more_terms, more_bits = needs(raw, residual, total)
+        certified = not (more_terms or more_bits)
         report = SeriesEvalReport(n, k_terms, bits, raw, int(nearest), residual, certified)
         if certified:
             return report
-        k_terms *= 2
-        bits *= 2
+        if more_terms:
+            k_terms *= 2
+        if more_bits:
+            bits *= 2
     raise NonCertifiedError(name, report)
 
 

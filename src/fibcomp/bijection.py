@@ -16,13 +16,12 @@ type that records the intermediate compositions for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Composition, DomainError, conjugate
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(NamedTuple):
     """The four stages of the forward map: input, conjugate, pair sums, result."""
 
     a: Composition

@@ -149,7 +149,7 @@ def _cmd_map(args) -> int:
     comp = parse_composition(args.composition)
     if args.trace:
         trace = bijection.trace_forward(comp)
-        stages = {key: format_composition(value) for key, value in vars(trace).items()}
+        stages = {key: format_composition(value) for key, value in trace._asdict().items()}
         if args.json:
             _emit_json(stages)
         else:
@@ -220,7 +220,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         _emit_json(
             {
-                "suites": {name: list(map(vars, checks)) for name, checks in all_checks.items()},
+                "suites": {name: [c._asdict() for c in checks] for name, checks in all_checks.items()},
                 "passed": failed == 0,
             }
         )

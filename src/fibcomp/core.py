@@ -17,7 +17,6 @@ whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -41,16 +40,40 @@ class NonCertifiedError(ArithmeticError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class _Parts:
+class Frozen:
+    """Base of the package's checked value types.  A subclass's __init__
+    checks its arguments and sets each field once, with object.__setattr__;
+    after that the fields are read only.  Two values are equal, and hash
+    alike, when they have the same exact class and equal fields, and a
+    value shows as Type(field=value, ...), fields in the order set."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash((self.__class__, *self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Parts(Frozen):
     """Tuple of positive int parts, rendered as "a1+a2+..." text."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        for i, p in enumerate(parts):
             if type(p) is not int or p < 1:  # bool is no part
                 raise DomainError(f"part {p!r} at position {i} is not a positive integer")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -60,30 +83,27 @@ class _Parts:
         return "+".join(map(str, self.parts))
 
 
-@dataclass(frozen=True)
 class Composition(_Parts):
     """Ordered tuple of positive integer parts."""
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        if not parts:
             raise DomainError("composition must have at least one part")
-        super().__post_init__()
+        super().__init__(parts)
 
     @property
     def ell(self) -> int:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class BitSeq:
+class BitSeq(Frozen):
     """Binary string encoding a composition; length n-1 for a composition of n."""
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        for b in self.bits:
+    def __init__(self, bits: tuple[int, ...]):
+        for b in bits:
             if type(b) is not int or b not in (0, 1):  # True and 1.0 are no bits
                 raise DomainError(f"bit value {b!r} is not 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def length(self) -> int:
@@ -93,13 +113,12 @@ class BitSeq:
         return "".join("1" if b else "0" for b in self.bits)
 
 
-@dataclass(frozen=True)
 class Partition(_Parts):
     """Weakly decreasing tuple of positive parts; the empty partition sums to 0."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+    def __init__(self, parts: tuple[int, ...]):
+        super().__init__(parts)
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise DomainError("partition parts must be weakly decreasing")
 
 
@@ -108,12 +127,13 @@ def make_composition(parts) -> Composition:
     return Composition(tuple(parts))
 
 
-_COMPOSITION_RE = re.compile(r"[1-9][0-9]*(\+[1-9][0-9]*)*\Z")
+# compiled on first use and kept by re's own cache
+_COMPOSITION_RE = r"[1-9][0-9]*(\+[1-9][0-9]*)*\Z"
 
 
 def parse_composition(text: str) -> Composition:
     """Parse canonical "a1+a2+..." text; whitespace and leading zeros rejected."""
-    if not _COMPOSITION_RE.match(text):
+    if not re.match(_COMPOSITION_RE, text):
         raise DomainError(f"not a composition in a1+a2+... form: {text!r}")
     return Composition(tuple(int(p) for p in text.split("+")))
 

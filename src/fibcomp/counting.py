@@ -12,8 +12,8 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import DomainError
 
@@ -125,8 +125,7 @@ def q_recurrence_residual(n: int) -> int:
     return _memo_value("q", n, "residual") - _pentagonal_sum(_tables["q"], n, _ROWS["q"][0])
 
 
-@dataclass(frozen=True)
-class BinetReport:
+class BinetReport(NamedTuple):
     n: int
     float_estimate: float
     exact: int
@@ -159,8 +158,7 @@ def binet_first_failure(limit: int = 100) -> int | None:
     return None
 
 
-@dataclass
-class MemoTable:
+class MemoTable(NamedTuple):
     """Values 0..N of one recurrence kind, suitable for saving and loading."""
 
     kind: str
@@ -181,7 +179,8 @@ def build_table(kind: str, max_n: int) -> MemoTable:
     return MemoTable(kind, values)
 
 
-_HEADER_RE = re.compile(r"fibcomp-table v1 kind=(p|q) max=(0|[1-9][0-9]*)\Z")
+# compiled on first use and kept by re's own cache
+_HEADER_RE = r"fibcomp-table v1 kind=(p|q) max=(0|[1-9][0-9]*)\Z"
 
 
 def save_table(table: MemoTable, path) -> None:
@@ -208,7 +207,7 @@ def load_table(path) -> MemoTable:
     lines = text.splitlines()
     if not lines:
         raise DomainError(f"{path}: empty table file")
-    header = _HEADER_RE.match(lines[0])
+    header = re.match(_HEADER_RE, lines[0])
     if not header:
         raise DomainError(f"{path}: bad table header {lines[0]!r}")
     kind, max_n = header.group(1), int(header.group(2))

@@ -37,34 +37,32 @@ The generators, the CLI and the verify suites all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import counting, genfun
-from .core import Composition, DomainError, Partition
+from .core import Composition, DomainError, Frozen, Partition
 
 
-@dataclass(frozen=True)
-class EnumClass:
+class EnumClass(Frozen):
     """One family:kind class of CLASSES, with its part count ell for a class
     that takes one.  A subclass fixes the family, the family's domain floor
     min_n and the type of its members."""
 
-    kind: str
-    ell: int | None = None
     family: ClassVar[str]
     min_n: ClassVar[int]
     value: ClassVar[type]
 
-    def __post_init__(self):
-        spec = CLASSES.get(f"{self.family}:{self.kind}")
+    def __init__(self, kind: str, ell: int | None = None):
+        spec = CLASSES.get(f"{self.family}:{kind}")
         if spec is None:
-            raise DomainError(f"unknown {self.family[:-1]} class {self.kind!r}")
+            raise DomainError(f"unknown {self.family[:-1]} class {kind!r}")
         if spec.takes_ell:
-            if type(self.ell) is not int or self.ell < 0:  # bool is no part count
-                raise DomainError(f"{self.kind} class needs ell >= 0")
-        elif self.ell is not None:
-            raise DomainError(f"class {self.kind!r} does not take ell")
+            if type(ell) is not int or ell < 0:  # bool is no part count
+                raise DomainError(f"{kind} class needs ell >= 0")
+        elif ell is not None:
+            raise DomainError(f"class {kind!r} does not take ell")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ell", ell)
 
     def __str__(self) -> str:
         suffix = "" if self.ell is None else f"={self.ell}"
@@ -86,8 +84,7 @@ class PartitionClass(EnumClass):
 PartRule = Callable[[int, Sequence[int], int | None], Iterable[int]]
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """Everything the package knows about one family:kind class.
 
     `rule(rest, parts, ell)` is the part rule that _walk turns into the

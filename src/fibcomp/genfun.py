@@ -10,21 +10,18 @@ factor is 1 + O(x^(N+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, Frozen
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
+class TruncatedSeries(Frozen):
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise DomainError("series needs at least the constant coefficient")
-        for c in self.coeffs:
+        for c in coeffs:
             if type(c) is not int:  # bool is no coefficient
                 raise DomainError(f"non-integer coefficient {c!r}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bijection, counting, enumeration, genfun
 from .core import (
@@ -26,8 +26,7 @@ from .core import (
     to_bitseq,
 )
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -380,6 +380,15 @@ class TestRademacherP:
                 assert (report is None) == (k_max == 1 and n >= 42), (n, k_max)
                 assert report is None or report.rounded == p_recurrence(n), (n, k_max)
 
+    def test_escalation_doubles_only_what_fell_short(self):
+        # from 2 terms only the tail bound blocks, so the precision stays;
+        # at 64 bits and the default budget only the error bound blocks
+        report = rademacher_p(200, k_max=2)
+        assert (report.k_terms_used, report.precision_bits) == (32, analytic.default_bits_p(200))
+        report = rademacher_p(300, precision_bits=64)
+        assert (report.k_terms_used, report.precision_bits) == (analytic.default_k_terms(300), 128)
+        assert report.rounded == p_recurrence(300)
+
     @pytest.mark.parametrize("n, ell", [(9999, 5), (10001, 7), (10005, 11)])
     def test_ramanujan_congruence_past_the_recurrence_checks(self, n, ell):
         assert ell in ramanujan_moduli(n)
@@ -435,6 +444,11 @@ class TestHagisQ:
                 report = hagis_q(n, k_max=k_max)
                 assert report.certified
                 assert report.rounded == q_recurrence(n), (n, k_max)
+
+    def test_escalation_doubles_both_budgets(self):
+        # the drift test cannot tell which budget fell short
+        report = hagis_q(40, k_max=1)
+        assert (report.k_terms_used, report.precision_bits) == (8, 8 * analytic.default_bits_q(40))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """The package surface is lazy: names resolve on first lookup, and a CLI
-call loads mpmath and the analytic layer only when it evaluates a series."""
+call loads mpmath and the analytic layer only when it evaluates a series.
+No CLI call loads dataclasses, and the value types keep one contract:
+equal by exact class and fields, shown as Type(field=value), read only."""
 
 import importlib
 import os
@@ -172,6 +174,73 @@ def test_only_verify_calls_load_verify():
         "analytic 0 False",
         "verify 0 True",
     ]
+
+
+def test_cli_calls_load_no_class_builder_and_analytic_no_rationals():
+    # dataclasses brings in inspect and execs generated code for each class
+    # at import; the series never build a Fraction, so analytic needs neither
+    # fractions nor decimal
+    proc = _run_python(
+        textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from fibcomp import cli
+
+            for argv in (
+                ["analytic", "p", "100"],
+                ["analytic", "q", "100"],
+                ["count", "--class", "compositions:all", "1"],
+                ["enumerate", "--class", "partitions:distinct-ell=2", "7"],
+                ["series", "distinct-partitions", "--ell", "2", "--order", "8"],
+                ["map", "--trace", "1+1+1+9+1+1+5+3"],
+                ["verify", "--suite", "codec", "--max-n", "6"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run(argv)
+                loaded = [m for m in ("dataclasses", "fractions", "decimal") if m in sys.modules]
+                print(argv[0], code, loaded)
+            """
+        )
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "analytic 0 []",
+        "analytic 0 []",
+        "count 0 []",
+        "enumerate 0 []",
+        "series 0 []",
+        "map 0 []",
+        "verify 0 []",
+    ]
+
+
+VALUE_TYPES = [
+    (fibcomp.Composition, ((1, 2),), "Composition(parts=(1, 2))"),
+    (fibcomp.Partition, ((2, 1),), "Partition(parts=(2, 1))"),
+    (fibcomp.BitSeq, ((0, 1),), "BitSeq(bits=(0, 1))"),
+    (fibcomp.TruncatedSeries, ((1, -2),), "TruncatedSeries(coeffs=(1, -2))"),
+    (fibcomp.CompositionClass, ("odd-parts",), "CompositionClass(kind='odd-parts', ell=None)"),
+    (fibcomp.PartitionClass, ("distinct-ell", 3), "PartitionClass(kind='distinct-ell', ell=3)"),
+]
+
+
+@pytest.mark.parametrize("value_type, args, text", VALUE_TYPES, ids=[t.__name__ for t, _, _ in VALUE_TYPES])
+def test_value_type_contract(value_type, args, text):
+    a, b = value_type(*args), value_type(*args)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == text
+
+    class Same(value_type):  # same fields, another exact class
+        pass
+
+    assert a != Same(*args) and Same(*args) != a
+    field = text[text.index("(") + 1 : text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
 
 
 def test_version_matches_pyproject():
