@@ -394,7 +394,10 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
     through k <= k_terms, and hold it to the series' certificate.  The
     certificate, needs(raw, residual, total), says whether more terms and
     whether more bits are needed; a failed one doubles the term budget, the
-    precision or both, as it asks, and tries again."""
+    precision or both, as it asks, and tries again.  An attempt at unchanged
+    bits keeps the last partial sum and adds only the terms past the old
+    budget, so every sum is still reduced in ascending k; new bits start
+    over at k = 1."""
     if n < 1:
         raise DomainError(f"{name} needs n >= 1, got {n}")
     k_terms = default_k_terms(n) if k_max is None else k_max
@@ -403,18 +406,22 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
         raise DomainError("k_max must be >= 1")
     if bits < 64:
         raise DomainError("precision_bits must be >= 64")
+    kept = None, 0, mpf(0)  # bits, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
         with mp.workprec(bits):
             prefactor, term, ks, needs = series(n, k_terms, bits)
-            total = mpf(0)
+            done, at_budget = kept[1:] if kept[0] == bits else (0, mpf(0))
+            total = at_budget
             for k in ks:
-                total += term(k)
-                if k <= k_terms:
-                    at_budget = total
+                if k > done:
+                    total += term(k)
+                    if k <= k_terms:
+                        at_budget = total
             raw = prefactor * at_budget
             nearest = nint(raw)
             residual = abs(raw - nearest)
             more_terms, more_bits = needs(raw, residual, total)
+        kept = bits, k_terms, at_budget
         certified = not (more_terms or more_bits)
         report = SeriesEvalReport(n, k_terms, bits, raw, int(nearest), residual, certified)
         if certified:

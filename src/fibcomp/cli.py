@@ -58,6 +58,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", parents=[common], help="closed-form and recurrence counts")
+    p_count.set_defaults(handler=_cmd_count)
     p_count.add_argument("--class", dest="cls", required=True, help="family:kind, e.g. compositions:all")
     p_count.add_argument("n", type=int)
     p_count.add_argument(
@@ -67,6 +68,7 @@ def _build_parser() -> _Parser:
     )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
+    p_enum.set_defaults(handler=_cmd_enumerate)
     p_enum.add_argument("--class", dest="cls", required=True)
     shown = p_enum.add_mutually_exclusive_group()
     shown.add_argument("--limit", type=_non_negative_int, default=None, help="emit at most this many items")
@@ -75,6 +77,7 @@ def _build_parser() -> _Parser:
     p_enum.add_argument("n", type=int)
 
     p_map = sub.add_parser("map", parents=[common], help="odd-parts bijection and inverse")
+    p_map.set_defaults(handler=_cmd_map)
     direction = p_map.add_mutually_exclusive_group(required=True)
     direction.add_argument("--odd-to-gt1", action="store_true")
     direction.add_argument("--gt1-to-odd", action="store_true")
@@ -82,17 +85,20 @@ def _build_parser() -> _Parser:
     p_map.add_argument("composition", help='composition in "a1+a2+..." form')
 
     p_series = sub.add_parser("series", parents=[common], help="generating function coefficients")
+    p_series.set_defaults(handler=_cmd_series)
     p_series.add_argument("name", choices=list(enumeration.SERIES))
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--ell", type=int, default=None, help="part count for distinct-partitions")
 
     p_analytic = sub.add_parser("analytic", parents=[common], help="certified series evaluation")
+    p_analytic.set_defaults(handler=_cmd_analytic)
     p_analytic.add_argument("series", choices=["p", "q"])
     p_analytic.add_argument("n", type=int)
     p_analytic.add_argument("--kmax", type=int, default=None, help="starting term budget")
     p_analytic.add_argument("--bits", type=int, default=None, help="starting working precision")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run oracle cross-check suites")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--suite", choices=list(SUITE_NAMES), default=None)
     p_verify.add_argument("--max-n", type=int, default=None)
 
@@ -235,16 +241,6 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 2
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "map": _cmd_map,
-    "series": _cmd_series,
-    "analytic": _cmd_analytic,
-    "verify": _cmd_verify,
-}
-
-
 @contextmanager
 def _unlimited_int_digits():
     """Lift CPython's int <-> str digit limit (3.11+, some 3.10 builds): exact
@@ -271,7 +267,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help path
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except BrokenPipeError:
         raise  # main() ends quietly when the reader of stdout goes away
     except (DomainError, OSError) as exc:

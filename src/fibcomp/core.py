@@ -105,10 +105,6 @@ class BitSeq(Frozen):
                 raise DomainError(f"bit value {b!r} is not 0 or 1")
         object.__setattr__(self, "bits", bits)
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
 

@@ -85,7 +85,8 @@ PartRule = Callable[[int, Sequence[int], int | None], Iterable[int]]
 
 
 class ClassSpec(NamedTuple):
-    """Everything the package knows about one family:kind class.
+    """Everything the package knows about one family:kind class; CLASSES
+    names each by its key.
 
     `rule(rest, parts, ell)` is the part rule that _walk turns into the
     exhaustive oracle: the parts allowed after `parts` (read only) with
@@ -102,8 +103,6 @@ class ClassSpec(NamedTuple):
     wrapped function is the one that runs.
     """
 
-    family: str
-    kind: str
     min_n: int
     rule: PartRule
     count: Callable[[int, EnumClass, str | None], int]
@@ -150,60 +149,57 @@ def _distinct_ell_parts(rest: int, parts: Sequence[int], ell: int) -> range:
 # The paper's theorem is the pair odd-parts / min-part-2: compositions of n
 # into odd parts and of n + 1 into parts >= 2 are both counted by F_n.
 CLASSES: dict[str, ClassSpec] = {
-    f"{spec.family}:{spec.kind}": spec
-    for spec in (
-        ClassSpec(
-            "compositions", "all", 1,
-            lambda rest, parts, ell: range(1, rest + 1),
-            lambda n, cls, cache_dir: counting.c_count(n),
-            "compositions", lambda order, ell: genfun.compositions_gf(order),
-        ),
-        ClassSpec(
-            "compositions", "odd-parts", 1,
-            lambda rest, parts, ell: range(1, rest + 1, 2),
-            lambda n, cls, cache_dir: counting.Q_count(n),
-        ),
-        ClassSpec(
-            "compositions", "min-part-2", 2,
-            lambda rest, parts, ell: range(2, rest + 1),
-            lambda n, cls, cache_dir: counting.fibonacci(n - 1),
-        ),
-        ClassSpec(
-            "compositions", "distinct-parts", 1,
-            lambda rest, parts, ell: (p for p in range(1, rest + 1) if p not in parts),
-            _series_coefficient,
-            "distinct-compositions", lambda order, ell: genfun.distinct_compositions_gf(order),
-        ),
-        ClassSpec(
-            "partitions", "all", 0,
-            lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
-            _from_table("p"),
-            "partitions", lambda order, ell: genfun.partition_gf(order),
-        ),
-        ClassSpec("partitions", "odd-parts", 0, _odd_partition_parts, _from_table("q")),
-        ClassSpec(
-            "partitions", "distinct-parts", 0,
-            lambda rest, parts, ell: range(_largest(rest, parts, 1), 0, -1),
-            _from_table("q"),
-        ),
-        ClassSpec(
-            "partitions", "distinct-ell", 0,
-            _distinct_ell_parts,
-            _series_coefficient,
-            "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
-            takes_ell=True,
-        ),
-    )
+    "compositions:all": ClassSpec(
+        1,
+        lambda rest, parts, ell: range(1, rest + 1),
+        lambda n, cls, cache_dir: counting.c_count(n),
+        "compositions", lambda order, ell: genfun.compositions_gf(order),
+    ),
+    "compositions:odd-parts": ClassSpec(
+        1,
+        lambda rest, parts, ell: range(1, rest + 1, 2),
+        lambda n, cls, cache_dir: counting.Q_count(n),
+    ),
+    "compositions:min-part-2": ClassSpec(
+        2,
+        lambda rest, parts, ell: range(2, rest + 1),
+        lambda n, cls, cache_dir: counting.fibonacci(n - 1),
+    ),
+    "compositions:distinct-parts": ClassSpec(
+        1,
+        lambda rest, parts, ell: (p for p in range(1, rest + 1) if p not in parts),
+        _series_coefficient,
+        "distinct-compositions", lambda order, ell: genfun.distinct_compositions_gf(order),
+    ),
+    "partitions:all": ClassSpec(
+        0,
+        lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
+        _from_table("p"),
+        "partitions", lambda order, ell: genfun.partition_gf(order),
+    ),
+    "partitions:odd-parts": ClassSpec(0, _odd_partition_parts, _from_table("q")),
+    "partitions:distinct-parts": ClassSpec(
+        0,
+        lambda rest, parts, ell: range(_largest(rest, parts, 1), 0, -1),
+        _from_table("q"),
+    ),
+    "partitions:distinct-ell": ClassSpec(
+        0,
+        _distinct_ell_parts,
+        _series_coefficient,
+        "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
+        takes_ell=True,
+    ),
 }
 
 # Series names in the order the CLI has always listed them: plain names
 # before distinct- ones, partitions before compositions.
 SERIES: dict[str, ClassSpec] = {
-    s.series: s
-    for s in sorted(
-        (s for s in CLASSES.values() if s.series),
-        key=lambda s: (s.series.startswith("distinct-"), s.family == "compositions"),
+    spec.series: spec
+    for key, spec in sorted(
+        CLASSES.items(), key=lambda row: (":distinct-" in row[0], row[0].startswith("compositions:"))
     )
+    if spec.series
 }
 
 _FAMILIES = {cls.family: cls for cls in (CompositionClass, PartitionClass)}
@@ -218,7 +214,7 @@ def _spec_in_domain(n: int, cls: EnumClass) -> ClassSpec:
     if n < cls.min_n:
         raise DomainError(f"{cls.family} need n >= {cls.min_n}, got {n}")
     if n < spec.min_n:
-        raise DomainError(f"{spec.kind} {spec.family} need n >= {spec.min_n}, got {n}")
+        raise DomainError(f"{cls.kind} {cls.family} need n >= {spec.min_n}, got {n}")
     return spec
 
 
@@ -278,12 +274,6 @@ def _walk(top: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, list
             rest += parts.pop()
 
 
-def _sequences(n: int, cls: EnumClass) -> Iterator[tuple[int, ...]]:
-    """The part tuples of the members of size n, checking n first."""
-    members = _walk(n, _spec_in_domain(n, cls).rule, cls.ell)
-    return (tuple(parts) for rest, parts in members if rest == 0)
-
-
 def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
     """Yield each composition of n in cls exactly once, lexicographically."""
     if not isinstance(cls, CompositionClass):
@@ -299,8 +289,10 @@ def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
 
 
 def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:
-    """Yield each member of cls of size n exactly once, in the class's order."""
-    return (cls.value(parts) for parts in _sequences(n, cls))
+    """Yield each member of cls of size n exactly once, in the class's order;
+    an n outside the class's domain raises at the call, not at the first read."""
+    members = _walk(n, _spec_in_domain(n, cls).rule, cls.ell)
+    return (cls.value(tuple(parts)) for rest, parts in members if rest == 0)
 
 
 def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:

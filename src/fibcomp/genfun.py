@@ -62,9 +62,6 @@ class TruncatedSeries(Frozen):
         n = min(self.order, other.order)
         return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
-    def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(factor * c for c in self.coeffs))
-
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the smaller operand order."""

@@ -389,7 +389,18 @@ class TestRademacherP:
         assert (report.k_terms_used, report.precision_bits) == (analytic.default_k_terms(300), 128)
         assert report.rounded == p_recurrence(300)
 
-    @pytest.mark.parametrize("n, ell", [(9999, 5), (10001, 7), (10005, 11)])
+    def test_term_only_escalation_keeps_its_partial_sum(self, monkeypatch):
+        # 2, 4, 8, 16 and then 32 terms at unchanged bits: each attempt adds
+        # only the terms past the last budget, so every k runs once, in order
+        calls = []
+        A_real = analytic._A_real
+        monkeypatch.setattr(analytic, "_A_real", lambda k, n, bits: calls.append(k) or A_real(k, n, bits))
+        report = rademacher_p(200, k_max=2)
+        assert calls == list(range(1, 33))
+        assert (report.k_terms_used, report.precision_bits, report.certified) == (32, 128, True)
+        assert report.rounded == p_recurrence(200)
+
+    @pytest.mark.parametrize("n, ell",[(9999, 5), (10001, 7), (10005, 11)])
     def test_ramanujan_congruence_past_the_recurrence_checks(self, n, ell):
         assert ell in ramanujan_moduli(n)
         report = rademacher_p(n)

@@ -95,7 +95,7 @@ class TestBitSeq:
     def test_length_matches_n(self):
         for n in range(1, 10):
             for c in all_compositions(n):
-                assert to_bitseq(c).length == n - 1
+                assert len(to_bitseq(c).bits) == n - 1
 
     def test_rejects_nonbinary(self):
         for bits, bad in [((0, 2), "2"), ((True, 0), "True"), ((1.0, 0), "1.0")]:

@@ -46,9 +46,6 @@ class TestSeriesType:
         assert (a + b).coeffs == (2, 3)
         assert (a - b).coeffs == (0, 1)
 
-    def test_scale(self):
-        assert S(1, -2, 3).scale(-2).coeffs == (-2, 4, -6)
-
     def test_monomial_beyond_order_is_zero(self):
         assert TruncatedSeries.monomial(5, 3).coeffs == (0, 0, 0, 0)
 
