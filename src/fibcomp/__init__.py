@@ -11,8 +11,6 @@ when one of its names is first looked up (PEP 562): `import fibcomp`
 loads no submodule, and mpmath loads with the analytic layer alone.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
@@ -79,12 +77,12 @@ __all__ = [*_EXPORTS, *_HOME]
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        # looked up in the home module each time, so a rebinding there shows here
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS and name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not importlib.import_module, so that `-X importtime` logs each submodule
+    module = __import__(f"{__name__}.{_HOME.get(name, name)}", fromlist=["_"])
+    # a name is looked up in its home module each time, so a rebinding there shows here
+    return module if name in _EXPORTS else getattr(module, name)
 
 
 def __dir__():

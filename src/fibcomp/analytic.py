@@ -2,14 +2,16 @@
 counts p(n) and q(n), with an exact-rational layer underneath.
 
 The rational layer (sawtooth, dedekind_s, hagis_t) is exact integer
-arithmetic packaged as Fractions: dedekind_s follows the reciprocity law
-down Euclid's chain in O(log k) steps, and hagis_t is a difference of two
-Dedekind sums.  The exponential sums keep no caches: A_k(n) comes from
-Selberg's formula, a few cosines per k, and the q sum groups its terms by
-angle and reads every cosine off one fixed-point integer rotation, one
-cospi and one sinpi per k.  The floating layer evaluates the series under
-an explicit working precision and only ever rounds a truncated sum to an
-integer when the series' own certificate passes.  Each series carries a
+arithmetic packaged as Fractions, the reference that verify and the
+tests hold the exponential sums to; the series never call it.
+dedekind_s follows the reciprocity law down Euclid's chain in O(log k)
+steps, and hagis_t is a difference of two Dedekind sums.  The
+exponential sums keep no caches: A_k(n) comes from Selberg's formula, a
+few cosines per k, and the q sum, a Kloosterman sum, from one modular
+inverse per h and one fixed-point integer rotation, one cospi and one
+sinpi per k.  The floating layer evaluates the series under an explicit
+working precision and only ever rounds a truncated sum to an integer
+when the series' own certificate passes.  Each series carries a
 different one:
 
 * p, a proof: a proven bound on the series' tail past the term budget,
@@ -128,65 +130,64 @@ def _A_real(k: int, n: int, bits: int):
 
 def _inner_real(k: int, n: int, bits: int):
     """Real value of the odd-k exponential sum in the distinct-count series,
-    sum over h of e^{pi i (t(h,k) - 2nh/k)}, at a precision of bits.
+    S_k(n) = sum over h of e^{pi i (t(h,k) - 2nh/k)}, at a precision of
+    bits: a Kloosterman sum, summed with no Dedekind sum.
 
-    The h and k-h terms are complex conjugates, so the sum is twice the sum
-    of cos(pi a_h / (12k)) over coprime h < k/2, where the integer
-    a_h = 12k t(h, k) - 24nh = D(h) - D(2h mod k) - 24nh (mod 24k) and
-    D(x) = 12k s(x, k).  For odd k, 2h < k, and s(k-x, k) = -s(x, k), so
-    one Dedekind sum per h fills a table that serves both D terms.  Folding
-    a_h by cos(-x) = cos x and cos(pi - x) = -cos x puts every angle in
-    [0, 6k] with a signed multiplicity.  The angles share the step
-    g = gcd(12k, a_h ...) (in practice 12, or 4 when 3 divides k), so one
-    rotation by theta = pi g/(12k), stepped in P-bit fixed point across
-    0..max(a)/g, yields every cosine the sum needs.
+    Term h has the angle 2 pi a_h/(24k), a_h = D(h) - D(2h) - 24nh, where
+    D(x) = 12k s(x, k) is an integer that depends on x mod k.  For x
+    coprime to odd k and theta = gcd(3, k) (Rademacher and Grosswald,
+    Dedekind Sums, 1972, ch. 3):
+      (i)   12xk s(x,k) = x^2 + 1 (mod theta k);
+      (ii)  12k s(x,k) = 0 (mod 3) if 3 does not divide k;
+      (iii) 12k s(x,k) = k + 1 - 2(x/k) (mod 8), (x/k) Jacobi's symbol.
+    With m = theta k and inverses mod m, (i) at x = h and x = 2h gives
+    a_h = 1/(2h) - h - 24nh (mod m); (iii) gives a_h = 2(h/k)((2/k) - 1)
+    = 12k e (mod 8), with e = 1 if (2/k) = -1 and e = 0 if not; and if 3
+    does not divide k, (ii) gives a_h = 0 = 12k e (mod 3).  So by the
+    Chinese remainder theorem a_h = (24k/m) b_h + 12k e (mod 24k), with
+        b_h = (24k/m)^-1 (1/(2h) - h) - (m/k) n h (mod m),
+    term h is (2/k) cos(2 pi b_h/m), and S_k(n) is (2/k) times
+    K(48^-1, -24^-1 (24n+1); k) if 3 does not divide k and
+    K(16^-1, -8^-1 (24n+1); 3k)/3 if it does, K(a, b; m) being the sum of
+    e((a/h + bh)/m) over h coprime to m.  Terms h and k - h are conjugate,
+    and b and m - b share a cosine, so S_k(n) is 2 (2/k) times the sum over
+    coprime h < k/2 of cos(2 pi j/m), j = min(b_h, m - b_h) <= m/2: one
+    rotation by 2 pi/m, in P-bit fixed point over j = 0..m/2, reads every
+    cosine off a histogram of the j.
 
-    Error bound, with u = 2^-P: the rotation's entries C, S are rounded to
-    within one unit, so W = (C + iS)u has |W - e^{i theta}| <= sqrt2 u, and
-    each step's floor shifts add at most sqrt2 u.  The step error
-    e_{j+1} = W e_j + (W - e^{i theta}) e^{ij theta} + r_j then gives
-    |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju, and j <= 12k.  The weights
-    sum to at most k/2 in absolute value and the sum is doubled, so the
-    result is off by less than 36 k^2 u < 2^(6 + 2 bitlen(k)) u before its
-    one rounding to bits.  P = bits + 22 + 2 bitlen(k) makes that
-    2^-(bits+16).
+    Error bound, with u = 2^-P: C and S are rounded to within one unit, so
+    W = (C + iS)u has |W - w| <= sqrt2 u, w = e^{2 pi i/m}, and each step's
+    floor shifts add at most sqrt2 u.  The step error e_{j+1} = W e_j +
+    (W - w) w^j + r_j then gives |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju,
+    and j <= m/2 <= 3k/2.  The counts sum to at most k/2 and the sum is
+    doubled, so the result is off by less than 4.5 k^2 u < 2^(3 + 2 bitlen(k))
+    u before its one rounding to bits: 2^-(bits+19) at P = bits + 22 +
+    2 bitlen(k), within 2^-(bits+16).
 
-    At k = 1 the sum over proper fractions h/k is empty; the evaluation
-    takes the single h = 0 term, which is exactly 1, so the first series
-    term carries the main weight instead of vanishing.
+    At k = 1 the sum over proper fractions h/k is empty; it takes the single
+    h = 0 term, exactly 1, so the first series term does not vanish.
     """
     if k == 1:
         return mpf(1)
-    half = k // 2
-    hs = [h for h in range(1, half + 1) if math.gcd(h, k) == 1]
-    dedekind = [0] * (half + 1)
-    for h in hs:
-        dedekind[h] = _dedekind12(h, k)
-    turn, step = 24 * k, 24 * (n % k)
-    folded = []
-    for h in hs:
-        double = 2 * h
-        d2 = dedekind[double] if double <= half else -dedekind[k - double]
-        a = (dedekind[h] - d2 - step * h) % turn
-        a = min(a, turn - a)  # cos(-x) = cos x
-        folded.append((a, 1) if 2 * a <= 12 * k else (12 * k - a, -1))  # cos(pi - x) = -cos x
-    g = math.gcd(12 * k, *(a for a, _ in folded))
-    weights = [0] * (max(a for a, _ in folded) // g + 1)
-    for a, sign in folded:
-        weights[a // g] += sign
+    m = 3 * k if k % 3 == 0 else k
+    unit = pow(24 * k // m, -1, m)
+    c, d = unit * (m + 1) // 2 % m, (unit + m // k * n) % m  # b_h = c/h - d h
+    counts = [0] * (m // 2 + 1)
+    for h in range(1, k // 2 + 1):
+        try:
+            j = (c * pow(h, -1, m) - d * h) % m
+        except ValueError:  # h shares a factor with k
+            continue
+        counts[min(j, m - j)] += 1
     P = bits + 22 + 2 * k.bit_length()
     with mp.workprec(P + 8):
-        theta = mpf(g) / (12 * k)
-        C = int(nint(cospi(theta) * 2**P))
-        S = int(nint(sinpi(theta) * 2**P))
-    x, y = 1 << P, 0
-    total = 0
-    for weight in weights:
-        if weight:
-            total += weight * x
+        C, S = (int(nint(f(mpf(2) / m) * 2**P)) for f in (cospi, sinpi))
+    x, y, total = 1 << P, 0, 0
+    for count in counts:
+        total += count * x
         x, y = (x * C - y * S) >> P, (y * C + x * S) >> P
     with mp.workprec(bits):
-        return ldexp(mpf(total), 1 - P)
+        return ldexp(mpf(total if k % 8 in (1, 7) else -total), 1 - P)
 
 
 def _direct_sum(rational, k: int, n: int, precision_bits: int):

@@ -209,8 +209,8 @@ class TestExponentialSums:
                     assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
                     assert abs(want.imag) < mp.mpf(2) ** -200, (k, n)
 
-    # 301 = 7*43 and 389 (prime) step the rotation by pi/k; 333 = 9*37 and
-    # 399 = 3*7*19, divisible by 3, by pi/(3k).  n up to 10^6 makes 24nh wrap
+    # 301 = 7*43 and 389 (prime) step the rotation by 2pi/k; 333 = 9*37 and
+    # 399 = 3*7*19, divisible by 3, by 2pi/(3k).  n up to 10^6 makes 24nh wrap
     # many times around 24k.
     def test_inner_sum_at_large_k_and_n_matches_complex_oracle(self):
         for k in (301, 333, 389, 399):
@@ -220,6 +220,18 @@ class TestExponentialSums:
                     got = analytic._inner_real(k, n, bits)
                     with mp.workprec(600):
                         assert abs(got - want) < mp.mpf(2) ** -(bits - 8), (k, n, bits)
+
+    def test_inner_sum_takes_no_dedekind_sum(self, monkeypatch):
+        # the series path must not share the Dedekind sums of the references
+        # it is checked against
+        cases = [(k, n) for k in range(1, 122, 2) for n in self.NS]
+        before = [analytic._inner_real(k, n, 128) for k, n in cases], hagis_q(100)
+
+        def refuse(h, k):
+            raise AssertionError("a Dedekind sum on the series path")
+
+        monkeypatch.setattr(analytic, "_dedekind12", refuse)
+        assert ([analytic._inner_real(k, n, 128) for k, n in cases], hagis_q(100)) == before
 
     def test_inner_sum_has_period_k_in_n(self):
         for k in (3, 15, 97, 333):
@@ -369,8 +381,9 @@ class TestRademacherP:
 
     def test_small_term_budgets_never_certify_a_wrong_integer(self):
         # from k_max = 1 the tail bound refuses n >= 42: four doublings reach
-        # only 16 terms, where the bound is above 1/2.  Each escalation sums
-        # again at twice the bits, so n above 60 is sampled.
+        # only 16 terms, where the bound is above 1/2.  Each escalation keeps
+        # the bits and adds only the terms past the old budget; n above 60 is
+        # sampled to keep the test short.
         for k_max in (1, 2, 5, 10, 20):
             for n in [*range(1, 61), *range(61, 201, 7)]:
                 try:

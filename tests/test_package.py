@@ -44,12 +44,12 @@ PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
 SRC = str(Path(fibcomp.__file__).resolve().parents[1])
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _run_python(code: str, *options: str) -> subprocess.CompletedProcess:
     # a fresh interpreter: pytest's own process has loaded every module already
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *options, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -104,6 +104,22 @@ def test_import_loads_no_submodule():
         "55 ['fibcomp.core', 'fibcomp.counting']",
         "partitions:all ['fibcomp.core', 'fibcomp.counting', 'fibcomp.enumeration', 'fibcomp.genfun']",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["count", "--class", "compositions:all", "3"], {"fibcomp.enumeration", "fibcomp.counting"}),
+        (["analytic", "q", "100"], {"fibcomp.analytic"}),
+    ],
+    ids=["count", "analytic"],
+)
+def test_importtime_log_names_each_submodule(argv, modules):
+    # a submodule the log does not name hides its load time in its importer's
+    proc = _run_python(f"from fibcomp import cli; cli.run({argv!r})", "-X", "importtime")
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "fibcomp.cli" in logged and modules <= logged, sorted(m for m in logged if m.startswith("fibcomp"))
 
 
 def test_only_analytic_calls_load_mpmath():
