@@ -4,11 +4,13 @@ Composition/partition value types and the gap bit-sequence codec live in
 core; enumeration holds the exhaustive oracle generators; counting the
 exact counters and recurrences; genfun the truncated integer power series;
 bijection the odd-parts correspondence; analytic the certified
-high-precision series for p(n) and q(n); verify the cross-check suites.
+series for p(n) and q(n), summed on integers; verify the cross-check
+suites.
 
 Every CLI call is a fresh process, so the package imports a module only
 when one of its names is first looked up (PEP 562): `import fibcomp`
-loads no submodule, and mpmath loads with the analytic layer alone.
+loads no submodule, and mpmath loads only with the analytic layer's
+reference functions, which the analytic verify suite calls.
 """
 
 __version__ = "0.1.0"

@@ -1,24 +1,35 @@
-"""High-precision evaluation of the convergent series for the partition
-counts p(n) and q(n), with an exact-rational layer underneath.
+"""Evaluation of the convergent series for the partition counts p(n) and
+q(n) in integer fixed point, with an exact-rational layer underneath.
 
 The rational layer (sawtooth, dedekind_s, hagis_t) is exact integer
 arithmetic packaged as Fractions, the reference that verify and the
 tests hold the exponential sums to; the series never call it.
 dedekind_s follows the reciprocity law down Euclid's chain in O(log k)
-steps, and hagis_t is a difference of two Dedekind sums.  The
-exponential sums keep no caches: A_k(n) comes from Selberg's formula, a
-few cosines per k, and the q sum, a Kloosterman sum, from one modular
-inverse per h and one fixed-point integer rotation, one cospi and one
-sinpi per k.  The floating layer evaluates the series under an explicit
-working precision and only ever rounds a truncated sum to an integer
-when the series' own certificate passes.  Each series carries a
-different one:
+steps, and hagis_t is a difference of two Dedekind sums.
 
-* p, a proof: a proven bound on the series' tail past the term budget,
-  plus a bound on the evaluation error of the partial sum, plus the
-  residual, is below 1/2 (_p_bounds derives both bounds), so the nearest
-  integer is p(n).  The error bound assumes each mpmath operation is
-  accurate to a relative 2^(1-P) at P working bits.
+The series run on plain Python integers: a real number v is held as an
+integer near v 2^V, "at scale V", and every kernel states how many units
+of 2^-V it may be off.  The kernels are pi (Machin's formula), exp (with
+cosh and sinh from one exp), cos and sin of a rational multiple of pi,
+math.isqrt, and the power series of the Bessel function I_1.  A_k(n)
+comes from Selberg's formula, a few cosines per k, and the q sum, a
+Kloosterman sum, from one modular inverse per h and one fixed-point
+rotation per k.  Only the reference functions (kloosterman_A,
+_direct_sum, bessel_I1) load mpmath, inside their bodies.
+
+Each series is summed at an absolute scale set by its working precision
+P = precision_bits: P bits of a value the size of the largest term, e^x
+for p and e^z for q (x and z as in _p_series and _q_series), so that P
+keeps the meaning of a floating-point precision.  A report's raw value and
+residual are exact binary fractions (Dyadic), and a series' integer is
+only reported certified when the series' own certificate passes.  Each
+series carries a different one:
+
+* p, a proof: a bound on the series' tail past the term budget, plus the
+  sum of the kernels' stated error bounds over the partial sum, plus the
+  residual, is below 1/2 (_p_bounds), so the nearest integer is p(n).
+  Both bounds are integers, and the proof assumes nothing beyond exact
+  integer arithmetic and floor division.
 * q, a heuristic drift test, until a bound on the Hagis sums exists: the
   truncated value sits within 1/4 of an integer, doubling the number of
   series terms moves the value by less than 2^-4, and the working
@@ -37,9 +48,8 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
-
-from mpmath import iv, mp, mpf, besseli, cospi, sinpi, sqrt, cosh, sinh, pi, nint, ldexp
 
 from .core import DomainError, ImaginaryResidueError, NonCertifiedError
 
@@ -49,14 +59,142 @@ RESOLUTION_GUARD_BITS = 16  # fractional bits q's raw value must still carry
 MAX_ESCALATIONS = 4
 
 
+class Dyadic:
+    """The exact binary fraction man * 2^exp, read only: the value type of a
+    report's raw_value and residual.  It converts with float(), compares
+    exactly with ints, floats and other Dyadics, and carries mpmath's
+    normalized _mpf_ tuple, so mpmath.mpf(x) is exact at a working
+    precision of at least its bit count and mpmath.mp.nstr(x, d) prints it
+    as nstr(x, d) does here."""
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int):
+        object.__setattr__(self, "man", man)
+        object.__setattr__(self, "exp", exp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def _mpf_(self) -> tuple[int, int, int, int]:
+        if not self.man:
+            return (0, 0, 0, 0)
+        man = abs(self.man)
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        return (int(self.man < 0), man, self.exp + zeros, man.bit_length())
+
+    def __float__(self) -> float:
+        if self.exp >= 0:
+            return float(self.man << self.exp)
+        return self.man / (1 << -self.exp)  # int division rounds correctly
+
+    def __bool__(self) -> bool:
+        return self.man != 0
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.man}, {self.exp})"
+
+    def __hash__(self) -> int:
+        # Python's hash of the rational man * 2^exp, so that a Dyadic equal to
+        # an int or a float hashes alike
+        modulus = sys.hash_info.modulus
+        value = abs(self.man) % modulus * pow(2, self.exp, modulus) % modulus
+        value = -value if self.man < 0 else value
+        return -2 if value == -1 else value
+
+    def _compare(self, other, test):
+        if isinstance(other, Dyadic):
+            man, exp = other.man, other.exp
+        elif isinstance(other, int):
+            man, exp = other, 0
+        elif isinstance(other, float):
+            if not math.isfinite(other):
+                return test(0.0, other)  # any finite value sits where 0 does
+            man, den = other.as_integer_ratio()
+            exp = 1 - den.bit_length()
+        else:
+            return NotImplemented
+        mine, shift = self.man, self.exp - exp
+        if shift >= 0:
+            mine <<= shift
+        else:
+            man <<= -shift
+        return test(mine, man)
+
+    def __eq__(self, other):
+        return self._compare(other, lambda a, b: a == b)
+
+    def __lt__(self, other):
+        return self._compare(other, lambda a, b: a < b)
+
+    def __le__(self, other):
+        return self._compare(other, lambda a, b: a <= b)
+
+    def __gt__(self, other):
+        return self._compare(other, lambda a, b: a > b)
+
+    def __ge__(self, other):
+        return self._compare(other, lambda a, b: a >= b)
+
+
 class SeriesEvalReport(NamedTuple):
     n: int
     k_terms_used: int
     precision_bits: int
-    raw_value: mpf
+    raw_value: Dyadic
     rounded: int
-    residual: mpf
+    residual: Dyadic
     certified: bool
+
+
+def nstr(x: Dyadic, dps: int) -> str:
+    """x to dps >= 1 significant digits, as mpmath.mp.nstr(x, dps) prints
+    it: a port of mpmath's libmpf.to_str and to_digits_exp.  Past 2^3500
+    (or below 2^-3500) mpmath scales by a power of ten rounded to about
+    3.3 (dps + 3) + 10 bits, and this port scales exactly; the two can
+    differ only when the digits after the (dps + 3)-th sit that close to
+    a run of zeros or nines."""
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        return "0.0"
+    if abs(exp + bc) > 3500:
+        # ten to the power b, b a little below the decimal exponent, divides
+        # out exactly, leaving dps + 4 or more digits
+        b = int((exp + bc) * 0.30102999566398120) - dps - 5
+        num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        num, den = (num, den * 10**b) if b >= 0 else (num * 10**-b, den)
+        digits = str(num // den)
+        exponent = b + len(digits) - 1
+    else:
+        bitprec = int((dps + 3) * math.log(10, 2)) + 10
+        fixprec = max(bitprec - exp - bc, 0)
+        fixdps = int(fixprec / math.log(10, 2) + 0.5)
+        offset = exp + fixprec
+        fixed = man << offset if offset >= 0 else man >> -offset
+        digits = str(fixed * 10**fixdps >> fixprec)
+        exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        rounded = str(int(digits[:dps]) + 1)  # a carry through nines adds a digit
+        exponent += len(rounded) - dps
+        digits = rounded[:dps]
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:  # fixed point near unit magnitude
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    text = "-" * sign + digits
+    if exponent == 0:
+        return text
+    return f"{text}e{exponent:+d}"
 
 
 def sawtooth(x) -> Fraction:
@@ -111,27 +249,170 @@ def hagis_t(h: int, k: int) -> Fraction:
     return Fraction(_dedekind12(h, k) - _dedekind12(2 * h % k, k), 12 * k)
 
 
-def _A_real(k: int, n: int, bits: int):
-    """A_k(n) at a precision of bits by Selberg's formula: sqrt(k/3) times
-    the sum of (-1)^l cos(pi (6l+1)/(6k)) over l mod 2k with (3l^2 + l)/2 =
-    -n (mod k) (Johansson, "Efficient implementation of the Hardy-Ramanujan-
-    Rademacher formula", 2012, sec. 2).  Only a few l qualify, so a term
-    costs a few cosines and no Dedekind sum.
+# The kernels.  Each takes and returns integers at stated scales; an input
+# t at scale s stands for the exact binary fraction t/2^s, and each bound
+# is strict and holds for every scale V >= 1.
+
+_pi_memo = (0, 0)  # (scale, pi at that scale), the largest scale asked so far
+
+
+def _pi(V: int) -> int:
+    """pi at scale V, within 1 unit.
+
+    Machin: pi = 16 atan(1/5) - 4 atan(1/239), each atan(1/x) summed to
+    the first zero term at scale W = V + G.  Every power floor(2^W/x^(2j+1))
+    comes out exact by repeated floor division, so a term with weight w is
+    within |w| + 1 units, and an alternating tail is below its first term,
+    under |w| units.  With J_x <= W/(2 log2 x) + 1 terms, the sum is within
+    17 J_5 + 5 J_239 + 20 < 5W + 40 < 2^(G-1) units, and rounding it to
+    scale V adds at most 1/2.  A memo keeps the largest scale asked for,
+    and rounding that value to a smaller scale stays within 1 unit.
     """
-    if k == 1:
-        return mpf(1)
-    with mp.workprec(bits):
-        total = mpf(0)
-        for l in range(2 * k):
-            if ((3 * l * l + l) // 2 + n) % k == 0:
-                total += (-1) ** l * cospi(mpf(6 * l + 1) / (6 * k))
-        return sqrt(mpf(k) / 3) * total
+    global _pi_memo
+    scale, value = _pi_memo
+    if V > scale:
+        G = (V + 64).bit_length() + 4
+        W = V + G
+        total = 0
+        for weight, x in ((16, 5), (-4, 239)):
+            power, j, x2 = (1 << W) // x, 1, x * x
+            while power:
+                total += weight * power // j if j % 4 == 1 else -(weight * power // j)
+                power //= x2
+                j += 2
+        scale, value = _pi_memo = V, (total + (1 << (G - 1))) >> G
+    shift = scale - V
+    return value if shift == 0 else (value + (1 << (shift - 1))) >> shift
 
 
-def _inner_real(k: int, n: int, bits: int):
+def _exp(t: int, shift: int, V: int) -> int:
+    """e^tau at scale V, within 1 unit, for tau = t/2^shift >= 0.
+
+    With s = max(0, bitlen(t) - shift) + 8, rho = tau/2^s < 2^-8.  The
+    Taylor terms of e^rho at scale M = V + G, a_j = floor(a_(j-1) rho/j),
+    are floors of exact products, each at most 2 units under its exact
+    value, and the tail past the first zero term is under 1 unit; so
+    0 <= e^rho 2^M - sum < 2J + 1 with J <= M/8 + 1 terms.  Squaring s times,
+    T <- floor(T^2/2^M), keeps T below the exact value X_i, and its deficit
+    d obeys d' <= 2 e^(rho 2^i) d + 1, so d_s <= 2^s e^tau (2J + 1 + s).
+    G = 2s + bitlen(V + 64) + 16 + E, with 2^E > e^tau, makes d_s < 2^(G-1),
+    and rounding to scale V adds at most 1/2.
+    """
+    s = max(0, t.bit_length() - shift) + 8
+    G = 2 * s + (V + 64).bit_length() + 16 + ((3 * t) >> (shift + 1)) + 1
+    M = V + G
+    reduced = shift + s
+    term = total = 1 << M
+    j = 1
+    while term:
+        term = (term * t >> reduced) // j
+        total += term
+        j += 1
+    for _ in range(s):
+        total = total * total >> M
+    return (total + (1 << (G - 1))) >> G
+
+
+def _cosh_sinh(t: int, shift: int, V: int) -> tuple[int, int]:
+    """2 cosh(tau) and 2 sinh(tau) at scale V, each within 4 units, for
+    tau = t/2^shift >= 0, from one exp.
+
+    e = _exp is within 1 unit of X = e^tau 2^V >= 2^V.  Then
+    |2^(2V)/e - 2^(2V)/X| < 2^(2V)/((X - 1) X) <= 2, so the floor of
+    2^(2V)/e is within 3 units of e^-tau 2^V, and their sum and difference
+    within 4.
+    """
+    e = _exp(t, shift, V)
+    inverse = (1 << 2 * V) // e
+    return e + inverse, e - inverse
+
+
+def _cos_sin_pi(a: int, b: int, V: int) -> tuple[int, int]:
+    """cos(pi a/b) and sin(pi a/b) at scale V, each within 1 unit, for
+    integers a and b > 0.
+
+    a/b is reduced exactly to a quadrant and then to an angle theta =
+    pi r/(2b) <= pi/4 by cos(pi/2 - u) = sin u.  At scale M = V + G, theta
+    is within 3/2 units (pi within 1, times r/(2b) <= 1/2, and a floor), and
+    cos and sin move by no more than theta does.  The powers
+    floor(p_(j-1) theta/j) are floors of exact products, each within 2
+    units as theta < 1, and each alternating tail is below its first term,
+    itself within 2 units of a zero.  So each sum is within 2J + 4 units,
+    J <= M + 1 terms, below 2^(G-1) with G = bitlen(V) + 6, and rounding to
+    scale V adds at most 1/2.
+    """
+    a %= 2 * b
+    quadrant, r = divmod(2 * a, b)  # pi a/b = quadrant pi/2 + pi r/(2b)
+    swap = 2 * r > b
+    if swap:
+        r = b - r
+    G = V.bit_length() + 6
+    M = V + G
+    theta = _pi(M) * r // (2 * b)
+    power, j = 1 << M, 1
+    sums = [power, 0]  # cos, sin
+    while power:
+        power = (power * theta >> M) // j
+        sums[j & 1] += -power if j & 2 else power
+        j += 1
+    c, s = ((x + (1 << (G - 1))) >> G for x in sums)
+    if swap:
+        c, s = s, c
+    for _ in range(quadrant):  # a quarter turn: (c, s) -> (-s, c)
+        c, s = -s, c
+    return c, s
+
+
+def _bessel_F(t: int, shift: int, V: int) -> int:
+    """F(tau) = sum over j >= 0 of tau^j/(j! (j+1)!) at scale V, within 1
+    unit, for tau = t/2^shift >= 0.  F(tau) = I_1(2 sqrt(tau))/sqrt(tau), so
+    I_1(z) = (z/2) F(z^2/4): the power series of I_1, all terms positive.
+
+    F(tau) <= (sum of tau^(j/2)/j!)^2 = e^(2 sqrt tau) < 2^E with
+    E = 3 (isqrt(floor tau) + 1).  At scale M = V + G the terms
+    T_j = floor(T_(j-1) tau/(j (j+1))) are floors of exact products, each
+    short of its exact value by e_j <= e_(j-1) r_j + 1, r_j = tau/(j (j+1)).
+    While r_j >= 1 the exact terms grow from 2^M, so e_j <= j T_j/2^M; after
+    that e_j <= e_(i*) T_j/T_(i*) + (j - i*).  The sum of the e_j is then at
+    most J F + J^2 units.  The loop stops at the first zero term with
+    j (j+1) >= 4 (floor tau + 1), after which r_j < 1/4, so the tail is
+    under (J F + J + 1)/3.  In all, the sum is within 2J (F + J) units,
+    J < Jmax = 2 isqrt(floor tau) + 2E + V + 64, below 2^(G-1) with
+    G = E + 2 bitlen(Jmax) + 4; rounding to scale V adds at most 1/2.
+    """
+    whole = t >> shift
+    E = 3 * (math.isqrt(whole) + 1)
+    G = E + 2 * (2 * math.isqrt(whole) + 2 * E + V + 64).bit_length() + 4
+    M = V + G
+    term = total = 1 << M
+    j = 1
+    while term or j * (j + 1) < 4 * (whole + 1):
+        term = (term * t >> shift) // (j * (j + 1))
+        total += term
+        j += 1
+    return (total + (1 << (G - 1))) >> G
+
+
+def _A_real(k: int, n: int, V: int) -> int:
+    """Selberg's sum C_k(n), the sum of (-1)^l cos(pi (6l+1)/(6k)) over l mod
+    2k with (3l^2 + l)/2 = -n (mod k), at scale V: within one unit per such
+    l, so within 2k units.  A_k(n) = sqrt(k/3) C_k(n) (Johansson, "Efficient
+    implementation of the Hardy-Ramanujan-Rademacher formula", 2012, sec.
+    2); the p series uses C_k itself.  Only a few l qualify, so a term costs
+    a few cosines and no Dedekind sum.  C_1 = sqrt 3.
+    """
+    total = 0
+    for l in range(2 * k):
+        if ((3 * l * l + l) // 2 + n) % k == 0:
+            c = _cos_sin_pi(6 * l + 1, 6 * k, V)[0]
+            total += -c if l & 1 else c
+    return total
+
+
+def _inner_real(k: int, n: int, V: int) -> int:
     """Real value of the odd-k exponential sum in the distinct-count series,
-    S_k(n) = sum over h of e^{pi i (t(h,k) - 2nh/k)}, at a precision of
-    bits: a Kloosterman sum, summed with no Dedekind sum.
+    S_k(n) = sum over h of e^{pi i (t(h,k) - 2nh/k)}, at scale V, within 1
+    unit: a Kloosterman sum, summed with no Dedekind sum.
 
     Term h has the angle 2 pi a_h/(24k), a_h = D(h) - D(2h) - 24nh, where
     D(x) = 12k s(x, k) is an integer that depends on x mod k.  For x
@@ -155,20 +436,20 @@ def _inner_real(k: int, n: int, bits: int):
     rotation by 2 pi/m, in P-bit fixed point over j = 0..m/2, reads every
     cosine off a histogram of the j.
 
-    Error bound, with u = 2^-P: C and S are rounded to within one unit, so
+    Error bound, with u = 2^-P: C and S are within one unit, so
     W = (C + iS)u has |W - w| <= sqrt2 u, w = e^{2 pi i/m}, and each step's
     floor shifts add at most sqrt2 u.  The step error e_{j+1} = W e_j +
     (W - w) w^j + r_j then gives |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju,
     and j <= m/2 <= 3k/2.  The counts sum to at most k/2 and the sum is
     doubled, so the result is off by less than 4.5 k^2 u < 2^(3 + 2 bitlen(k))
-    u before its one rounding to bits: 2^-(bits+19) at P = bits + 22 +
-    2 bitlen(k), within 2^-(bits+16).
+    u: under half a unit of scale V at P = V + 4 + 2 bitlen(k), and
+    rounding to scale V adds at most 1/2.
 
     At k = 1 the sum over proper fractions h/k is empty; it takes the single
     h = 0 term, exactly 1, so the first series term does not vanish.
     """
     if k == 1:
-        return mpf(1)
+        return 1 << V
     m = 3 * k if k % 3 == 0 else k
     unit = pow(24 * k // m, -1, m)
     c, d = unit * (m + 1) // 2 % m, (unit + m // k * n) % m  # b_h = c/h - d h
@@ -179,23 +460,25 @@ def _inner_real(k: int, n: int, bits: int):
         except ValueError:  # h shares a factor with k
             continue
         counts[min(j, m - j)] += 1
-    P = bits + 22 + 2 * k.bit_length()
-    with mp.workprec(P + 8):
-        C, S = (int(nint(f(mpf(2) / m) * 2**P)) for f in (cospi, sinpi))
+    P = V + 4 + 2 * k.bit_length()
+    C, S = _cos_sin_pi(2, m, P)
     x, y, total = 1 << P, 0, 0
     for count in counts:
         total += count * x
         x, y = (x * C - y * S) >> P, (y * C + x * S) >> P
-    with mp.workprec(bits):
-        return ldexp(mpf(total if k % 8 in (1, 7) else -total), 1 - P)
+    shift = P - V - 1  # the sum is doubled
+    return ((total if k % 8 in (1, 7) else -total) + (1 << (shift - 1))) >> shift
 
 
 def _direct_sum(rational, k: int, n: int, precision_bits: int):
     """Real part of the explicit complex sum of e^{pi i (rational(h, k) - 2nh/k)}
-    over h coprime to k (h = 0 alone at k = 1).  The imaginary part must
-    cancel to below 2^(-precision_bits/2) or the evaluation is rejected.
+    over h coprime to k (h = 0 alone at k = 1), an mpmath mpf.  The imaginary
+    part must cancel to below 2^(-precision_bits/2) or the evaluation is
+    rejected.
     """
     from fractions import Fraction
+
+    from mpmath import cospi, mp, mpf, sinpi
 
     with mp.workprec(precision_bits):
         re = im = mpf(0)
@@ -212,10 +495,11 @@ def _direct_sum(rational, k: int, n: int, precision_bits: int):
     return re
 
 
-def kloosterman_A(k: int, n: int, precision_bits: int) -> mpf:
+def kloosterman_A(k: int, n: int, precision_bits: int):
     """A_k(n) from its definition as an explicit complex sum over h coprime
-    to k (see _direct_sum).  The series evaluators use Selberg's formula;
-    this direct form is the reference they are checked against.
+    to k (see _direct_sum), an mpmath mpf.  The p series uses Selberg's
+    formula (_A_real); this direct form is the reference it is checked
+    against.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -226,17 +510,18 @@ def kloosterman_A(k: int, n: int, precision_bits: int) -> mpf:
     return _direct_sum(dedekind_s, k, n, precision_bits)
 
 
-def bessel_I1(z, precision_bits: int) -> mpf:
+def bessel_I1(z, precision_bits: int):
     """Modified Bessel function of order 1, mpmath's besseli(1, z), with z
     read and the value rounded at precision_bits (pass a string to keep
-    digits a float would lose).  The q series calls besseli the same way,
-    at its working precision.
+    digits a float would lose).  It is the reference for the q series'
+    own power series, _bessel_F.
 
     z must be at most 2^16.  besseli's cost grows with the size of z: about
     a millisecond at 2^16 and at 10^12, about a second at 10^1000, and no
-    useful time at all at 10^100000.  The q series only needs
-    z <= pi sqrt(48n+2)/12, about 574 at n = 10^5.
+    useful time at all at 10^100000.
     """
+    from mpmath import besseli, mp, mpf
+
     if precision_bits < 64:
         raise DomainError("precision_bits must be >= 64")
     with mp.workprec(precision_bits):
@@ -258,136 +543,170 @@ def default_k_terms(n: int) -> int:
     return root + 16
 
 
+def _magnitude_p(n: int) -> int:
+    # bits of e^(pi sqrt(2n/3)), the size of p's largest term
+    return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 1
+
+
+def _magnitude_q(n: int) -> int:
+    # bits of e^(pi sqrt(n/3)), the size of q's largest term
+    return int(math.pi * math.sqrt(n / 3) / math.log(2)) + 1
+
+
 def default_bits_p(n: int) -> int:
     # 64 guard bits over the bit length of the value being summed to
-    return max(128, int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 64)
+    return max(128, _magnitude_p(n) + 63)
 
 
 def default_bits_q(n: int) -> int:
-    return max(128, int(math.pi * math.sqrt(n / 3) / math.log(2)) + 64)
+    return max(128, _magnitude_q(n) + 63)
 
 
-def _iv_cosh(y):
-    return (iv.exp(y) + iv.exp(-y)) / 2
+def _p_scale(n: int, bits: int) -> int:
+    """The scale V of p's sum at a working precision of bits: the fraction
+    bits that bits-bit floats hold at the size of e^x (at least 1)."""
+    return max(bits - _magnitude_p(n), 1)
 
 
-def _p_bounds(n: int, k_terms: int, bits: int):
-    """Intervals that enclose upper bounds on the two errors of p's partial
-    sum through k <= N = k_terms evaluated at P = bits: its tail past N and
-    its evaluation error.  Interval arithmetic (mpmath's iv) rounds each
-    bound outward, so the bounds hold as computed; the error bound also
-    rests on the accuracy assumption stated below, which mpmath does not
-    document for its transcendental functions.
+def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
+    """Upper bounds on the two errors of p's partial sum through
+    k <= N = k_terms at bits of working precision, as integers in units of
+    2^-bits: its tail past N and its evaluation error.  Both come from
+    integer operations only.
 
-    Write m = n - 1/24, c0 = pi sqrt(2/3), x = c0 sqrt(m) and x_k = x/k.
-    The k-th term is sqrt(k) A_k(n) D_k with
-    D_k = (c0/k) cosh(x_k)/(2m) - sinh(x_k)/(2m sqrt(m))
-        = (c0/k)(cosh x_k - sinh(x_k)/x_k)/(2m).
+    Write x = pi sqrt(24n - 1)/6 and g(y) = cosh y - sinh(y)/y.  Rademacher's
+    series is p(n) = (4/(24n - 1)) times the sum over k of C_k(n) g(x/k),
+    with C_k = A_k sqrt(3/k) Selberg's cosine sum (_A_real): its k-th term,
+    (1/(pi sqrt 2)) sqrt(k) A_k (c0/k) g(x/k)/(2m) with m = n - 1/24 and
+    c0 = pi sqrt(2/3), is this one, as c0/(pi sqrt 2) = 1/sqrt 3 and
+    1/(6m) = 4/(24n - 1).
 
     Tail.  Three facts bound it: |A_k(n)| <= phi(k) < k for k > 1; the
-    power series of cosh y - sinh(y)/y, sum over j >= 1 of
-    2j y^(2j)/(2j+1)!, is termwise at most that of (y^2/3) cosh y, so
-    0 <= D_k <= (c0/k)^3 cosh(x_k)/6; and sum over k > N of k^(-3/2) is at
-    most the integral of t^(-3/2) from N on, 2/sqrt(N).  With cosh(x_k) <=
-    cosh(x/N) for k > N and the prefactor 1/(pi sqrt 2), for every n >= 1
-        |p(n) - partial sum| <= c0^3/(3 pi sqrt 2) cosh(x/N)/sqrt(N),
-    where the constant c0^3/(3 pi sqrt 2) is about 1.2663.
+    power series of g(y), sum over j >= 1 of 2j y^(2j)/(2j+1)!, is termwise
+    at most that of (y^2/3) cosh y; and sum over k > N of k^(-3/2) is at
+    most the integral of t^(-3/2) from N on, 2/sqrt(N).  With
+    cosh(x/k) <= cosh(x/N) for k > N, for every n >= 1
+        |p(n) - partial sum| <= 2 pi^2 cosh(x/N)/(9 sqrt(3N)),
+    where 2 pi^2/(9 sqrt 3) is about 1.2663.  It is evaluated with pi,
+    x/N and cosh(x/N) rounded up and sqrt(3N) rounded down, from the
+    kernels' stated bounds, at scale bits + 64, and rounded up to scale
+    bits.
 
-    Evaluation error.  Let u = 2^(1-P), one unit in the last place relative
-    to the value, and assume that every mpmath operation a term makes
-    (arithmetic, sqrt, pi, cosh, sinh, cospi) returns its exact value on its
-    rounded inputs to within a factor 1 +- u.  Let w = (N + x + 8) u.  To
-    first order in u:
-    * x_k takes nine rounded operations, so it is off by at most 10u x_k,
-      and the computed cosh x_k and sinh x_k are each within
-      (10 x_k + 1) u cosh(x_k) of the true values.  Each part of D_k is at
-      most B_k/2 = (c0/k) cosh(x_k)/(2m) in size; the first carries
-      (10 x_k + 10) u B_k/2 of error, the second, whose 1/sqrt(m) is
-      (c0/k)/x_k, 18 u B_k/2, and the difference one more rounding of at
-      most B_k, so D_k is off by at most (5 x_k + 15) u B_k.
-    * _A_real sums at most 2k cosines of angles pi t, t < 2, each off by at
-      most (2 pi + 1) u < 8u, in at most 2k - 1 additions, then scales by
-      sqrt(k/3) in three roundings.  With a_k = 2k sqrt(k/3) >= |A_k| (and
-      A_1 = 1 exactly), A_k is off by at most (2k + 11) u a_k.
-    * So term k, formed in three more roundings, is off by at most
-      (2k + 5 x_k + 29) u G_k, with G_k = sqrt(k) a_k B_k.  The N - 1
-      additions of the partial sum add (N - 1) u times the sum of the G_k,
-      and the prefactor and its product 5u of it.
-    In all, since k <= N and x_k <= x, and with S the sum of the G_k,
-        |raw - prefactor partial sum| <= 5 w S/(pi sqrt 2)
-    to first order.  Every factor (1 +- u)^j behind these counts has
-    j <= 16 (N + x + 8), and (1 + u)^j - 1 <= j u e^(ju), so the exact error
-    is at most 5 w e^(16 w) S/(pi sqrt 2); the bound below takes
-    8 w e^(64 w) S/(pi sqrt 2).  It grows without limit once the precision
-    cannot resolve the sum, which is how a too-small P is refused.  Last,
-    G_1 = c0 cosh(x)/m, G_k = (2/sqrt 3) k c0 cosh(x_k)/m and
-    cosh(x_k) <= cosh(x/2) for k >= 2, so
-        S <= (c0/m) (cosh x + N (N + 1) cosh(x/2)/sqrt 3).
+    Evaluation error.  _p_series sums terms each within 2 units of
+    2 C_k g(x/k) 2^V, V = _p_scale(n, bits) <= bits (its docstring proves
+    it), so their sum S is within 2N units, and raw = floor(2S/(24n - 1))
+    is within 4N/(24n - 1) + 1 units of scale V of the partial sum.
     """
-    N = k_terms
-    m = iv.mpf(24 * n - 1) / 24
-    c0 = iv.pi * iv.sqrt(iv.mpf(2) / 3)
-    x = c0 * iv.sqrt(m)
-    tail = c0**3 / (3 * iv.pi * iv.sqrt(2)) * _iv_cosh(x / N) / iv.sqrt(N)
-    w = (N + x + 8) * iv.mpf(2) ** (1 - bits)
-    S = c0 / m * (_iv_cosh(x) + N * (N + 1) * _iv_cosh(x / 2) / iv.sqrt(3))
-    return tail, 8 * w * iv.exp(64 * w) * S / (iv.pi * iv.sqrt(2))
+    T = bits + 64
+    pi = _pi(T)
+    root = math.isqrt((24 * n - 1) << 2 * T)
+    x_hi = -(-(pi + 1) * (root + 1) // (6 << T))  # x 2^T rounded up
+    x_lo = (pi - 1) * root // (6 << T)  # and down
+    e_hi = _exp(-(-x_hi // k_terms), T, T) + 1  # e^(x/N) 2^T rounded up
+    e_lo = _exp(x_lo // k_terms, T, T) - 1  # and down
+    cosh2 = e_hi - (-(1 << 2 * T) // e_lo)  # 2 cosh(x/N) 2^T rounded up
+    divisor = 9 * math.isqrt((3 * k_terms) << 2 * T) << 2 * T
+    tail = -(-((pi + 1) ** 2 * cosh2 << bits) // divisor)
+    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _p_scale(n, bits)
 
 
 def _p_series(n: int, k_terms: int, bits: int):
-    """The p series' prefactor, term(k), its k <= k_terms and its
+    """The p series' raw value of a sum, term(k), its k <= k_terms and its
     certificate, at the working precision bits.  The certificate is a proof:
     |p(n) - raw| <= tail + error (_p_bounds), so tail + error + residual <
     1/2 makes the nearest integer p(n).  A failure means tail + error >= 1/4,
     since the residual is at most tail + error, so at least one of the two
     is 1/8 or more: needs asks for more terms when the tail is and for more
     bits when the error is, and for both if neither is (which the bounds rule
-    out), so that a failure always asks for more."""
-    m = mpf(24 * n - 1) / 24
-    sm = sqrt(m)
-    c0 = pi * sqrt(mpf(2) / 3)
+    out), so that a failure always asks for more.
+
+    term(k) is within 2 units of 2 C_k g(y) 2^V, y = x/k (see _p_bounds):
+    * x is held at scale U.  pi and sqrt(24n - 1) are within 1 unit, so
+      X = floor(pi sqrt(24n - 1)/6) is within sqrt(24n - 1)/6 + 2 < D - 1
+      units, D = isqrt(24n) + 5, and Y = floor(X/k) within D.
+    * At scale beta = b + h, _cosh_sinh gives 2 cosh and 2 sinh of
+      y' = Y/2^U within 4 units, the division by y' adds 4/y' + 1 <=
+      2^(h-3) + 1 as h = bitlen(4/y') + 3, and the shift to scale b brings
+      2 g(y') within 2 units.  0 <= g' <= sinh, so 2 g(y') is within
+      2 D 2^-U e^(y'+D 2^-U) 2^b < 1 unit of 2 g(y), as e^y' < 2^(E+1),
+      E = _magnitude_p(n), and U >= b + E + bitlen(D) + 3 for k < 2^40.
+      So G = 2 g 2^b is held within 3 units.
+    * C = _A_real at scale a is within 2k units, and |C| <= 2k (2^a + 1).
+      The product is off by at most |C| 3 + (G + 3) 2k units of scale
+      a + b: below 3/8 of a unit of scale V as b = V + bitlen(2k) + 4, plus
+      at most 1/2 as a + b - V >= bitlen(G + 3) + bitlen(4k).  The shift to
+      scale V adds at most 1.
+    """
+    V = _p_scale(n, bits)
+    D = math.isqrt(24 * n) + 5
+    U = V + _magnitude_p(n) + D.bit_length() + 48
+    X = _pi(U) * math.isqrt((24 * n - 1) << 2 * U) // (6 << U)
 
     def term(k):
-        C = c0 / k
-        arg = C * sm
-        deriv = C * cosh(arg) / (2 * m) - sinh(arg) / (2 * m * sm)
-        return sqrt(mpf(k)) * _A_real(k, n, bits) * deriv
+        y = X // k
+        b = V + (2 * k).bit_length() + 4
+        h = ((4 << U) // y).bit_length() + 3
+        cosh2, sinh2 = _cosh_sinh(y, U, b + h)
+        g = (cosh2 - (sinh2 << U) // y) >> h
+        a = max(V - b + (g + 3).bit_length() + (4 * k).bit_length(), 1)
+        return _A_real(k, n, a) * g >> (a + b - V)
+
+    def value(total):
+        return Dyadic(2 * total // (24 * n - 1), -V)
 
     def needs(raw, residual, total):
         tail, error = _p_bounds(n, k_terms, bits)
-        if (tail + error + residual).b < 0.5:
+        if tail + error + (residual.man << bits - V) < 1 << (bits - 1):
             return False, False
-        terms, precision = tail.b >= 0.125, error.b >= 0.125
+        terms, precision = 8 * tail >= 1 << bits, 8 * error >= 1 << bits
         return (terms, precision) if terms or precision else (True, True)
 
-    return 1 / (pi * sqrt(mpf(2))), term, range(1, k_terms + 1), needs
+    return value, term, range(1, k_terms + 1), needs
 
 
 def _q_series(n: int, k_terms: int, bits: int):
-    """The q series' prefactor, term(k), the k of the doubled budget and its
-    certificate, the drift test, at the working precision bits."""
-    z_base = pi * sqrt(mpf(48 * n + 2)) / 12
-    prefactor = pi / sqrt(mpf(24 * n + 1))
+    """The q series' raw value of a sum, term(k), the k of the doubled
+    budget and its certificate, the drift test, at the working precision
+    bits.
+
+    With y_k = (z/(2k))^2 = pi^2 (24n+1)/(288 k^2) and F = _bessel_F,
+    I_1(z/k) = (z/(2k)) F(y_k), so the series is q(n) = (pi^2 sqrt2/24)
+    times the sum over odd k of S_k(n) F(y_k)/k^2.  Each term is summed at
+    scale V + bitlen(2N) + 4, V = bits - _magnitude_q(n) (at least 1), from
+    F at a scale that covers k^2 and S_k at one that covers F.
+    """
+    E = _magnitude_q(n)
+    V = max(bits - E, 1) + (2 * k_terms).bit_length() + 4
+    U = V + E + 8
+    pi = _pi(U)
+    Y = pi * pi * (24 * n + 1) // (288 << U)  # y_1 2^U
+    K = pi * pi * math.isqrt(2 << 2 * U) // (24 << 2 * U)  # pi^2 sqrt2/24 2^U
 
     def term(k):
-        return _inner_real(k, n, bits) * besseli(1, z_base / k) / k
+        d = V + k.bit_length() + 4
+        F = _bessel_F(Y // (k * k), U, d)
+        c = max(V - d + F.bit_length() + 4, 1)
+        return _inner_real(k, n, c) * F // (k * k << (c + d - V))
+
+    def value(total):
+        return Dyadic(K * total >> U, -V)
 
     def needs(raw, residual, total):
         # A residual of 0 is meaningless when the working precision cannot
         # even represent the fractional part at this magnitude, so insist
-        # on a margin of usable bits below the integer scale (mp.mag(0) is
-        # -inf, so a raw value of 0 passes).  The drift test cannot tell
+        # on a margin of usable bits below the integer scale (the margin of
+        # a raw value of 0 counts as unlimited).  The drift test cannot tell
         # which budget fell short, so a failure grows both.
         failed = not (
             residual < RESIDUAL_BOUND
-            and abs(prefactor * total - raw) < STABILITY_BOUND
-            and bits - mp.mag(raw) >= RESOLUTION_GUARD_BITS
+            and Dyadic(abs(total.man - raw.man), -V) < STABILITY_BOUND
+            and (not raw or bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS)
         )
         return failed, failed
 
     # odd k only; the doubled budget must reach an odd k beyond the budget
     # even at k_terms = 1, or the drift test compares a sum with itself
-    return prefactor, term, range(1, max(2 * k_terms, 3) + 1, 2), needs
+    return value, term, range(1, max(2 * k_terms, 3) + 1, 2), needs
 
 
 def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> SeriesEvalReport:
@@ -407,24 +726,26 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
         raise DomainError("k_max must be >= 1")
     if bits < 64:
         raise DomainError("precision_bits must be >= 64")
-    kept = None, 0, mpf(0)  # bits, k_terms and partial sum of the last attempt
+    kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
-        with mp.workprec(bits):
-            prefactor, term, ks, needs = series(n, k_terms, bits)
-            done, at_budget = kept[1:] if kept[0] == bits else (0, mpf(0))
-            total = at_budget
-            for k in ks:
-                if k > done:
-                    total += term(k)
-                    if k <= k_terms:
-                        at_budget = total
-            raw = prefactor * at_budget
-            nearest = nint(raw)
-            residual = abs(raw - nearest)
-            more_terms, more_bits = needs(raw, residual, total)
+        value, term, ks, needs = series(n, k_terms, bits)
+        done, at_budget = kept[1:] if kept[0] == bits else (0, 0)
+        total = at_budget
+        for k in ks:
+            if k > done:
+                total += term(k)
+                if k <= k_terms:
+                    at_budget = total
+        raw = value(at_budget)
+        # the nearest integer, ties to even
+        nearest, rest = divmod(raw.man, 1 << -raw.exp)
+        if 2 * rest > 1 << -raw.exp or (2 * rest == 1 << -raw.exp and nearest & 1):
+            nearest += 1
+        residual = Dyadic(abs(raw.man - (nearest << -raw.exp)), raw.exp)
+        more_terms, more_bits = needs(raw, residual, value(total))
         kept = bits, k_terms, at_budget
         certified = not (more_terms or more_bits)
-        report = SeriesEvalReport(n, k_terms, bits, raw, int(nearest), residual, certified)
+        report = SeriesEvalReport(n, k_terms, bits, raw, nearest, residual, certified)
         if certified:
             return report
         if more_terms:

@@ -192,7 +192,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    from . import analytic  # loads mpmath; no other subcommand needs it
+    from . import analytic  # no other subcommand needs the series
 
     evaluate = analytic.rademacher_p if args.series == "p" else analytic.hagis_q
     report = evaluate(args.n, k_max=args.kmax, precision_bits=args.bits)
@@ -203,8 +203,8 @@ def _cmd_analytic(args) -> int:
         "certified": report.certified,
         "k_terms": report.k_terms_used,
         "precision_bits": report.precision_bits,
-        "raw": analytic.mp.nstr(report.raw_value, 30),
-        "residual": analytic.mp.nstr(report.residual, 3),
+        "raw": analytic.nstr(report.raw_value, 30),
+        "residual": analytic.nstr(report.residual, 3),
     }
     if args.json:
         _emit_json(document)

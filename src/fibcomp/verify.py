@@ -275,8 +275,11 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
 
 def _suite_analytic(bound: int) -> list[CheckResult]:
     # imported here, where they are used, so that the other suites never
-    # load the analytic layer, mpmath or fractions
+    # load the analytic layer, mpmath or fractions; mpmath serves the
+    # reference values the series' integer kernels are held to
     from fractions import Fraction
+
+    from mpmath import mp, mpf
 
     from . import analytic
 
@@ -303,6 +306,15 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
         t = analytic.hagis_t(h, k)
         odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
         return None if t == sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k) else str(x)
+
+    def read(kernel, factor=lambda k: 1):
+        """factor(k) times kernel(k, n, 128), an integer at scale 128, as an mpf."""
+
+        def value(k: int, n: int):
+            with mp.workprec(160):
+                return factor(k) * mp.ldexp(kernel(k, n, 128), -128)
+
+        return value
 
     def sums_differ(direct, fast):
         """A test that compares fast(k, n) with direct(k, n) to 2^-100."""
@@ -334,17 +346,19 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
         report = analytic.rademacher_p(probe, k_max=k_max)
         return None if report.residual < analytic.RESIDUAL_BOUND else f"budget +{extra}"
 
+    def series_i1(z: int, bits: int):
+        """I_1(z) as the q series computes it, (z/2) F(z^2/4), an mpf."""
+        with mp.workprec(bits + 64):
+            return z * mp.ldexp(analytic._bessel_F(z * z, 2, bits), -bits - 1)
+
+    # the series' own I_1 at 128 bits against mpmath's at 320
     wide = analytic.bessel_I1(2, 320)
-    narrow = analytic.bessel_I1(2, 128)
-    with analytic.mp.workprec(320):
+    narrow = series_i1(2, 128)
+    with mp.workprec(320):
         # subtract at the wide precision; the ambient default would round
         # both operands to 53 bits and swamp the quantity being measured
         drift = abs(wide - narrow)
-    i1_ok = (
-        drift < analytic.mpf(2) ** -120
-        and analytic.bessel_I1(0, 64) == 0
-        and analytic.bessel_I1(3, 128) > narrow
-    )
+    i1_ok = drift < mpf(2) ** -120 and series_i1(0, 64) == 0 and series_i1(3, 128) > narrow
 
     top_k = min(bound, 50)
     ns = range(0, top_k + 1, 7)
@@ -365,7 +379,8 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             itertools.product(range(1, top_k + 1), ns),
             sums_differ(
                 lambda k, n: analytic.kloosterman_A(k, n, 128),
-                lambda k, n: analytic._A_real(k, n, 128),
+                # A_k(n) = sqrt(k/3) C_k(n), C_k Selberg's sum
+                read(analytic._A_real, lambda k: mp.sqrt(mpf(k) / 3)),
             ),
             "(k={0}, n={1})",
         ),
@@ -374,7 +389,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             itertools.product(odd_ks, ns),
             sums_differ(
                 lambda k, n: analytic._direct_sum(analytic.hagis_t, k, n, 128),
-                lambda k, n: analytic._inner_real(k, n, 128),
+                read(analytic._inner_real),
             ),
             "(k={0}, n={1})",
         ),

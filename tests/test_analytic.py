@@ -195,17 +195,18 @@ class TestExponentialSums:
     def test_selberg_A_matches_complex_oracle(self):
         for k in range(1, 121):
             for n in self.NS:
-                got = analytic._A_real(k, n, 256)
                 want = kloosterman_complex(k, n, 256)
                 with mp.workprec(300):
+                    # _A_real is Selberg's sum C_k = A_k sqrt(3/k) at scale 256
+                    got = mp.sqrt(mp.mpf(k) / 3) * mp.ldexp(analytic._A_real(k, n, 256), -256)
                     assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
 
     def test_paired_inner_sum_matches_complex_oracle(self):
         for k in range(1, 121, 2):
             for n in self.NS:
-                got = analytic._inner_real(k, n, 256)
                 want = hagis_complex(k, n, 256)
                 with mp.workprec(300):
+                    got = mp.ldexp(analytic._inner_real(k, n, 256), -256)
                     assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
                     assert abs(want.imag) < mp.mpf(2) ** -200, (k, n)
 
@@ -217,8 +218,8 @@ class TestExponentialSums:
             for n in (0, 2, 331, 999_983, 10**6):
                 want = hagis_complex(k, n, 576).real
                 for bits in (128, 512):
-                    got = analytic._inner_real(k, n, bits)
                     with mp.workprec(600):
+                        got = mp.ldexp(analytic._inner_real(k, n, bits), -bits)
                         assert abs(got - want) < mp.mpf(2) ** -(bits - 8), (k, n, bits)
 
     def test_inner_sum_takes_no_dedekind_sum(self, monkeypatch):
@@ -370,14 +371,38 @@ class TestRademacherP:
         assert not exc.value.report.certified
 
     def test_bound_dominates_the_error_at_the_default_budget(self):
-        # every n <= 200 and a stride to 2000; over all n <= 2000 the largest
-        # error/bound ratio is 0.0072, at n = 1
+        # every n <= 200 and a stride to 2000; the bounds are integers in units
+        # of 2^-bits, and raw is at the scale V <= bits
         for n in [*range(1, 201), *range(229, 2001, 59), 2000]:
             report = rademacher_p(n)
-            tail, error = analytic._p_bounds(n, report.k_terms_used, report.precision_bits)
-            with mp.workprec(report.precision_bits + 64):
-                assert abs(report.raw_value - p_recurrence(n)) <= (tail + error).a, n
-            assert report.certified and (tail + error + report.residual).b < 0.5, n
+            bits = report.precision_bits
+            tail, error = analytic._p_bounds(n, report.k_terms_used, bits)
+            V = analytic._p_scale(n, bits)
+            assert report.raw_value.exp == report.residual.exp == -V, n
+            assert abs(report.raw_value.man - (p_recurrence(n) << V)) << bits - V <= tail + error, n
+            assert report.certified and tail + error + (report.residual.man << bits - V) < 1 << (bits - 1), n
+
+    @pytest.mark.parametrize(
+        "n, bits", [(1, None), (2, None), (7, None), (45, None), (100, None), (100, 64), (333, None), (333, 80)]
+    )
+    def test_error_bound_covers_the_partial_sum(self, n, bits):
+        # raw against the partial sum through the same N in mpmath at four
+        # times the working bits, from Rademacher's D_k and Selberg's A_k
+        report = rademacher_p(n, precision_bits=bits)
+        N, bits = report.k_terms_used, report.precision_bits
+        _, error = analytic._p_bounds(n, N, bits)
+        with mp.workprec(4 * bits):
+            m = mp.mpf(24 * n - 1) / 24
+            c0 = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+            partial = 0
+            for k in range(1, N + 1):
+                ls = [l for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0]
+                A = mp.sqrt(mp.mpf(k) / 3) * sum((-1) ** l * mp.cospi(mp.mpf(6 * l + 1) / (6 * k)) for l in ls)
+                y = c0 * mp.sqrt(m) / k
+                partial += mp.sqrt(k) * A * (c0 / k) * (mp.cosh(y) - mp.sinh(y) / y) / (2 * m)
+            partial /= mp.pi * mp.sqrt(2)
+            distance = abs(mp.mpf(report.raw_value) - partial) * 2**bits
+        assert distance <= error, (n, bits, distance, error)
 
     def test_small_term_budgets_never_certify_a_wrong_integer(self):
         # from k_max = 1 the tail bound refuses n >= 42: four doublings reach

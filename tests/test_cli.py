@@ -20,12 +20,16 @@ from fibcomp.genfun import TruncatedSeries
 
 
 def _nudged(real):
-    """real, moved by 2^-90: far below what the series need, far above the 2^-100 checks."""
+    """real, moved by 2^-90: far below what the series need, far above the 2^-100 checks.
+    An integer kernel's value is at the scale its last argument names."""
     def wrong(*args):
+        value = real(*args)
+        if isinstance(value, int):
+            return value + (1 << max(args[-1] - 90, 0))
         from mpmath import mp
 
         with mp.workprec(256):
-            return real(*args) + mp.mpf(2) ** -90
+            return value + mp.mpf(2) ** -90
     return wrong
 
 
@@ -451,8 +455,8 @@ class TestVerify:
         # row that evaluates it reports the n instead of ending the suite
         from fibcomp import analytic
 
-        never = (analytic.iv.mpf(1), analytic.iv.mpf(0))
-        monkeypatch.setattr(analytic, "_p_bounds", lambda n, k_terms, bits: never)
+        # the bounds are in units of 2^-bits: a tail of 1
+        monkeypatch.setattr(analytic, "_p_bounds", lambda n, k_terms, bits: (1 << bits, 0))
         code, out, err = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "2")
         lines = out.splitlines()
         assert code == 2

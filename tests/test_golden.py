@@ -9,7 +9,8 @@ Python versions, so for usage errors only the exit code and stdout count.
 golden_series.json holds the report of `rademacher_p(n)` and `hagis_q(n)` at
 default settings for n = 1..60, 100, 250, 330, 450, 1000 and 2000: `rounded`,
 `certified`, `k_terms`, `precision_bits`, and `raw` and `residual` printed
-with `mp.nstr` to 30 and 3 digits as `fibcomp analytic` prints them.  A
+with mpmath's `mp.nstr` to 30 and 3 digits, the digits `fibcomp analytic`
+prints through its port of that formatter.  A
 kernel change must leave every field as recorded; the file is never
 re-captured to make a change pass.
 """
@@ -18,6 +19,7 @@ import json
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from fibcomp import analytic, cli
 
@@ -48,6 +50,6 @@ def test_golden_series_report(record):
         "certified": report.certified,
         "k_terms": report.k_terms_used,
         "precision_bits": report.precision_bits,
-        "raw": analytic.mp.nstr(report.raw_value, 30),
-        "residual": analytic.mp.nstr(report.residual, 3),
+        "raw": mp.nstr(report.raw_value, 30),
+        "residual": mp.nstr(report.residual, 3),
     } == record

@@ -1,5 +1,6 @@
-"""The package surface is lazy: names resolve on first lookup, and a CLI
-call loads mpmath and the analytic layer only when it evaluates a series.
+"""The package surface is lazy: names resolve on first lookup, a CLI call
+loads the analytic layer only when it evaluates a series, and mpmath only
+for the reference values of the analytic verify suite.
 No CLI call loads dataclasses, and the value types keep one contract:
 equal by exact class and fields, shown as Type(field=value), read only."""
 
@@ -122,7 +123,7 @@ def test_importtime_log_names_each_submodule(argv, modules):
     assert "fibcomp.cli" in logged and modules <= logged, sorted(m for m in logged if m.startswith("fibcomp"))
 
 
-def test_only_analytic_calls_load_mpmath():
+def test_only_the_analytic_verify_suite_loads_mpmath():
     proc = _run_python(
         textwrap.dedent(
             """
@@ -136,7 +137,9 @@ def test_only_analytic_calls_load_mpmath():
                 ["series", "partitions", "--order", "10"],
                 ["map", "--trace", "1+1+1+9+1+1+5+3"],
                 *(["verify", "--suite", s, "--max-n", "6"] for s in ("codec", "bijection", "counts", "genfun")),
+                ["analytic", "p", "45"],
                 ["analytic", "q", "45"],
+                ["verify", "--suite", "analytic", "--max-n", "2"],
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.run(argv)
@@ -156,7 +159,9 @@ def test_only_analytic_calls_load_mpmath():
         "verify bijection 0 []",
         "verify counts 0 []",
         "verify genfun 0 []",
-        "analytic  0 ['mpmath', 'fibcomp.analytic']",
+        "analytic  0 ['fibcomp.analytic']",
+        "analytic  0 ['fibcomp.analytic']",
+        "verify analytic 0 ['mpmath', 'fibcomp.analytic']",
     ]
 
 
