@@ -4,29 +4,21 @@ Composition/partition value types and the gap bit-sequence codec live in
 core; enumeration holds the exhaustive oracle generators; counting the
 exact counters and recurrences; genfun the truncated integer power series;
 bijection the odd-parts correspondence; analytic the certified
-series for p(n) and q(n), summed on integers; verify the cross-check
-suites.
+series for p(n) and q(n), summed on integers; reference the independent
+Dedekind, Hagis, exponential-sum and I_1 references the series are held
+to; verify the cross-check suites.
 
 Every CLI call is a fresh process, so the package imports a module only
 when one of its names is first looked up (PEP 562): `import fibcomp`
-loads no submodule, and mpmath loads only with the analytic layer's
-reference functions, which the analytic verify suite calls.
+loads no submodule, and mpmath loads only with reference, which the
+analytic verify suite calls.
 """
 
 __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "analytic": (
-        "SeriesEvalReport",
-        "bessel_I1",
-        "dedekind_s",
-        "hagis_q",
-        "hagis_t",
-        "kloosterman_A",
-        "rademacher_p",
-        "sawtooth",
-    ),
+    "analytic": ("SeriesEvalReport", "hagis_q", "rademacher_p"),
     "bijection": ("BijectionTrace", "gt1_to_odd", "odd_to_gt1", "trace_forward"),
     "core": (
         "BitSeq",
@@ -71,6 +63,7 @@ _EXPORTS = {
         "series_inverse",
         "series_mul",
     ),
+    "reference": ("bessel_I1", "dedekind_s", "hagis_t", "kloosterman_A", "sawtooth"),
     "verify": ("CheckResult", "verify_suite"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

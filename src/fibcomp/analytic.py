@@ -1,11 +1,6 @@
 """Evaluation of the convergent series for the partition counts p(n) and
-q(n) in integer fixed point, with an exact-rational layer underneath.
-
-The rational layer (sawtooth, dedekind_s, hagis_t) is exact integer
-arithmetic packaged as Fractions, the reference that verify and the
-tests hold the exponential sums to; the series never call it.
-dedekind_s follows the reciprocity law down Euclid's chain in O(log k)
-steps, and hagis_t is a difference of two Dedekind sums.
+q(n) in integer fixed point.  The references they are held to live in
+fibcomp.reference, which this module does not import.
 
 The series run on plain Python integers: a real number v is held as an
 integer near v 2^V, "at scale V", and every kernel states how many units
@@ -14,8 +9,7 @@ cosh and sinh from one exp), cos and sin of a rational multiple of pi,
 math.isqrt, and the power series of the Bessel function I_1.  A_k(n)
 comes from Selberg's formula, a few cosines per k, and the q sum, a
 Kloosterman sum, from one modular inverse per h and one fixed-point
-rotation per k.  Only the reference functions (kloosterman_A,
-_direct_sum, bessel_I1) load mpmath, inside their bodies.
+rotation per k.
 
 Each series is summed at an absolute scale set by its working precision
 P = precision_bits: P bits of a value the size of the largest term, e^x
@@ -51,7 +45,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import DomainError, ImaginaryResidueError, NonCertifiedError
+from .core import DomainError, NonCertifiedError
 
 RESIDUAL_BOUND = 0.25
 STABILITY_BOUND = 0.0625  # 2^-4; q's tail movement under a doubled term budget
@@ -195,58 +189,6 @@ def nstr(x: Dyadic, dps: int) -> str:
     if exponent == 0:
         return text
     return f"{text}e{exponent:+d}"
-
-
-def sawtooth(x) -> Fraction:
-    """x - floor(x) - 1/2 for non-integer x, 0 at integers."""
-    from fractions import Fraction  # here, not at the top: the series never build one
-
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
-def _check_coprime_args(h: int, k: int) -> None:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not 0 <= h < k:
-        raise DomainError(f"h must satisfy 0 <= h < k, got h={h}, k={k}")
-    if math.gcd(h, k) != 1:
-        raise DomainError(f"h and k must be coprime, got h={h}, k={k}")
-
-
-def _dedekind12(h: int, k: int) -> int:
-    """12k * s(h, k) for coprime 0 <= h < k, in O(log k) integer steps: by
-    reciprocity h (12k s(h,k)) + k (12h s(k,h)) = h^2 + k^2 + 1 - 3hk, with
-    s(k, h) = s(k mod h, h) and s(0, 1) = 0.  The division by h is exact."""
-    if h == 0:
-        return 0
-    return (h * h + k * k + 1 - 3 * h * k - k * _dedekind12(k % h, h)) // h
-
-
-def dedekind_s(h: int, k: int) -> Fraction:
-    """Sum of ((j/k))((hj/k)) over j = 1..k-1, exactly, by reciprocity."""
-    from fractions import Fraction
-
-    _check_coprime_args(h, k)
-    return Fraction(_dedekind12(h, k), 12 * k)
-
-
-def hagis_t(h: int, k: int) -> Fraction:
-    """Sum of (( (2j-1)/(2k) ))(( h(2j-1)/k )) over j = 1..k, k odd, exactly.
-
-    t(h, k) = s(h, k) - s(2h mod k, k).  Proof: Dedekind sums are
-    homogeneous, s(2h, 2k) = s(h, k).  Split the sum for s(2h, 2k) over
-    m mod 2k: the odd m = 2j-1 give t(h, k) and the even m = 2j give
-    s(2h, k), which is periodic in 2h mod k.
-    """
-    from fractions import Fraction
-
-    _check_coprime_args(h, k)
-    if k % 2 == 0:
-        raise DomainError(f"k must be odd, got {k}")
-    return Fraction(_dedekind12(h, k) - _dedekind12(2 * h % k, k), 12 * k)
 
 
 # The kernels.  Each takes and returns integers at stated scales; an input
@@ -470,71 +412,6 @@ def _inner_real(k: int, n: int, V: int) -> int:
     return ((total if k % 8 in (1, 7) else -total) + (1 << (shift - 1))) >> shift
 
 
-def _direct_sum(rational, k: int, n: int, precision_bits: int):
-    """Real part of the explicit complex sum of e^{pi i (rational(h, k) - 2nh/k)}
-    over h coprime to k (h = 0 alone at k = 1), an mpmath mpf.  The imaginary
-    part must cancel to below 2^(-precision_bits/2) or the evaluation is
-    rejected.
-    """
-    from fractions import Fraction
-
-    from mpmath import cospi, mp, mpf, sinpi
-
-    with mp.workprec(precision_bits):
-        re = im = mpf(0)
-        for h in range(k):
-            if math.gcd(h, k) == 1:
-                theta = (rational(h, k) - Fraction(2 * n * h, k)) % 2
-                x = mpf(theta.numerator) / theta.denominator
-                re += cospi(x)
-                im += sinpi(x)
-        if abs(im) >= mpf(2) ** (-(precision_bits // 2)):
-            raise ImaginaryResidueError(
-                f"imaginary residue {im} at k={k}, n={n}, bits={precision_bits}"
-            )
-    return re
-
-
-def kloosterman_A(k: int, n: int, precision_bits: int):
-    """A_k(n) from its definition as an explicit complex sum over h coprime
-    to k (see _direct_sum), an mpmath mpf.  The p series uses Selberg's
-    formula (_A_real); this direct form is the reference it is checked
-    against.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be >= 64")
-    return _direct_sum(dedekind_s, k, n, precision_bits)
-
-
-def bessel_I1(z, precision_bits: int):
-    """Modified Bessel function of order 1, mpmath's besseli(1, z), with z
-    read and the value rounded at precision_bits (pass a string to keep
-    digits a float would lose).  It is the reference for the q series'
-    own power series, _bessel_F.
-
-    z must be at most 2^16.  besseli's cost grows with the size of z: about
-    a millisecond at 2^16 and at 10^12, about a second at 10^1000, and no
-    useful time at all at 10^100000.
-    """
-    from mpmath import besseli, mp, mpf
-
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be >= 64")
-    with mp.workprec(precision_bits):
-        z = mpf(z)
-        if not mp.isfinite(z):  # besseli returns nan at nan and raises TypeError at inf
-            raise DomainError(f"bessel_I1 needs a finite z, got {z}")
-        if z < 0:
-            raise DomainError("bessel_I1 is only evaluated at z >= 0")
-        if z > 2**16:
-            raise DomainError(f"bessel_I1 is only evaluated at z <= 2^16, got {z}")
-        return besseli(1, z)
-
-
 def default_k_terms(n: int) -> int:
     """ceil(8 sqrt(n)) + 16."""
     root = math.isqrt(64 * n)
@@ -718,6 +595,9 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
     bits keeps the last partial sum and adds only the terms past the old
     budget, so every sum is still reduced in ascending k; new bits start
     over at k = 1."""
+    for arg, value in (("n", n), ("k_max", k_max), ("precision_bits", precision_bits)):
+        if type(value) is not int and (value is not None or arg == "n"):  # bool is no int
+            raise DomainError(f"{name} needs an integer {arg}, got {value!r}")
     if n < 1:
         raise DomainError(f"{name} needs n >= 1, got {n}")
     k_terms = default_k_terms(n) if k_max is None else k_max

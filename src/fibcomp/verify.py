@@ -275,13 +275,14 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
 
 def _suite_analytic(bound: int) -> list[CheckResult]:
     # imported here, where they are used, so that the other suites never
-    # load the analytic layer, mpmath or fractions; mpmath serves the
-    # reference values the series' integer kernels are held to
+    # load the analytic layer, its references, mpmath or fractions; each
+    # reference is looked up as reference.<name> when a row calls it, so a
+    # rebinding there is the one checked
     from fractions import Fraction
 
     from mpmath import mp, mpf
 
-    from . import analytic
+    from . import analytic, reference
 
     def coprime_fractions(ks):
         """(k, h/k) for each coprime 0 < h < k, k in ks; a failing case reports h/k."""
@@ -289,23 +290,23 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
 
     def sawtooth_sum(h: int, xs) -> Fraction:
         """Sum of ((x))((hx)) over xs: s(h, k) over x = j/k, t(h, k) over 2h and x = (2j-1)/(2k)."""
-        return sum((analytic.sawtooth(x) * analytic.sawtooth(h * x) for x in xs), Fraction(0))
+        return sum((reference.sawtooth(x) * reference.sawtooth(h * x) for x in xs), Fraction(0))
 
     def dedekind_fails(k: int, x: Fraction) -> str | None:
         h = x.numerator
-        s = analytic.dedekind_s(h, k)
+        s = reference.dedekind_s(h, k)
         holds = (
             s == sawtooth_sum(h, (Fraction(j, k) for j in range(1, k)))
-            and s + analytic.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
+            and s + reference.dedekind_s(k % h, h) == Fraction(-1, 4) + (x + 1 / x + Fraction(1, h * k)) / 12
             and (12 * k * s).denominator == 1
         )
         return None if holds else str(x)
 
     def hagis_fails(k: int, x: Fraction) -> str | None:
         h = x.numerator
-        t = analytic.hagis_t(h, k)
+        t = reference.hagis_t(h, k)
         odd = (Fraction(2 * j - 1, 2 * k) for j in range(1, k + 1))
-        return None if t == sawtooth_sum(2 * h, odd) == -analytic.hagis_t(k - h, k) else str(x)
+        return None if t == sawtooth_sum(2 * h, odd) == -reference.hagis_t(k - h, k) else str(x)
 
     def read(kernel, factor=lambda k: 1):
         """factor(k) times kernel(k, n, 128), an integer at scale 128, as an mpf."""
@@ -352,7 +353,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             return z * mp.ldexp(analytic._bessel_F(z * z, 2, bits), -bits - 1)
 
     # the series' own I_1 at 128 bits against mpmath's at 320
-    wide = analytic.bessel_I1(2, 320)
+    wide = reference.bessel_I1(2, 320)
     narrow = series_i1(2, 128)
     with mp.workprec(320):
         # subtract at the wide precision; the ambient default would round
@@ -378,7 +379,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             f"exponential sum direct vs selberg k<={top_k}",
             itertools.product(range(1, top_k + 1), ns),
             sums_differ(
-                lambda k, n: analytic.kloosterman_A(k, n, 128),
+                lambda k, n: reference.kloosterman_A(k, n, 128),
                 # A_k(n) = sqrt(k/3) C_k(n), C_k Selberg's sum
                 read(analytic._A_real, lambda k: mp.sqrt(mpf(k) / 3)),
             ),
@@ -388,7 +389,7 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             f"hagis exponential sum direct vs angle classes odd k<={odd_ks[-1]}",
             itertools.product(odd_ks, ns),
             sums_differ(
-                lambda k, n: analytic._direct_sum(analytic.hagis_t, k, n, 128),
+                lambda k, n: reference._direct_sum(reference.hagis_t, k, n, 128),
                 read(analytic._inner_real),
             ),
             "(k={0}, n={1})",

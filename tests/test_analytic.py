@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,19 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from fibcomp import analytic
-from fibcomp.analytic import (
-    ImaginaryResidueError,
-    NonCertifiedError,
-    bessel_I1,
-    dedekind_s,
-    hagis_q,
-    hagis_t,
-    kloosterman_A,
-    rademacher_p,
-    sawtooth,
-)
-from fibcomp.core import DomainError
+from fibcomp import analytic, reference
+from fibcomp.analytic import NonCertifiedError, hagis_q, rademacher_p
+from fibcomp.core import DomainError, ImaginaryResidueError
+from fibcomp.reference import bessel_I1, dedekind_s, hagis_t, kloosterman_A, sawtooth
 from fibcomp.counting import p_recurrence, q_recurrence
 
 from _oracles import (
@@ -231,7 +223,7 @@ class TestExponentialSums:
         def refuse(h, k):
             raise AssertionError("a Dedekind sum on the series path")
 
-        monkeypatch.setattr(analytic, "_dedekind12", refuse)
+        monkeypatch.setattr(reference, "_dedekind12", refuse)
         assert ([analytic._inner_real(k, n, 128) for k, n in cases], hagis_q(100)) == before
 
     def test_inner_sum_has_period_k_in_n(self):
@@ -286,7 +278,7 @@ class TestBessel:
         # a regression must fail the test rather than stall the suite
         code = textwrap.dedent(
             """
-            from fibcomp.analytic import bessel_I1
+            from fibcomp.reference import bessel_I1
             from fibcomp.core import DomainError
 
             for z in (float("nan"), float("inf"), float("-inf"), "nan", "+inf"):
@@ -309,7 +301,7 @@ class TestBessel:
         # a z past the bound must be refused at once; 2^16 still returns
         code = textwrap.dedent(
             """
-            from fibcomp.analytic import bessel_I1
+            from fibcomp.reference import bessel_I1
             from fibcomp.core import DomainError
 
             try:
@@ -438,10 +430,15 @@ class TestRademacherP:
         assert (report.k_terms_used, report.precision_bits, report.certified) == (32, 128, True)
         assert report.rounded == p_recurrence(200)
 
-    @pytest.mark.parametrize("n, ell",[(9999, 5), (10001, 7), (10005, 11)])
-    def test_ramanujan_congruence_past_the_recurrence_checks(self, n, ell):
+    # n near 10^6 at 1016 terms, the least budget p's certificate proves there
+    @pytest.mark.parametrize(
+        "n, ell, k_max",
+        [(9999, 5, None), (10001, 7, None), (10005, 11, None), (999999, 5, 1016), (999997, 7, 1016), (999994, 11, 1016)],
+        ids=["9999-5", "10001-7", "10005-11", "999999-5", "999997-7", "999994-11"],
+    )
+    def test_ramanujan_congruence_past_the_recurrence_checks(self, n, ell, k_max):
         assert ell in ramanujan_moduli(n)
-        report = rademacher_p(n)
+        report = rademacher_p(n, k_max=k_max)
         assert report.certified
         assert report.rounded % ell == 0
 
@@ -504,6 +501,16 @@ class TestHagisQ:
             hagis_q(0)
         with pytest.raises(DomainError):
             hagis_q(3, k_max=-2)
+
+
+@pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])
+@pytest.mark.parametrize("arg", ["n", "k_max", "precision_bits"])
+@pytest.mark.parametrize("value", [True, 10.0, "10"], ids=["bool", "float", "str"])
+def test_series_arguments_are_plain_ints(evaluate, arg, value):
+    # True once ran as 1 and a float or a str ended in a bare TypeError
+    args = {"n": 10, "k_max": None, "precision_bits": None, arg: value}
+    with pytest.raises(DomainError, match=re.escape(f"needs an integer {arg}, got {value!r}")):
+        evaluate(**args)
 
 
 @pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])

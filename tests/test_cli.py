@@ -471,22 +471,21 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "attribute, wrong, row",
+        "module, attribute, wrong, row",
         [
             # off by 2 at one pair: e^{pi i s} and e^{pi i t} are unchanged, so
             # the exponential-sum rows cannot see it and only the exact row can
-            ("dedekind_s", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "dedekind sum"),
-            ("hagis_t", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "hagis sum"),
-            ("_A_real", _nudged, "exponential sum direct vs selberg"),
-            ("_inner_real", _nudged, "hagis exponential sum direct vs angle classes"),
-            ("bessel_I1", _nudged, "bessel I1 cross-precision consistency"),
+            ("reference", "dedekind_s", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "dedekind sum"),
+            ("reference", "hagis_t", lambda real: lambda h, k: real(h, k) + 2 * ((h, k) == (1, 3)), "hagis sum"),
+            ("analytic", "_A_real", _nudged, "exponential sum direct vs selberg"),
+            ("analytic", "_inner_real", _nudged, "hagis exponential sum direct vs angle classes"),
+            ("reference", "bessel_I1", _nudged, "bessel I1 cross-precision consistency"),
         ],
         ids=["dedekind", "hagis", "selberg", "angle-classes", "bessel"],
     )
-    def test_each_analytic_row_fails_alone(self, capsys, monkeypatch, attribute, wrong, row):
-        from fibcomp import analytic
-
-        monkeypatch.setattr(analytic, attribute, wrong(getattr(analytic, attribute)))
+    def test_each_analytic_row_fails_alone(self, capsys, monkeypatch, module, attribute, wrong, row):
+        target = importlib.import_module(f"fibcomp.{module}")
+        monkeypatch.setattr(target, attribute, wrong(getattr(target, attribute)))
         code, out, _ = run_cli(capsys, "verify", "--suite", "analytic", "--max-n", "4")
         lines = out.splitlines()
         assert code == 2
@@ -622,7 +621,7 @@ class TestVerify:
                 ],
             ),
             (
-                "analytic", "_direct_sum", _residue_at(3, 7), "analytic", 8,
+                "reference", "_direct_sum", _residue_at(3, 7), "analytic", 8,
                 [
                     "[FAIL] analytic: exponential sum direct vs selberg k<=8 "
                     "(smallest counterexample: (k=3, n=7): injected residue)",

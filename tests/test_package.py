@@ -1,6 +1,6 @@
 """The package surface is lazy: names resolve on first lookup, a CLI call
 loads the analytic layer only when it evaluates a series, and mpmath only
-for the reference values of the analytic verify suite.
+with fibcomp.reference, for the analytic verify suite.
 No CLI call loads dataclasses, and the value types keep one contract:
 equal by exact class and fields, shown as Type(field=value), read only."""
 
@@ -18,10 +18,7 @@ import fibcomp
 
 # every name the package exports, by home module
 EXPORTED = {
-    "analytic": (
-        "NonCertifiedError", "SeriesEvalReport", "bessel_I1", "dedekind_s", "hagis_q",
-        "hagis_t", "kloosterman_A", "rademacher_p", "sawtooth",
-    ),
+    "analytic": ("NonCertifiedError", "SeriesEvalReport", "hagis_q", "rademacher_p"),
     "bijection": ("BijectionTrace", "gt1_to_odd", "odd_to_gt1", "trace_forward"),
     "core": (
         "BitSeq", "Composition", "DomainError", "Partition", "conjugate", "format_composition",
@@ -39,6 +36,7 @@ EXPORTED = {
         "TruncatedSeries", "compositions_gf", "distinct_compositions_gf",
         "distinct_partitions_ell_gf", "partition_gf", "series_inverse", "series_mul",
     ),
+    "reference": ("bessel_I1", "dedekind_s", "hagis_t", "kloosterman_A", "sawtooth"),
     "verify": ("CheckResult", "verify_suite"),
 }
 PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
@@ -60,10 +58,10 @@ def test_exported_name_is_its_home_modules_object(module, name):
 
 
 def test_errors_have_one_home():
-    from fibcomp import analytic, core
+    from fibcomp import analytic, core, reference
 
     assert fibcomp.NonCertifiedError is analytic.NonCertifiedError is core.NonCertifiedError
-    assert analytic.ImaginaryResidueError is core.ImaginaryResidueError
+    assert reference.ImaginaryResidueError is core.ImaginaryResidueError
 
 
 def test_star_import_binds_all():
@@ -112,8 +110,9 @@ def test_import_loads_no_submodule():
     [
         (["count", "--class", "compositions:all", "3"], {"fibcomp.enumeration", "fibcomp.counting"}),
         (["analytic", "q", "100"], {"fibcomp.analytic"}),
+        (["verify", "--suite", "analytic", "--max-n", "2"], {"fibcomp.analytic", "fibcomp.reference"}),
     ],
-    ids=["count", "analytic"],
+    ids=["count", "analytic", "verify-analytic"],
 )
 def test_importtime_log_names_each_submodule(argv, modules):
     # a submodule the log does not name hides its load time in its importer's
@@ -143,7 +142,7 @@ def test_only_the_analytic_verify_suite_loads_mpmath():
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.run(argv)
-                loaded = [m for m in ("mpmath", "fibcomp.analytic") if m in sys.modules]
+                loaded = [m for m in ("mpmath", "fibcomp.analytic", "fibcomp.reference") if m in sys.modules]
                 print(argv[0], argv[2] if argv[0] == "verify" else "", code, loaded)
             """
         )
@@ -161,7 +160,7 @@ def test_only_the_analytic_verify_suite_loads_mpmath():
         "verify genfun 0 []",
         "analytic  0 ['fibcomp.analytic']",
         "analytic  0 ['fibcomp.analytic']",
-        "verify analytic 0 ['mpmath', 'fibcomp.analytic']",
+        "verify analytic 0 ['mpmath', 'fibcomp.analytic', 'fibcomp.reference']",
     ]
 
 
