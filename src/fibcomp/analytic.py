@@ -464,26 +464,31 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
     most the integral of t^(-3/2) from N on, 2/sqrt(N).  With
     cosh(x/k) <= cosh(x/N) for k > N, for every n >= 1
         |p(n) - partial sum| <= 2 pi^2 cosh(x/N)/(9 sqrt(3N)),
-    where 2 pi^2/(9 sqrt 3) is about 1.2663.  It is evaluated with pi,
-    x/N and cosh(x/N) rounded up and sqrt(3N) rounded down, from the
-    kernels' stated bounds, at scale bits + 64, and rounded up to scale
-    bits.
+    where 2 pi^2/(9 sqrt 3) is about 1.2663.  Each factor is rounded the way
+    that enlarges the quotient, so it stays an upper bound at any scale T;
+    T = 128 + _magnitude_p(n) // N holds about 128 bits past the integer
+    part of cosh(x/N) < 2^(_magnitude_p(n)/N), whatever bits is.
+    * pi: _pi is within 1 unit, so _pi(T) + 1 is above pi 2^T.
+    * x/N: isqrt((24n - 1) 2^(2T)) + 1 is above sqrt(24n - 1) 2^T, so their
+      product over 6 2^T, rounded up, and that over N, rounded up, give
+      t >= (x/N) 2^T.
+    * cosh: _cosh_sinh is within 4 units, so _cosh_sinh(t, T, T) + 4 is
+      above 2 cosh(t/2^T) 2^T, and as cosh rises on [0, inf) that is at
+      least 2 cosh(x/N) 2^T.
+    * sqrt(3N): isqrt(3N 2^(2T)) is at most sqrt(3N) 2^T.
+    The quotient is then taken in units of 2^-bits, rounded up.
 
     Evaluation error.  _p_series sums terms each within 2 units of
     2 C_k g(x/k) 2^V, V = _p_scale(n, bits) <= bits (its docstring proves
     it), so their sum S is within 2N units, and raw = floor(2S/(24n - 1))
     is within 4N/(24n - 1) + 1 units of scale V of the partial sum.
     """
-    T = bits + 64
-    pi = _pi(T)
-    root = math.isqrt((24 * n - 1) << 2 * T)
-    x_hi = -(-(pi + 1) * (root + 1) // (6 << T))  # x 2^T rounded up
-    x_lo = (pi - 1) * root // (6 << T)  # and down
-    e_hi = _exp(-(-x_hi // k_terms), T, T) + 1  # e^(x/N) 2^T rounded up
-    e_lo = _exp(x_lo // k_terms, T, T) - 1  # and down
-    cosh2 = e_hi - (-(1 << 2 * T) // e_lo)  # 2 cosh(x/N) 2^T rounded up
+    T = 128 + _magnitude_p(n) // k_terms
+    pi = _pi(T) + 1  # pi 2^T rounded up
+    x = -(-pi * (math.isqrt((24 * n - 1) << 2 * T) + 1) // (6 << T))  # x 2^T rounded up
+    cosh2 = _cosh_sinh(-(-x // k_terms), T, T)[0] + 4  # 2 cosh(x/N) 2^T rounded up
     divisor = 9 * math.isqrt((3 * k_terms) << 2 * T) << 2 * T
-    tail = -(-((pi + 1) ** 2 * cosh2 << bits) // divisor)
+    tail = -(-(pi * pi * cosh2 << bits) // divisor)
     return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _p_scale(n, bits)
 
 

@@ -23,8 +23,9 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's documented domain."""
 
 
-# The analytic layer raises the two errors below; they live here so that
-# callers can catch them without importing that layer and mpmath.
+# fibcomp.reference raises ImaginaryResidueError and analytic raises
+# NonCertifiedError; they live here so that callers can catch them without
+# importing either module, and reference's mpmath with it.
 class ImaginaryResidueError(ArithmeticError):
     """The imaginary part of an exponential sum failed to cancel."""
 

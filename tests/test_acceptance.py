@@ -176,6 +176,17 @@ def test_stretch_congruence_and_parity_past_the_recurrences():
     )
 
 
+@pytest.mark.skipif(os.environ.get("FIBCOMP_STRETCH") != "1", reason="set FIBCOMP_STRETCH=1")
+def test_stretch_congruence_near_ten_million():
+    # 2689 terms, the least budget p's certificate proves at n = 10^7
+    started = time.perf_counter()
+    assert ramanujan_moduli(9_999_999) == (5,)
+    report = rademacher_p(9_999_999, k_max=2689)
+    assert report.certified and report.k_terms_used == 2689 and report.rounded % 5 == 0
+    elapsed = time.perf_counter() - started
+    print(f"[PASS] stretch: certified p(9999999) = 0 (mod 5) at 2689 terms in {elapsed:.1f}s")
+
+
 def test_criterion_8_distinct_composition_series():
     series = distinct_compositions_gf(20)
     assert series.coefficient(0) == 1

@@ -374,6 +374,33 @@ class TestRademacherP:
             assert abs(report.raw_value.man - (p_recurrence(n) << V)) << bits - V <= tail + error, n
             assert report.certified and tail + error + (report.residual.man << bits - V) < 1 << (bits - 1), n
 
+    def test_bound_dominates_the_error_at_small_budgets(self):
+        # the uncertified partial sum through N = 1, 2, 4, ... at the default
+        # bits, up to the default budget; at n = 4, N = 8 the bound is about
+        # 33 times the distance
+        for n in [*range(1, 201), *range(229, 2001, 59), 2000]:
+            bits, budget = analytic.default_bits_p(n), analytic.default_k_terms(n)
+            V = analytic._p_scale(n, bits)
+            value, term, _, _ = analytic._p_series(n, budget, bits)
+            total, N = 0, 1
+            for k in range(1, budget + 1):
+                total += term(k)
+                if k == N:
+                    tail, error = analytic._p_bounds(n, N, bits)
+                    assert abs(value(total).man - (p_recurrence(n) << V)) << bits - V <= tail + error, (n, N)
+                    N *= 2
+
+    def test_bound_is_evaluated_at_a_small_scale(self, monkeypatch):
+        # the tail is O(1), so its kernels run at about 128 bits past the
+        # integer part of cosh(x/N), not at the working precision (37 070 bits)
+        scales = []
+        pi, exp = analytic._pi, analytic._exp
+        monkeypatch.setattr(analytic, "_pi", lambda V: scales.append(V) or pi(V))
+        monkeypatch.setattr(analytic, "_exp", lambda t, shift, V: scales.extend((shift, V)) or exp(t, shift, V))
+        n = 99_999_999
+        analytic._p_bounds(n, 7293, analytic.default_bits_p(n))
+        assert scales and max(scales) <= 1000, scales
+
     @pytest.mark.parametrize(
         "n, bits", [(1, None), (2, None), (7, None), (45, None), (100, None), (100, 64), (333, None), (333, 80)]
     )

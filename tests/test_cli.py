@@ -579,11 +579,12 @@ class TestVerify:
                 "counting", "q_recurrence", _one_more_at(12), "counts", 6,
                 [
                     "[FAIL] counts: q_recurrence vs both enumerations n<=40 (smallest counterexample: n=12 odd-parts)",
-                    "passed 5/6 checks",
+                    "[FAIL] counts: q recurrence residual 0/1 pattern n<=2000 (smallest counterexample: n=12)",
+                    "passed 4/6 checks",
                 ],
             ),
             (
-                "counting", "q_recurrence_residual", _one_more_at(77), "counts", 6,
+                "counting", "q_recurrence", _one_more_at(77), "counts", 6,
                 [
                     "[FAIL] counts: q recurrence residual 0/1 pattern n<=2000 (smallest counterexample: n=77)",
                     "passed 5/6 checks",
