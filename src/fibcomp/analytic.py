@@ -5,11 +5,11 @@ fibcomp.reference, which this module does not import.
 The series run on plain Python integers: a real number v is held as an
 integer near v 2^V, "at scale V", and every kernel states how many units
 of 2^-V it may be off.  The kernels are pi (Machin's formula), exp (with
-cosh and sinh from one exp), cos and sin of a rational multiple of pi,
+cosh and sinh from one exp), the cosine of a rational multiple of pi,
 math.isqrt, and the power series of the Bessel function I_1.  A_k(n)
 comes from Selberg's formula, a few cosines per k, and the q sum, a
-Kloosterman sum, from one modular inverse per h and one fixed-point
-rotation per k.
+Kloosterman sum, from one modular inverse per h and Clenshaw's
+recurrence over a histogram of its angles, one cosine per k.
 
 Each series is summed at an absolute scale set by its working precision
 P = precision_bits: P bits of a value the size of the largest term, e^x
@@ -269,40 +269,40 @@ def _cosh_sinh(t: int, shift: int, V: int) -> tuple[int, int]:
     return e + inverse, e - inverse
 
 
-def _cos_sin_pi(a: int, b: int, V: int) -> tuple[int, int]:
-    """cos(pi a/b) and sin(pi a/b) at scale V, each within 1 unit, for
-    integers a and b > 0.
+def _cos_pi(a: int, b: int, V: int) -> int:
+    """cos(pi a/b) at scale V, within 1 unit, for integers a and b > 0.
 
-    a/b is reduced exactly to a quadrant and then to an angle theta =
-    pi r/(2b) <= pi/4 by cos(pi/2 - u) = sin u.  At scale M = V + G, theta
-    is within 3/2 units (pi within 1, times r/(2b) <= 1/2, and a floor), and
-    cos and sin move by no more than theta does.  The powers
-    floor(p_(j-1) theta/j) are floors of exact products, each within 2
-    units as theta < 1, and each alternating tail is below its first term,
-    itself within 2 units of a zero.  So each sum is within 2J + 4 units,
-    J <= M + 1 terms, below 2^(G-1) with G = bitlen(V) + 6, and rounding to
-    scale V adds at most 1/2.
+    a/b is reduced exactly: r = a mod 2b, then r = min(r, 2b - r) as cos is
+    even, then r = min(r, b - r) with the sign flipped when 2r > b, as
+    cos(pi - u) = -cos u; so theta = pi r/b <= pi/2.  At scale M = V + G,
+    theta is within 3/2 units (pi within 1, times r/b <= 1/2, and a floor),
+    and cos moves by no more than theta does.  x = floor(theta^2) at scale M
+    is within 1 unit of theta^2, and |d cos(sqrt x)/dx| <= 1/2, so that
+    adds 1/2.  The powers p_i = floor(p_(i-1) x/(2i (2i-1))), p_0 = 2^M,
+    are floors of exact products; with x < 5/2 each falls short of its
+    exact value by e_i < e_(i-1) x/(2i (2i-1)) + 1 < 2, and the alternating
+    tail past the first zero power p_J is below that term's exact value
+    times 5/24, under 1.  So the sum is within 2J + 3 units, and as every
+    ratio past the first is below 1/4, J <= M/2 + 2: under M + 7 < 2^(G-4)
+    units, a sixteenth of a unit of scale V with G = bitlen(V) + 8, and
+    rounding to scale V adds at most 1/2.
     """
-    a %= 2 * b
-    quadrant, r = divmod(2 * a, b)  # pi a/b = quadrant pi/2 + pi r/(2b)
-    swap = 2 * r > b
-    if swap:
-        r = b - r
-    G = V.bit_length() + 6
+    r = a % (2 * b)
+    r = min(r, 2 * b - r)
+    flip = 2 * r > b
+    r = min(r, b - r)
+    G = V.bit_length() + 8
     M = V + G
-    theta = _pi(M) * r // (2 * b)
-    power, j = 1 << M, 1
-    sums = [power, 0]  # cos, sin
+    theta = _pi(M) * r // b
+    x = theta * theta >> M
+    power = total = 1 << M
+    j = 2
     while power:
-        power = (power * theta >> M) // j
-        sums[j & 1] += -power if j & 2 else power
-        j += 1
-    c, s = ((x + (1 << (G - 1))) >> G for x in sums)
-    if swap:
-        c, s = s, c
-    for _ in range(quadrant):  # a quarter turn: (c, s) -> (-s, c)
-        c, s = -s, c
-    return c, s
+        power = (power * x >> M) // (j * (j - 1))
+        total += -power if j & 2 else power
+        j += 2
+    c = (total + (1 << (G - 1))) >> G
+    return -c if flip else c
 
 
 def _bessel_F(t: int, shift: int, V: int) -> int:
@@ -341,12 +341,13 @@ def _A_real(k: int, n: int, V: int) -> int:
     l, so within 2k units.  A_k(n) = sqrt(k/3) C_k(n) (Johansson, "Efficient
     implementation of the Hardy-Ramanujan-Rademacher formula", 2012, sec.
     2); the p series uses C_k itself.  Only a few l qualify, so a term costs
-    a few cosines and no Dedekind sum.  C_1 = sqrt 3.
+    a few cosines and no Dedekind sum.  Each cosine is _cos_pi's, within
+    one unit, and the signed sum of integers adds no error.  C_1 = sqrt 3.
     """
     total = 0
     for l in range(2 * k):
         if ((3 * l * l + l) // 2 + n) % k == 0:
-            c = _cos_sin_pi(6 * l + 1, 6 * k, V)[0]
+            c = _cos_pi(6 * l + 1, 6 * k, V)
             total += -c if l & 1 else c
     return total
 
@@ -374,17 +375,27 @@ def _inner_real(k: int, n: int, V: int) -> int:
     K(16^-1, -8^-1 (24n+1); 3k)/3 if it does, K(a, b; m) being the sum of
     e((a/h + bh)/m) over h coprime to m.  Terms h and k - h are conjugate,
     and b and m - b share a cosine, so S_k(n) is 2 (2/k) times the sum over
-    coprime h < k/2 of cos(2 pi j/m), j = min(b_h, m - b_h) <= m/2: one
-    rotation by 2 pi/m, in P-bit fixed point over j = 0..m/2, reads every
-    cosine off a histogram of the j.
+    coprime h < k/2 of cos(2 pi j/m), j = min(b_h, m - b_h) <= m/2: the
+    sum over j = 0..m/2 of c_j cos(2 pi j/m), c_j the histogram of the j,
+    summed from one cosine per k and one P-bit product per j.
 
-    Error bound, with u = 2^-P: C and S are within one unit, so
-    W = (C + iS)u has |W - w| <= sqrt2 u, w = e^{2 pi i/m}, and each step's
-    floor shifts add at most sqrt2 u.  The step error e_{j+1} = W e_j +
-    (W - w) w^j + r_j then gives |e_j| <= 2 sqrt2 u j (1 + sqrt2 u)^j < 3ju,
-    and j <= m/2 <= 3k/2.  The counts sum to at most k/2 and the sum is
-    doubled, so the result is off by less than 4.5 k^2 u < 2^(3 + 2 bitlen(k))
-    u: under half a unit of scale V at P = V + 4 + 2 bitlen(k), and
+    Error bound, with u = 2^-P, alpha = 2 pi/m and t = m//2.  Clenshaw's
+    recurrence b_j = c_j + 2y b_(j+1) - b_(j+2), from b_(t+1) = b_(t+2) = 0,
+    has the solution b_j = sum over i >= j of c_i U_(i-j)(y), so b_0 - y b_1
+    is the sum of c_i T_i(y), as T_i = U_i - y U_(i-1) (Chebyshev's
+    polynomials T and U); at y = cos alpha that is the sum of
+    c_j cos(j alpha).  The loop runs it on integers at scale P with y = Cu,
+    C = _cos_pi(2, m, P) within one unit, so |y - cos alpha| < u and y lies
+    in (0, 1], as m >= 5.  With each step's floor the loop's integers B_j
+    obey the recurrence at y exactly as B_j u, with c_j - delta_j u,
+    0 <= delta_j < 1, in place of c_j, so the result is the sum of
+    (c_j - delta_j u) T_j(y) less one more floor: as |T_j(y)| <= 1, the
+    floors add less than (t + 2) u.
+    T_j' = j U_(j-1) and |U_(j-1)| <= j on [-1, 1], so
+    |T_j(y) - T_j(cos alpha)| <= j^2 u.  The counts sum to at most k/2 and
+    j <= t <= m/2, so the doubled sum is off by less than
+    (k m^2/4 + m + 4) u < 2^(bitlen(k) + 2 bitlen(m)) u: under a quarter
+    of a unit of scale V at P = V + 2 + bitlen(k) + 2 bitlen(m), and
     rounding to scale V adds at most 1/2.
 
     At k = 1 the sum over proper fractions h/k is empty; it takes the single
@@ -402,12 +413,12 @@ def _inner_real(k: int, n: int, V: int) -> int:
         except ValueError:  # h shares a factor with k
             continue
         counts[min(j, m - j)] += 1
-    P = V + 4 + 2 * k.bit_length()
-    C, S = _cos_sin_pi(2, m, P)
-    x, y, total = 1 << P, 0, 0
-    for count in counts:
-        total += count * x
-        x, y = (x * C - y * S) >> P, (y * C + x * S) >> P
+    P = V + 2 + k.bit_length() + 2 * m.bit_length()
+    C = _cos_pi(2, m, P)
+    b1 = b2 = 0  # Clenshaw's b_j and b_(j+1), at scale P
+    for count in reversed(counts):
+        b1, b2 = (count << P) + (C * b1 >> P - 1) - b2, b1
+    total = b1 - (C * b2 >> P)
     shift = P - V - 1  # the sum is doubled
     return ((total if k % 8 in (1, 7) else -total) + (1 << (shift - 1))) >> shift
 

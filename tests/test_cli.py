@@ -816,6 +816,17 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
 
 
+@pytest.mark.parametrize("argv, status", [(["count", "--class", "compositions:odd-parts", "10"], 0), (["frob"], 1)])
+def test_main_freezes_the_heap_before_it_exits(capsys, monkeypatch, argv, status):
+    # the interpreter's full collection at exit leaves a frozen heap alone
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["fibcomp", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert (exit_info.value.code, calls) == (status, ["freeze"])
+
+
 def _address_space_cap():
     """A preexec_fn that caps the child's address space at 1 GiB."""
     resource = pytest.importorskip("resource")

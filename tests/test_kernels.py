@@ -3,7 +3,8 @@ fraction a report carries, each held to mpmath.
 
 A kernel returns an integer at a stated scale V, standing for value/2^V,
 and its docstring states a strict bound on the distance in units of 2^-V.
-The references run at four times the kernel's working bits."""
+The references run at four times the kernel's working bits; the
+exponential sums are held to the direct sums of fibcomp.reference."""
 
 import math
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fibcomp import analytic
+from fibcomp import analytic, reference
 from fibcomp.analytic import Dyadic
 
 SCALES = (1, 2, 5, 33, 64, 128, 257, 600)
@@ -59,18 +60,21 @@ class TestKernels:
                 assert _units(cosh2, 2 * mp.cosh(tau), V) < 4, (t, shift, V)
                 assert _units(sinh2, 2 * mp.sinh(tau), V) < 4, (t, shift, V)
 
-    def test_cos_sin_of_rational_multiples_of_pi_within_one_unit(self):
+    def test_cos_of_rational_multiples_of_pi_within_one_unit(self):
         rng = random.Random(3)
         cases = [(a, b, V) for V in SCALES for a, b in ((0, 1), (1, 2), (1, 4), (3, 4), (1, 6), (7, 6), (-5, 3))]
+        # a = 0, b/2, b and 3b/2 (mod 2b), where the reduction meets its
+        # edges, from either side of 0 and at b = 1
+        for b in (1, 2, 3, 6, 999_998):
+            for a in (0, b // 2, b, 3 * b // 2, -b // 2, -b, -3 * b // 2, 5 * b // 2, -7 * b):
+                cases += [(a + e, b, V) for e in (-1, 0, 1) for V in SCALES]
         for _ in range(600):
             b = rng.choice((rng.randint(1, 12), rng.randint(1, 10**6)))
             cases.append((rng.randint(-3 * b, 3 * b), b, rng.choice(SCALES)))
         for a, b, V in cases:
-            c, s = analytic._cos_sin_pi(a, b, V)
+            got = analytic._cos_pi(a, b, V)
             with mp.workprec(4 * V + 64):
-                x = mp.mpf(a) / b
-                assert _units(c, mp.cospi(x), V) < 1, (a, b, V)
-                assert _units(s, mp.sinpi(x), V) < 1, (a, b, V)
+                assert _units(got, mp.cospi(mp.mpf(a) / b), V) < 1, (a, b, V)
 
     def test_bessel_series_within_one_unit(self):
         # F(tau) = I_1(2 sqrt tau)/sqrt tau; tau = 3000 is z = 110
@@ -86,6 +90,41 @@ class TestKernels:
                 tau = mp.ldexp(t, -shift)
                 want = mp.besseli(1, 2 * mp.sqrt(tau)) / mp.sqrt(tau) if t else mp.mpf(1)
                 assert _units(analytic._bessel_F(t, shift, V), want, V) < 1, (t, shift, V)
+
+
+class TestExponentialSums:
+    # each sum held to its docstring's bound at scales 64, 128 and 512
+    # against fibcomp.reference's direct complex sums, which run at 576 bits:
+    # each of their k cosines is within 2^-576, far below a unit
+    SUM_SCALES = (64, 128, 512)
+
+    def test_hagis_sum_within_one_unit(self):
+        # 333 = 9*37, 999 = 27*37 and 2187 = 3^7 sum cosines of 2 pi j/(3k);
+        # 1147 = 31*37, 2053 (prime) and 2201 = 31*71 of 2 pi j/k.  n up to
+        # 10^6 wraps 24nh many times around 24k
+        rng = random.Random(7)
+        cases = [(k, n) for k in range(1, 60, 2) for n in (0, 1, 45, 331)]
+        cases += [(k, n) for k in (333, 999, 1147, 2053, 2187, 2201) for n in (2, 10**6)]
+        cases += [(rng.randrange(61, 2200, 2), rng.randint(0, 10**6)) for _ in range(10)]
+        for k, n in cases:
+            want = reference._direct_sum(reference.hagis_t, k, n, 576)
+            for V in self.SUM_SCALES:
+                with mp.workprec(576):
+                    assert _units(analytic._inner_real(k, n, V), want, V) < 1, (k, n, V)
+
+    def test_selberg_sum_within_one_unit_per_root(self):
+        # C_k = A_k sqrt(3/k), within one unit per l mod 2k with
+        # (3l^2 + l)/2 = -n (mod k); with no such l it is exactly 0
+        rng = random.Random(8)
+        cases = [(k, n) for k in range(1, 41) for n in (0, 1, 2, 45, 331)]
+        cases += [(rng.randint(41, 1200), rng.randint(0, 10**6)) for _ in range(30)]
+        for k, n in cases:
+            roots = sum(((3 * l * l + l) // 2 + n) % k == 0 for l in range(2 * k))
+            with mp.workprec(576):
+                want = reference.kloosterman_A(k, n, 576) * mp.sqrt(mp.mpf(3) / k)
+                for V in self.SUM_SCALES:
+                    got = analytic._A_real(k, n, V)
+                    assert _units(got, want, V) < roots if roots else got == 0, (k, n, V)
 
 
 def _nstr_cases():
