@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 domain error or bad usage, 2 verification or
 certification failure.  Plain output is line-oriented with no trailing
 whitespace; --json emits exactly one JSON document.  Identical argv yields
 byte-identical stdout.
+
+Each subcommand's handler computes and writes nothing: it returns its exit
+status, its JSON document and its plain lines, and `run` alone writes one of
+the two.  The document holds only values the handler computed anyway, and
+the lines are lazy where their text grows with the output (count, series,
+enumerate), so neither form pays for the other.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import itertools
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterable
 
 from . import bijection, enumeration
 from .core import (
@@ -106,74 +111,48 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(lines: Iterable[str]) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
-
-
-def _emit_json(document) -> None:
-    import json  # only --json output needs it
-
-    sys.stdout.write(json.dumps(document) + "\n")
-
-
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("FIBCOMP_CACHE_DIR") or None
 
 
-def _emit_count(args, cls, value: int) -> int:
-    if args.json:
-        _emit_json({"n": args.n, "class": str(cls), "count": value})
-    else:
-        _emit([str(value)])
-    return 0
+def _count(args, cls, value: int):
+    return 0, {"n": args.n, "class": str(cls), "count": value}, map(str, (value,))
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     cls = enumeration.parse_class(args.cls)
-    return _emit_count(args, cls, enumeration.exact_count(args.n, cls, _cache_dir(args)))
+    return _count(args, cls, enumeration.exact_count(args.n, cls, _cache_dir(args)))
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     if args.n > 30 and not args.force:
         raise DomainError(f"enumerate for n={args.n} may be huge; pass --force to proceed")
     cls = enumeration.parse_class(args.cls)
     if args.count:
-        return _emit_count(args, cls, enumeration.count_by_enumeration(args.n, cls))
-    # plain lines go out as the stream yields them, so `| head` needs no
-    # more of a huge class than it reads; islice refuses a limit past
-    # sys.maxsize, and no stream is read that far, so such a limit is none
+        return _count(args, cls, enumeration.count_by_enumeration(args.n, cls))
+    # islice refuses a limit past sys.maxsize, and no stream is read that
+    # far, so such a limit is none
     limit = None if args.limit is not None and args.limit > sys.maxsize else args.limit
     items = map(str, itertools.islice(enumeration.gen_class(args.n, cls), limit))
-    if args.json:
-        _emit_json({"n": args.n, "class": str(cls), "items": list(items)})
-    else:
-        _emit(items)
-    return 0
+    return 0, {"n": args.n, "class": str(cls), "items": items}, items
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args):
     comp = parse_composition(args.composition)
     if args.trace:
         trace = bijection.trace_forward(comp)
         stages = {key: format_composition(value) for key, value in trace._asdict().items()}
-        if args.json:
-            _emit_json(stages)
-        else:
-            _emit([f"{key}={text}" for key, text in stages.items()])
-        return 0
+        return 0, stages, (f"{key}={text}" for key, text in stages.items())
     if args.odd_to_gt1:
         result = bijection.odd_to_gt1(comp)
     else:
         result = bijection.gt1_to_odd(comp)
-    if args.json:
-        _emit_json({"input": format_composition(comp), "output": format_composition(result)})
-    else:
-        _emit([format_composition(result)])
-    return 0
+    output = format_composition(result)
+    # parse_composition takes canonical text only, so the argument is the input's text
+    return 0, {"input": args.composition, "output": output}, (output,)
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     spec = enumeration.SERIES[args.name]
     if args.ell is not None and not spec.takes_ell:
         takers = ", ".join(name for name, s in enumeration.SERIES.items() if s.takes_ell)
@@ -181,18 +160,14 @@ def _cmd_series(args) -> int:
     if spec.takes_ell and args.ell is None:
         raise DomainError(f"{args.name} needs --ell")
     series = spec.gf(args.order, args.ell)
-    if args.json:
-        document = {"name": args.name, "order": series.order}
-        if args.ell is not None:
-            document["ell"] = args.ell
-        document["coefficients"] = list(series.coeffs)
-        _emit_json(document)
-    else:
-        _emit([f"{i}\t{c}" for i, c in enumerate(series.coeffs)])
-    return 0
+    document = {"name": args.name, "order": series.order}
+    if args.ell is not None:
+        document["ell"] = args.ell
+    document["coefficients"] = series.coeffs  # json writes a tuple as an array
+    return 0, document, (f"{i}\t{c}" for i, c in enumerate(series.coeffs))
 
 
-def _cmd_analytic(args) -> int:
+def _cmd_analytic(args):
     from . import analytic  # no other subcommand needs the series
 
     evaluate = analytic.rademacher_p if args.series == "p" else analytic.hagis_q
@@ -207,15 +182,11 @@ def _cmd_analytic(args) -> int:
         "raw": analytic.nstr(report.raw_value, 30),
         "residual": analytic.nstr(report.residual, 3),
     }
-    if args.json:
-        _emit_json(document)
-    else:
-        plain = dict(document, certified="true" if report.certified else "false")
-        _emit([f"{key}={value}" for key, value in plain.items()])
-    return 0
+    plain = dict(document, certified="true" if report.certified else "false")
+    return 0, document, [f"{key}={value}" for key, value in plain.items()]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from . import verify
 
     names = [args.suite] if args.suite else list(SUITE_NAMES)
@@ -224,22 +195,17 @@ def _cmd_verify(args) -> int:
         all_checks[name] = verify.verify_suite(name, args.max_n)
     failed = sum(1 for checks in all_checks.values() for c in checks if not c.passed)
     total = sum(len(checks) for checks in all_checks.values())
-    if args.json:
-        _emit_json(
-            {
-                "suites": {name: [c._asdict() for c in checks] for name, checks in all_checks.items()},
-                "passed": failed == 0,
-            }
-        )
-    else:
-        lines = []
-        for name, checks in all_checks.items():
-            for c in checks:
-                tag = "[OK]" if c.passed else "[FAIL]"
-                lines.append(f"{tag} {name}: {c.name} ({c.detail})")
-        lines.append(f"passed {total - failed}/{total} checks")
-        _emit(lines)
-    return 0 if failed == 0 else 2
+    document = {
+        "suites": {name: [c._asdict() for c in checks] for name, checks in all_checks.items()},
+        "passed": failed == 0,
+    }
+    lines = []
+    for name, checks in all_checks.items():
+        for c in checks:
+            tag = "[OK]" if c.passed else "[FAIL]"
+            lines.append(f"{tag} {name}: {c.name} ({c.detail})")
+    lines.append(f"passed {total - failed}/{total} checks")
+    return (0 if failed == 0 else 2), document, lines
 
 
 @contextmanager
@@ -268,7 +234,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help path
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        status, document, lines = args.handler(args)
+        if args.json:
+            import json  # only --json output needs it
+
+            sys.stdout.write(json.dumps(document, default=list) + "\n")  # default lists a stream
+        else:
+            # each line goes out as it is made, so `| head` needs no more of a
+            # huge enumerate than it reads
+            for line in lines:
+                sys.stdout.write(line + "\n")
+        return status
     except BrokenPipeError:
         raise  # main() ends quietly when the reader of stdout goes away
     except (DomainError, OSError) as exc:

@@ -223,14 +223,19 @@ class TestCount:
         assert "error" in err
 
     def test_count_past_int_str_digit_limit(self, capsys):
-        # 2^14299 has 4305 digits, past CPython's default 4300-digit limit
+        # 2^14299 has 4305 digits, past CPython's default 4300-digit limit; the
+        # test process keeps that limit, so the JSON document is cut, not loaded
         before = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        code, out, err = run_cli(capsys, "count", "--class", "compositions:all", "14300")
-        assert (code, err) == (0, "")
-        digits = out.strip()
-        assert len(digits) == math.floor(14299 * math.log10(2)) + 1
-        assert digits[-12:] == str(pow(2, 14299, 10**12)).zfill(12)
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+        argv = ["count", "--class", "compositions:all", "14300"]
+        prefix = '{"n": 14300, "class": "compositions:all", "count": '
+        for flags, head, tail in (([], "", "\n"), (["--json"], prefix, "}\n")):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            assert (code, err) == (0, "")
+            assert out.startswith(head) and out.endswith(tail)
+            digits = out[len(head):-len(tail)]
+            assert len(digits) == math.floor(14299 * math.log10(2)) + 1
+            assert digits[-12:] == str(pow(2, 14299, 10**12)).zfill(12)
+            assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
 
 
 class TestEnumerate:
@@ -900,6 +905,36 @@ def test_limit_past_sys_maxsize_is_no_limit(capsys):
     assert run_cli(capsys, *argv, "--limit", str(sys.maxsize + 1)) == whole
 
 
+# one argv per subcommand and mode; "{cache}" stands for an empty directory
+_HANDLER_ARGV = [
+    ["count", "--class", "partitions:all", "40", "--cache-dir", "{cache}"],
+    ["enumerate", "--class", "compositions:odd-parts", "6"],
+    ["enumerate", "--class", "partitions:all", "6", "--count"],
+    ["map", "--odd-to-gt1", "1+1+1+9+1+1+5+3"],
+    ["map", "--gt1-to-odd", "5+2+2+2+5+2+3+2"],
+    ["map", "--trace", "1+1+1+9+1+1+5+3"],
+    ["series", "distinct-partitions", "--ell", "2", "--order", "8"],
+    ["analytic", "p", "100"],
+    ["analytic", "q", "100"],
+    ["verify", "--suite", "codec", "--max-n", "6"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("argv", _HANDLER_ARGV, ids=" ".join)
+def test_handlers_return_what_run_alone_writes(capsys, tmp_path, argv, flags):
+    argv = [arg.replace("{cache}", str(tmp_path)) for arg in argv] + flags
+    args = cli._build_parser().parse_args(argv)
+    status, document, lines = args.handler(args)
+    assert capsys.readouterr() == ("", "")
+    if flags:
+        want = json.dumps(document, default=list) + "\n"  # default lists enumerate's stream
+    else:
+        want = "".join(line + "\n" for line in lines)
+    assert want.strip()
+    assert run_cli(capsys, *argv) == (status, want, "")
+
+
 # Bounded argv for every subcommand, valid and malformed.  enumerate stays at
 # n <= 12 unless its size guard (n > 30 without --force) stops it, so no draw
 # streams millions of items; verify runs one suite at a small --max-n.
@@ -976,5 +1011,14 @@ def test_fuzzed_argv_ends_in_an_exit_code(command, tmp_path_factory):
             code = cli.run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
+        text = out.getvalue()
+        # an `error:` line (exit 1, or 2 from a failed certification) comes with no stdout
+        if code == 1 or err.getvalue().startswith("error:"):
+            assert text == "", argv
+        elif "--json" in argv:
+            assert text.endswith("\n") and text.count("\n") == 1, argv
+            json.loads(text)
+        else:
+            assert all(line == line.rstrip() for line in text.splitlines()), argv
 
     check()

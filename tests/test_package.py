@@ -199,7 +199,7 @@ def test_only_verify_calls_load_verify():
 def test_cli_calls_load_no_class_builder_and_analytic_no_rationals():
     # dataclasses brings in inspect and execs generated code for each class
     # at import; the series never build a Fraction, so analytic needs neither
-    # fractions nor decimal
+    # fractions nor decimal; only --json output needs json
     proc = _run_python(
         textwrap.dedent(
             """
@@ -217,7 +217,7 @@ def test_cli_calls_load_no_class_builder_and_analytic_no_rationals():
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.run(argv)
-                loaded = [m for m in ("dataclasses", "fractions", "decimal") if m in sys.modules]
+                loaded = [m for m in ("dataclasses", "fractions", "decimal", "json") if m in sys.modules]
                 print(argv[0], code, loaded)
             """
         )
