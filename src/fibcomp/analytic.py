@@ -42,33 +42,26 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from .core import DomainError, NonCertifiedError
+from .core import DomainError, Frozen, NonCertifiedError
 
-RESIDUAL_BOUND = 0.25
-STABILITY_BOUND = 0.0625  # 2^-4; q's tail movement under a doubled term budget
+RESIDUAL_BITS = 2  # 2^-2; the residual bound of q's drift test and verify's residual row
+STABILITY_BITS = 4  # q's tail moves by less than 2^-4 under a doubled term budget
 RESOLUTION_GUARD_BITS = 16  # fractional bits q's raw value must still carry
 MAX_ESCALATIONS = 4
 
 
-class Dyadic:
+class Dyadic(Frozen):
     """The exact binary fraction man * 2^exp, read only: the value type of a
-    report's raw_value and residual.  It converts with float(), compares
-    exactly with ints, floats and other Dyadics, and carries mpmath's
-    normalized _mpf_ tuple, so mpmath.mpf(x) is exact at a working
+    report's raw_value and residual.  It converts with float() and carries
+    mpmath's normalized _mpf_ tuple, so mpmath.mpf(x) is exact at a working
     precision of at least its bit count and mpmath.mp.nstr(x, d) prints it
-    as nstr(x, d) does here."""
-
-    __slots__ = ("man", "exp")
+    as nstr(x, d) does here.  Two Dyadics are equal when man and exp are."""
 
     def __init__(self, man: int, exp: int):
         object.__setattr__(self, "man", man)
         object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def _mpf_(self) -> tuple[int, int, int, int]:
@@ -83,54 +76,6 @@ class Dyadic:
         if self.exp >= 0:
             return float(self.man << self.exp)
         return self.man / (1 << -self.exp)  # int division rounds correctly
-
-    def __bool__(self) -> bool:
-        return self.man != 0
-
-    def __repr__(self) -> str:
-        return f"Dyadic({self.man}, {self.exp})"
-
-    def __hash__(self) -> int:
-        # Python's hash of the rational man * 2^exp, so that a Dyadic equal to
-        # an int or a float hashes alike
-        modulus = sys.hash_info.modulus
-        value = abs(self.man) % modulus * pow(2, self.exp, modulus) % modulus
-        value = -value if self.man < 0 else value
-        return -2 if value == -1 else value
-
-    def _compare(self, other, test):
-        if isinstance(other, Dyadic):
-            man, exp = other.man, other.exp
-        elif isinstance(other, int):
-            man, exp = other, 0
-        elif isinstance(other, float):
-            if not math.isfinite(other):
-                return test(0.0, other)  # any finite value sits where 0 does
-            man, den = other.as_integer_ratio()
-            exp = 1 - den.bit_length()
-        else:
-            return NotImplemented
-        mine, shift = self.man, self.exp - exp
-        if shift >= 0:
-            mine <<= shift
-        else:
-            man <<= -shift
-        return test(mine, man)
-
-    def __eq__(self, other):
-        return self._compare(other, lambda a, b: a == b)
-
-    def __lt__(self, other):
-        return self._compare(other, lambda a, b: a < b)
-
-    def __le__(self, other):
-        return self._compare(other, lambda a, b: a <= b)
-
-    def __gt__(self, other):
-        return self._compare(other, lambda a, b: a > b)
-
-    def __ge__(self, other):
-        return self._compare(other, lambda a, b: a >= b)
 
 
 class SeriesEvalReport(NamedTuple):
@@ -155,7 +100,8 @@ def nstr(x: Dyadic, dps: int) -> str:
         return "0.0"
     if abs(exp + bc) > 3500:
         # ten to the power b, b a little below the decimal exponent, divides
-        # out exactly, leaving dps + 4 or more digits
+        # out exactly, leaving dps + 4 or more digits; the fixed-point digits
+        # of a value past 10^4300 would pass CPython's int-to-str digit limit
         b = int((exp + bc) * 0.30102999566398120) - dps - 5
         num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
         num, den = (num, den * 10**b) if b >= 0 else (num * 10**-b, den)
@@ -373,11 +319,15 @@ def _inner_real(k: int, n: int, V: int) -> int:
     term h is (2/k) cos(2 pi b_h/m), and S_k(n) is (2/k) times
     K(48^-1, -24^-1 (24n+1); k) if 3 does not divide k and
     K(16^-1, -8^-1 (24n+1); 3k)/3 if it does, K(a, b; m) being the sum of
-    e((a/h + bh)/m) over h coprime to m.  Terms h and k - h are conjugate,
-    and b and m - b share a cosine, so S_k(n) is 2 (2/k) times the sum over
-    coprime h < k/2 of cos(2 pi j/m), j = min(b_h, m - b_h) <= m/2: the
-    sum over j = 0..m/2 of c_j cos(2 pi j/m), c_j the histogram of the j,
-    summed from one cosine per k and one P-bit product per j.
+    e((a/h + bh)/m) over h coprime to m.  Estermann's bound,
+    |K(a, b; m)| <= d(m) sqrt(gcd(a, b, m) m) with d(m) the number of
+    divisors of m, gives |S_k(n)| <= d(k) sqrt(k): the first argument is a
+    unit mod m, and when 3 | k, d(3k)/sqrt(3) <= (3/2) d(k)/sqrt(3) < d(k).
+    Terms h and k - h are conjugate, and b and m - b share a cosine, so
+    S_k(n) is 2 (2/k) times the sum over coprime h < k/2 of cos(2 pi j/m),
+    j = min(b_h, m - b_h) <= m/2: the sum over j = 0..m/2 of
+    c_j cos(2 pi j/m), c_j the histogram of the j, summed from one cosine
+    per k and one P-bit product per j.
 
     Error bound, with u = 2^-P, alpha = 2 pi/m and t = m//2.  Clenshaw's
     recurrence b_j = c_j + 2y b_(j+1) - b_(j+2), from b_(t+1) = b_(t+2) = 0,
@@ -591,9 +541,9 @@ def _q_series(n: int, k_terms: int, bits: int):
         # a raw value of 0 counts as unlimited).  The drift test cannot tell
         # which budget fell short, so a failure grows both.
         failed = not (
-            residual < RESIDUAL_BOUND
-            and Dyadic(abs(total.man - raw.man), -V) < STABILITY_BOUND
-            and (not raw or bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS)
+            residual.man << RESIDUAL_BITS < 1 << V
+            and abs(total.man - raw.man) << STABILITY_BITS < 1 << V
+            and (raw.man == 0 or bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS)
         )
         return failed, failed
 

@@ -354,8 +354,8 @@ def _suite_analytic(bound: int) -> list[CheckResult]:
             yield base + extra, extra
 
     def residual_fails(k_max: int, extra: int) -> str | None:
-        report = analytic.rademacher_p(probe, k_max=k_max)
-        return None if report.residual < analytic.RESIDUAL_BOUND else f"budget +{extra}"
+        residual = analytic.rademacher_p(probe, k_max=k_max).residual  # below 2^-RESIDUAL_BITS
+        return None if residual.man << analytic.RESIDUAL_BITS < 1 << -residual.exp else f"budget +{extra}"
 
     def series_i1(z: int, bits: int):
         """I_1(z) as the q series computes it, (z/2) F(z^2/4), an mpf."""
@@ -442,6 +442,8 @@ def verify_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     """Run one named suite; max_n overrides its default enumeration bound."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; pick from {', '.join(_SUITES)}")
+    if max_n is not None and type(max_n) is not int:  # bool is no int
+        raise DomainError(f"max_n must be an integer, got {max_n!r}")
     suite, default_bound = _SUITES[name]
     bound = default_bound if max_n is None else max_n
     if bound < 1:

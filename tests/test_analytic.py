@@ -202,9 +202,9 @@ class TestExponentialSums:
                     assert abs(got - want.real) < mp.mpf(2) ** -200, (k, n)
                     assert abs(want.imag) < mp.mpf(2) ** -200, (k, n)
 
-    # 301 = 7*43 and 389 (prime) step the rotation by 2pi/k; 333 = 9*37 and
-    # 399 = 3*7*19, divisible by 3, by 2pi/(3k).  n up to 10^6 makes 24nh wrap
-    # many times around 24k.
+    # 301 = 7*43 and 389 (prime) sum cosines of 2pi j/k by Clenshaw's
+    # recurrence from cos(2pi/k); 333 = 9*37 and 399 = 3*7*19, divisible by 3,
+    # from cos(2pi/(3k)).  n up to 10^6 makes 24nh wrap many times around 24k.
     def test_inner_sum_at_large_k_and_n_matches_complex_oracle(self):
         for k in (301, 333, 389, 399):
             for n in (0, 2, 331, 999_983, 10**6):

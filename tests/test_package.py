@@ -241,6 +241,7 @@ VALUE_TYPES = [
     (fibcomp.TruncatedSeries, ((1, -2),), "TruncatedSeries(coeffs=(1, -2))"),
     (fibcomp.CompositionClass, ("odd-parts",), "CompositionClass(kind='odd-parts', ell=None)"),
     (fibcomp.PartitionClass, ("distinct-ell", 3), "PartitionClass(kind='distinct-ell', ell=3)"),
+    (fibcomp.analytic.Dyadic, (5, -2), "Dyadic(man=5, exp=-2)"),
 ]
 
 

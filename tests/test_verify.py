@@ -36,6 +36,13 @@ def test_unknown_suite_rejected():
         verify.verify_suite("quantum", 5)
 
 
+@pytest.mark.parametrize("max_n", [True, 2.5, "3"])
+def test_max_n_must_be_an_int(max_n):
+    # a bool would name its rows n<=True; a float or a str would fail inside a suite
+    with pytest.raises(DomainError, match="max_n must be an integer"):
+        verify.verify_suite("codec", max_n)
+
+
 def test_failure_reports_counterexample(monkeypatch):
     # break one counter and confirm the suite pinpoints the smallest witness
     from fibcomp import counting
