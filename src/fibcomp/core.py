@@ -23,6 +23,12 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's documented domain."""
 
 
+def check_size(value, floor: int, what: str) -> None:
+    """Refuse a size that is not a plain int (a bool is not one) or is below floor."""
+    if type(value) is not int or value < floor:
+        raise DomainError(f"{what} >= {floor}, got {value!r}")
+
+
 # fibcomp.reference raises ImaginaryResidueError and analytic raises
 # NonCertifiedError; they live here so that callers can catch them without
 # importing either module, and reference's mpmath with it.

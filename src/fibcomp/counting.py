@@ -15,13 +15,12 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import DomainError
+from .core import DomainError, check_size
 
 
 def c_count(n: int) -> int:
     """Number of compositions of n: 2^(n-1)."""
-    if n < 1:
-        raise DomainError(f"c_count needs n >= 1, got {n}")
+    check_size(n, 1, "c_count needs n")
     return 1 << (n - 1)
 
 
@@ -75,9 +74,8 @@ def _extend(kind: str, values: list[int], upto: int) -> None:
         values.append(_next(kind, values, len(values)))
 
 
-def _memo_value(kind: str, n: int, name: str) -> int:
-    if n < 0:
-        raise DomainError(f"{name} needs n >= 0, got {n}")
+def _memo_value(kind: str, n: int) -> int:
+    check_size(n, 0, f"{kind}_recurrence needs n")
     _extend(kind, _tables[kind], n)
     return _tables[kind][n]
 
@@ -85,8 +83,7 @@ def _memo_value(kind: str, n: int, name: str) -> int:
 def fibonacci(n: int) -> int:
     """F_0 = 0, F_1 = 1, F_n = F_{n-1} + F_{n-2}, by fast doubling over the
     bits of n: F_2k = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2."""
-    if n < 0:
-        raise DomainError(f"fibonacci needs n >= 0, got {n}")
+    check_size(n, 0, "fibonacci needs n")
     a, b = 0, 1  # F_k, F_{k+1} for k = the leading bits of n read so far
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
@@ -97,14 +94,13 @@ def fibonacci(n: int) -> int:
 
 def Q_count(n: int) -> int:
     """Number of compositions of n into odd parts; equals F_n."""
-    if n < 1:
-        raise DomainError(f"Q_count needs n >= 1, got {n}")
+    check_size(n, 1, "Q_count needs n")
     return fibonacci(n)
 
 
 def p_recurrence(n: int) -> int:
     """Number of partitions of n via the alternating pentagonal-shift recurrence."""
-    return _memo_value("p", n, "p_recurrence")
+    return _memo_value("p", n)
 
 
 def q_recurrence(n: int) -> int:
@@ -113,16 +109,20 @@ def q_recurrence(n: int) -> int:
     Uses the alternating recurrence with shifts k(3k-1) and k(3k+1) and a
     right side of 1 exactly at triangular n.
     """
-    return _memo_value("q", n, "q_recurrence")
+    return _memo_value("q", n)
 
 
 def q_recurrence_residual(n: int) -> int:
-    """Left side of the distinct-partition recurrence at n.
-
-    Returns q(n) + sum_{k>=1} (-1)^k [q(n - k(3k-1)) + q(n - k(3k+1))],
-    which should equal 1 at triangular n and 0 elsewhere.
-    """
-    return _memo_value("q", n, "residual") - _pentagonal_sum(_tables["q"], n, _ROWS["q"][0])
+    """Left side of Gauss's identity at n, 1 at triangular n and 0 elsewhere:
+    q(n) + sum_{k>=1} (-1)^k [q(n - k(3k-1)) + q(n - k(3k+1))], with q(n) from
+    one q_recurrence(n) call and the rest summed here from the table it fills."""
+    check_size(n, 0, "residual needs n")
+    total, values, k = q_recurrence(n), _tables["q"], 1
+    while k * (3 * k - 1) <= n:
+        pair = values[n - k * (3 * k - 1)] + (values[n - k * (3 * k + 1)] if k * (3 * k + 1) <= n else 0)
+        total += -pair if k % 2 else pair
+        k += 1
+    return total
 
 
 class BinetReport(NamedTuple):
@@ -139,8 +139,7 @@ def binet_float(n: int) -> BinetReport:
     Overflow is reported as round_correct=False with infinite error rather
     than raised.
     """
-    if n < 0:
-        raise DomainError(f"binet_float needs n >= 0, got {n}")
+    check_size(n, 0, "binet_float needs n")
     exact = fibonacci(n)
     s5 = math.sqrt(5.0)
     try:
@@ -172,7 +171,7 @@ class MemoTable(NamedTuple):
 def build_table(kind: str, max_n: int) -> MemoTable:
     if kind not in _ROWS:
         raise DomainError(f"unknown table kind {kind!r}")
-    if max_n < 0:
+    if type(max_n) is not int or max_n < 0:  # bool is no size
         raise DomainError(f"table for {kind!r} needs max_n >= 0")
     values: list[int] = []
     _extend(kind, values, max_n)
@@ -232,6 +231,8 @@ def load_table(path) -> MemoTable:
 
 def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
     """Fetch a table from cache_dir, extending and rewriting it as needed."""
+    if type(max_n) is not int or max_n < 0:  # as build_table, before the cache is read
+        raise DomainError(f"table for {kind!r} needs max_n >= 0")
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{kind}.table"

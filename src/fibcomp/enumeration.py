@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import counting, genfun
-from .core import Composition, DomainError, Frozen, Partition
+from .core import Composition, DomainError, Frozen, Partition, check_size
 
 
 class EnumClass(Frozen):
@@ -211,10 +211,8 @@ def class_spec(cls: EnumClass) -> ClassSpec:
 
 def _spec_in_domain(n: int, cls: EnumClass) -> ClassSpec:
     spec = class_spec(cls)
-    if n < cls.min_n:
-        raise DomainError(f"{cls.family} need n >= {cls.min_n}, got {n}")
-    if n < spec.min_n:
-        raise DomainError(f"{cls.kind} {cls.family} need n >= {spec.min_n}, got {n}")
+    check_size(n, cls.min_n, f"{cls.family} need n")
+    check_size(n, spec.min_n, f"{cls.kind} {cls.family} need n")
     return spec
 
 
@@ -300,8 +298,9 @@ def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:
     from one walk that visits each member once and builds no value object.
     The empty sequence counts at m = 0, also for a family whose domain
     starts at 1."""
+    rule = _spec_in_domain(top, cls).rule  # refuses a bad top before the list is sized
     counts = [0] * (top + 1)
-    for rest, _ in _walk(top, _spec_in_domain(top, cls).rule, cls.ell):
+    for rest, _ in _walk(top, rule, cls.ell):
         counts[top - rest] += 1
     return counts
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, Frozen
+from .core import DomainError, Frozen, check_size
 
 
 class TruncatedSeries(Frozen):
@@ -36,8 +36,7 @@ class TruncatedSeries(Frozen):
     def from_list(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
         values = list(coeffs)
         if order is not None:
-            if order < 0:
-                raise DomainError(f"order must be >= 0, got {order}")
+            check_size(order, 0, "order must be")
             values = values[: order + 1] + [0] * (order + 1 - len(values))
         return cls(tuple(values))
 
@@ -47,8 +46,8 @@ class TruncatedSeries(Frozen):
 
     @classmethod
     def monomial(cls, power: int, order: int) -> "TruncatedSeries":
-        if power < 0:
-            raise DomainError(f"power must be >= 0, got {power}")
+        check_size(power, 0, "power must be")
+        check_size(order, 0, "order must be")
         values = [0] * (order + 1)
         if power <= order:
             values[power] = 1
@@ -103,8 +102,7 @@ def _multiply_geometric(coeffs: list[int], step: int) -> None:
 
 def partition_gf(N: int) -> TruncatedSeries:
     """Product of 1/(1-x^j) for j = 1..N; coefficient n counts partitions of n."""
-    if N < 0:
-        raise DomainError(f"order must be >= 0, got {N}")
+    check_size(N, 0, "order must be")
     coeffs = [1] + [0] * N
     for j in range(1, N + 1):
         _multiply_geometric(coeffs, j)
@@ -113,10 +111,10 @@ def partition_gf(N: int) -> TruncatedSeries:
 
 def compositions_gf(N: int) -> TruncatedSeries:
     """x/(1-2x): coefficient n is 2^(n-1) for n >= 1, constant term 0."""
-    if N < 1:
-        raise DomainError(f"order must be >= 1, got {N}")
-    one_minus_2x = TruncatedSeries.from_list([1, -2], N)
-    return series_mul(TruncatedSeries.monomial(1, N), series_inverse(one_minus_2x))
+    check_size(N, 1, "order must be")
+    coeffs = [0] * (N + 1)  # first, so an order too large to hold fails before any power
+    coeffs[1:] = [1 << i for i in range(N)]
+    return TruncatedSeries(tuple(coeffs))
 
 
 def distinct_partitions_ell_gf(ell: int, N: int) -> TruncatedSeries:
@@ -126,17 +124,14 @@ def distinct_partitions_ell_gf(ell: int, N: int) -> TruncatedSeries:
     the staircase ell + (ell-1) + ... + 1 is the least such partition and
     the geometric factors distribute the remaining weight.
     """
-    if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {ell}")
-    if N < 0:
-        raise DomainError(f"order must be >= 0, got {N}")
+    check_size(ell, 0, "ell must be")
+    check_size(N, 0, "order must be")
     staircase = ell * (ell + 1) // 2
     coeffs = [0] * (N + 1)
-    if staircase > N:
-        return TruncatedSeries(tuple(coeffs))
-    coeffs[staircase] = 1
-    for i in range(1, ell + 1):
-        _multiply_geometric(coeffs, i)
+    if staircase <= N:
+        coeffs[staircase] = 1
+        for i in range(1, ell + 1):
+            _multiply_geometric(coeffs, i)
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -147,8 +142,7 @@ def distinct_compositions_gf(N: int) -> TruncatedSeries:
     coefficient at x^n counts compositions of n with pairwise distinct
     parts.  The sum is finite: ell(ell+1)/2 <= N bounds ell.
     """
-    if N < 0:
-        raise DomainError(f"order must be >= 0, got {N}")
+    check_size(N, 0, "order must be")
     total = [0] * (N + 1)
     ell = 0
     while ell * (ell + 1) // 2 <= N:

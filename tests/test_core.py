@@ -12,6 +12,7 @@ from fibcomp.core import (
     format_composition,
     from_bitseq,
     make_composition,
+    check_size,
     parse_composition,
     render_graph,
     to_bitseq,
@@ -227,6 +228,15 @@ def test_part_must_be_a_plain_int(kind, part):
     with pytest.raises(DomainError) as refused:
         kind((2, part))
     assert str(refused.value) == f"part {part!r} at position 1 is not a positive integer"
+
+
+# True and 2.5 lie above the floor 0 and are refused for their type alone
+@pytest.mark.parametrize("size", [True, 2.5, "3", -1])
+def test_check_size_takes_plain_ints_at_or_above_the_floor(size):
+    assert check_size(0, 0, "fibonacci needs n") is None
+    with pytest.raises(DomainError) as refused:
+        check_size(size, 0, "fibonacci needs n")
+    assert str(refused.value) == f"fibonacci needs n >= 0, got {size!r}"
 
 
 @given(st.lists(st.sampled_from((0, 1)), max_size=64).map(tuple))

@@ -133,6 +133,23 @@ class TestDistinctRecurrence:
         with pytest.raises(DomainError):
             q_recurrence_residual(-1)
 
+    def test_residual_catches_a_table_filled_with_the_literal_shifts(self, monkeypatch):
+        # the recurrence swapped for the uncorrected linear shifts 3k-1, 3k+1
+        # fills q's table wrongly; the residual sums the quadratic shifts
+        # itself, so it stops reading the triangular indicator
+        def literal_shifts(values, n, scale):
+            total, k = 0, 1
+            while 3 * k - 1 <= n:
+                pair = values[n - (3 * k - 1)] + (values[n - (3 * k + 1)] if 3 * k + 1 <= n else 0)
+                total += pair if k % 2 else -pair
+                k += 1
+            return total
+
+        monkeypatch.setattr(counting, "_pentagonal_sum", literal_shifts)
+        monkeypatch.setitem(counting._tables, "q", [])  # the memo, restored afterwards
+        assert q_recurrence(12) == q_table_literal(12)[12] != q_table_corrected(12)[12]
+        assert [n for n in range(21) if q_recurrence_residual(n) != (1 if triangular(n) else 0)]
+
 
 @pytest.mark.parametrize(
     "kind,recurrence,oracle",

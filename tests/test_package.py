@@ -2,7 +2,8 @@
 loads the analytic layer only when it evaluates a series, and mpmath only
 with fibcomp.reference, for the analytic verify suite.
 No CLI call loads dataclasses, and the value types keep one contract:
-equal by exact class and fields, shown as Type(field=value), read only."""
+equal by exact class and fields, shown as Type(field=value), read only.
+A size argument is a plain int: a bool, a float or a string is refused."""
 
 import importlib
 import os
@@ -262,6 +263,53 @@ def test_value_type_contract(value_type, args, text):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+def _cached_table(size, tmp):
+    # with a table on file, cached_table would otherwise return it unread
+    fibcomp.counting.save_table(fibcomp.counting.build_table("p", 5), tmp / "p.table")
+    return fibcomp.counting.cached_table("p", size, tmp)
+
+
+# every size-taking public function of counting, genfun and enumeration, one
+# size argument at a time, as (size, scratch directory) -> call
+SIZE_TAKERS = {
+    "c_count": lambda size, tmp: fibcomp.c_count(size),
+    "fibonacci": lambda size, tmp: fibcomp.fibonacci(size),
+    "Q_count": lambda size, tmp: fibcomp.Q_count(size),
+    "p_recurrence": lambda size, tmp: fibcomp.p_recurrence(size),
+    "q_recurrence": lambda size, tmp: fibcomp.q_recurrence(size),
+    "q_recurrence_residual": lambda size, tmp: fibcomp.q_recurrence_residual(size),
+    "binet_float": lambda size, tmp: fibcomp.binet_float(size),
+    "build_table": lambda size, tmp: fibcomp.counting.build_table("q", size),
+    "cached_table": _cached_table,
+    "from_list": lambda size, tmp: fibcomp.TruncatedSeries.from_list([1, 2], size),
+    "one": lambda size, tmp: fibcomp.TruncatedSeries.one(size),
+    "monomial-power": lambda size, tmp: fibcomp.TruncatedSeries.monomial(size, 3),
+    "monomial-order": lambda size, tmp: fibcomp.TruncatedSeries.monomial(1, size),
+    "partition_gf": lambda size, tmp: fibcomp.partition_gf(size),
+    "compositions_gf": lambda size, tmp: fibcomp.compositions_gf(size),
+    "distinct_partitions_ell_gf-ell": lambda size, tmp: fibcomp.distinct_partitions_ell_gf(size, 5),
+    "distinct_partitions_ell_gf-order": lambda size, tmp: fibcomp.distinct_partitions_ell_gf(2, size),
+    "distinct_compositions_gf": lambda size, tmp: fibcomp.distinct_compositions_gf(size),
+    "PartitionClass-ell": lambda size, tmp: fibcomp.PartitionClass("distinct-ell", size),
+    "exact_count": lambda size, tmp: fibcomp.enumeration.exact_count(size, fibcomp.CompositionClass("all")),
+    "gen_class": lambda size, tmp: fibcomp.enumeration.gen_class(size, fibcomp.PartitionClass("all")),
+    "gen_compositions": lambda size, tmp: fibcomp.gen_compositions(size, fibcomp.CompositionClass("odd-parts")),
+    "gen_partitions": lambda size, tmp: fibcomp.gen_partitions(size, fibcomp.PartitionClass("distinct-parts")),
+    "tally_by_enumeration": lambda size, tmp: fibcomp.enumeration.tally_by_enumeration(
+        size, fibcomp.CompositionClass("min-part-2")
+    ),
+    "count_by_enumeration": lambda size, tmp: fibcomp.count_by_enumeration(size, fibcomp.PartitionClass("odd-parts")),
+}
+
+
+# a bool is an int to isinstance and 2.5 compares with ints, but neither is a size
+@pytest.mark.parametrize("size", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("call", SIZE_TAKERS.values(), ids=SIZE_TAKERS)
+def test_a_size_must_be_a_plain_int(call, size, tmp_path):
+    with pytest.raises(fibcomp.DomainError):
+        call(size, tmp_path)
 
 
 def test_version_matches_pyproject():
