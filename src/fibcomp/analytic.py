@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import DomainError, Frozen, NonCertifiedError
+from .core import Frozen, NonCertifiedError, check_size
 
 RESIDUAL_BITS = 2  # 2^-2; the residual bound of q's drift test and verify's residual row
 STABILITY_BITS = 4  # q's tail moves by less than 2^-4 under a doubled term budget
@@ -94,7 +94,8 @@ def nstr(x: Dyadic, dps: int) -> str:
     (or below 2^-3500) mpmath scales by a power of ten rounded to about
     3.3 (dps + 3) + 10 bits, and this port scales exactly; the two can
     differ only when the digits after the (dps + 3)-th sit that close to
-    a run of zeros or nines."""
+    a run of zeros or nines.  A dps below 1 is refused."""
+    check_size(dps, 1, "nstr needs dps")
     sign, man, exp, bc = x._mpf_
     if not man:
         return "0.0"
@@ -561,17 +562,11 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
     bits keeps the last partial sum and adds only the terms past the old
     budget, so every sum is still reduced in ascending k; new bits start
     over at k = 1."""
-    for arg, value in (("n", n), ("k_max", k_max), ("precision_bits", precision_bits)):
-        if type(value) is not int and (value is not None or arg == "n"):  # bool is no int
-            raise DomainError(f"{name} needs an integer {arg}, got {value!r}")
-    if n < 1:
-        raise DomainError(f"{name} needs n >= 1, got {n}")
+    check_size(n, 1, f"{name} needs n")
     k_terms = default_k_terms(n) if k_max is None else k_max
     bits = default_bits(n) if precision_bits is None else precision_bits
-    if k_terms < 1:
-        raise DomainError("k_max must be >= 1")
-    if bits < 64:
-        raise DomainError("precision_bits must be >= 64")
+    check_size(k_terms, 1, "k_max must be")
+    check_size(bits, 64, "precision_bits must be")
     kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
         value, term, ks, needs = series(n, k_terms, bits)

@@ -25,7 +25,10 @@ def c_count(n: int) -> int:
 
 
 def is_triangular(n: int) -> bool:
-    """True when n = m(m+1)/2 for some m >= 0; n = 0 counts."""
+    """True when n = m(m+1)/2 for some m >= 0; n = 0 counts.  n may be any
+    int, and a negative one is not triangular; a non-int is refused."""
+    if type(n) is not int:  # bool is no int
+        raise DomainError(f"is_triangular needs an integer n, got {n!r}")
     if n < 0:
         return False
     root = math.isqrt(8 * n + 1)
@@ -151,6 +154,7 @@ def binet_float(n: int) -> BinetReport:
 
 def binet_first_failure(limit: int = 100) -> int | None:
     """Smallest n <= limit whose Binet estimate rounds wrong, or None."""
+    check_size(limit, 0, "binet_first_failure needs limit")
     for n in range(limit + 1):
         if not binet_float(n).round_correct:
             return n
@@ -168,11 +172,14 @@ class MemoTable(NamedTuple):
         return len(self.values) - 1
 
 
-def build_table(kind: str, max_n: int) -> MemoTable:
+def _check_table(kind: str, max_n: int) -> None:
     if kind not in _ROWS:
         raise DomainError(f"unknown table kind {kind!r}")
-    if type(max_n) is not int or max_n < 0:  # bool is no size
-        raise DomainError(f"table for {kind!r} needs max_n >= 0")
+    check_size(max_n, 0, f"table for {kind!r} needs max_n")
+
+
+def build_table(kind: str, max_n: int) -> MemoTable:
+    _check_table(kind, max_n)
     values: list[int] = []
     _extend(kind, values, max_n)
     return MemoTable(kind, values)
@@ -231,8 +238,7 @@ def load_table(path) -> MemoTable:
 
 def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
     """Fetch a table from cache_dir, extending and rewriting it as needed."""
-    if type(max_n) is not int or max_n < 0:  # as build_table, before the cache is read
-        raise DomainError(f"table for {kind!r} needs max_n >= 0")
+    _check_table(kind, max_n)  # before the directory is made or read
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{kind}.table"

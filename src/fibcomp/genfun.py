@@ -28,8 +28,8 @@ class TruncatedSeries(Frozen):
         return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> int:
-        if not 0 <= i <= self.order:
-            raise DomainError(f"coefficient index {i} outside 0..{self.order}")
+        if type(i) is not int or not 0 <= i <= self.order:  # bool is no index
+            raise DomainError(f"coefficient index {i!r} outside 0..{self.order}")
         return self.coeffs[i]
 
     @classmethod

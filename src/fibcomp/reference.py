@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import besseli, cospi, mp, mpf, sinpi
 
-from .core import DomainError, ImaginaryResidueError
+from .core import DomainError, ImaginaryResidueError, check_size
 
 
 def sawtooth(x) -> Fraction:
@@ -26,10 +26,9 @@ def sawtooth(x) -> Fraction:
 
 
 def _check_coprime_args(h: int, k: int) -> None:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not 0 <= h < k:
-        raise DomainError(f"h must satisfy 0 <= h < k, got h={h}, k={k}")
+    check_size(k, 1, "k must be")
+    if type(h) is not int or not 0 <= h < k:  # bool is no int
+        raise DomainError(f"h must satisfy 0 <= h < k, got h={h!r}, k={k}")
     if math.gcd(h, k) != 1:
         raise DomainError(f"h and k must be coprime, got h={h}, k={k}")
 
@@ -88,12 +87,9 @@ def kloosterman_A(k: int, n: int, precision_bits: int):
     formula (_A_real); this direct form is the reference it is checked
     against.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be >= 64")
+    check_size(k, 1, "k must be")
+    check_size(n, 0, "n must be")
+    check_size(precision_bits, 64, "precision_bits must be")
     return _direct_sum(dedekind_s, k, n, precision_bits)
 
 
@@ -107,8 +103,7 @@ def bessel_I1(z, precision_bits: int):
     a millisecond at 2^16 and at 10^12, about a second at 10^1000, and no
     useful time at all at 10^100000.
     """
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be >= 64")
+    check_size(precision_bits, 64, "precision_bits must be")
     with mp.workprec(precision_bits):
         z = mpf(z)
         if not mp.isfinite(z):  # besseli returns nan at nan and raises TypeError at inf

@@ -21,6 +21,7 @@ from .core import (
     DomainError,
     ImaginaryResidueError,
     NonCertifiedError,
+    check_size,
     conjugate,
     from_bitseq,
     to_bitseq,
@@ -432,13 +433,11 @@ def suite_names() -> tuple[str, ...]:
 
 
 def verify_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
-    """Run one named suite; max_n overrides its default enumeration bound."""
+    """Run one named suite; max_n, an int >= 1, overrides its default
+    enumeration bound."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; pick from {', '.join(_SUITES)}")
-    if max_n is not None and type(max_n) is not int:  # bool is no int
-        raise DomainError(f"max_n must be an integer, got {max_n!r}")
     suite, default_bound = _SUITES[name]
     bound = default_bound if max_n is None else max_n
-    if bound < 1:
-        raise DomainError(f"max_n must be >= 1, got {bound}")
+    check_size(bound, 1, "max_n must be")
     return suite(bound)

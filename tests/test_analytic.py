@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -534,10 +533,17 @@ class TestHagisQ:
 @pytest.mark.parametrize("arg", ["n", "k_max", "precision_bits"])
 @pytest.mark.parametrize("value", [True, 10.0, "10"], ids=["bool", "float", "str"])
 def test_series_arguments_are_plain_ints(evaluate, arg, value):
-    # True once ran as 1 and a float or a str ended in a bare TypeError
+    # True once ran as 1 and a float or a str ended in a bare TypeError; each
+    # argument is refused by core.check_size, with its floor
     args = {"n": 10, "k_max": None, "precision_bits": None, arg: value}
-    with pytest.raises(DomainError, match=re.escape(f"needs an integer {arg}, got {value!r}")):
+    floor = {
+        "n": f"{evaluate.__name__} needs n >= 1",
+        "k_max": "k_max must be >= 1",
+        "precision_bits": "precision_bits must be >= 64",
+    }
+    with pytest.raises(DomainError) as refused:
         evaluate(**args)
+    assert str(refused.value) == f"{floor[arg]}, got {value!r}"
 
 
 @pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])

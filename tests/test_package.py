@@ -3,8 +3,11 @@ loads the analytic layer only when it evaluates a series, and mpmath only
 with fibcomp.reference, for the analytic verify suite.
 No CLI call loads dataclasses, and the value types keep one contract:
 equal by exact class and fields, shown as Type(field=value), read only.
-A size argument is a plain int: a bool, a float or a string is refused."""
+A size argument is a plain int: a bool, a float or a string is refused,
+and core.check_size writes each refusal of a size below its floor (a
+class's ell and bessel_I1's z aside)."""
 
+import ast
 import importlib
 import os
 import re
@@ -271,8 +274,8 @@ def _cached_table(size, tmp):
     return fibcomp.counting.cached_table("p", size, tmp)
 
 
-# every size-taking public function of counting, genfun and enumeration, one
-# size argument at a time, as (size, scratch directory) -> call
+# every size-taking public function of the package, one size argument at a
+# time, as (size, scratch directory) -> call
 SIZE_TAKERS = {
     "c_count": lambda size, tmp: fibcomp.c_count(size),
     "fibonacci": lambda size, tmp: fibcomp.fibonacci(size),
@@ -301,6 +304,24 @@ SIZE_TAKERS = {
         size, fibcomp.CompositionClass("min-part-2")
     ),
     "count_by_enumeration": lambda size, tmp: fibcomp.count_by_enumeration(size, fibcomp.PartitionClass("odd-parts")),
+    "binet_first_failure": lambda size, tmp: fibcomp.binet_first_failure(size),
+    "is_triangular": lambda size, tmp: fibcomp.counting.is_triangular(size),
+    "coefficient": lambda size, tmp: fibcomp.TruncatedSeries((5, 7, 9)).coefficient(size),
+    "nstr": lambda size, tmp: fibcomp.analytic.nstr(fibcomp.analytic.Dyadic(5, -2), size),
+    "rademacher_p-n": lambda size, tmp: fibcomp.rademacher_p(size),
+    "rademacher_p-k_max": lambda size, tmp: fibcomp.rademacher_p(10, k_max=size),
+    "rademacher_p-precision_bits": lambda size, tmp: fibcomp.rademacher_p(10, precision_bits=size),
+    "hagis_q-n": lambda size, tmp: fibcomp.hagis_q(size),
+    "hagis_q-k_max": lambda size, tmp: fibcomp.hagis_q(10, k_max=size),
+    "hagis_q-precision_bits": lambda size, tmp: fibcomp.hagis_q(10, precision_bits=size),
+    "verify_suite": lambda size, tmp: fibcomp.verify_suite("codec", size),
+    "dedekind_s-h": lambda size, tmp: fibcomp.dedekind_s(size, 5),
+    "dedekind_s-k": lambda size, tmp: fibcomp.dedekind_s(1, size),
+    "hagis_t": lambda size, tmp: fibcomp.hagis_t(1, size),
+    "kloosterman_A-k": lambda size, tmp: fibcomp.kloosterman_A(size, 5, 64),
+    "kloosterman_A-n": lambda size, tmp: fibcomp.kloosterman_A(3, size, 64),
+    "kloosterman_A-precision_bits": lambda size, tmp: fibcomp.kloosterman_A(3, 5, size),
+    "bessel_I1": lambda size, tmp: fibcomp.bessel_I1("1", size),
 }
 
 
@@ -310,6 +331,64 @@ SIZE_TAKERS = {
 def test_a_size_must_be_a_plain_int(call, size, tmp_path):
     with pytest.raises(fibcomp.DomainError):
         call(size, tmp_path)
+
+
+# a size below its floor, in check_size's words; binet_first_failure(-1) once
+# returned None and nstr(x, 0) printed ".0e+3"
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: fibcomp.binet_first_failure(-1), "binet_first_failure needs limit >= 0, got -1"),
+        (lambda: fibcomp.analytic.nstr(fibcomp.analytic.Dyadic(1000, 0), 0), "nstr needs dps >= 1, got 0"),
+        (lambda: fibcomp.rademacher_p(10, k_max=0), "k_max must be >= 1, got 0"),
+        (lambda: fibcomp.hagis_q(10, precision_bits=32), "precision_bits must be >= 64, got 32"),
+        (lambda: fibcomp.counting.build_table("p", -1), "table for 'p' needs max_n >= 0, got -1"),
+        (lambda: fibcomp.kloosterman_A(3, 5, 63), "precision_bits must be >= 64, got 63"),
+    ],
+    ids=["binet_first_failure", "nstr", "k_max", "precision_bits", "build_table", "kloosterman_A"],
+)
+def test_a_size_below_its_floor_is_refused(call, text):
+    with pytest.raises(fibcomp.DomainError) as refused:
+        call()
+    assert str(refused.value) == text
+
+
+def test_a_table_is_checked_before_its_directory_is_made(tmp_path):
+    for kind, size in (("r", 5), ("p", -1), ("q", True)):
+        with pytest.raises(fibcomp.DomainError):
+            fibcomp.counting.cached_table(kind, size, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+
+def _floor_refusals(node, file, scope=""):
+    # (file, enclosing def, constant text) of each `raise DomainError(...)`
+    # whose message holds ">= "
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
+            message = child.exc.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            text = "".join(p.value for p in parts if isinstance(p, ast.Constant))
+            if getattr(child.exc.func, "id", None) == "DomainError" and ">= " in text:
+                yield file, scope, text
+        yield from _floor_refusals(child, file, inner)
+
+
+def test_every_size_refusal_goes_through_check_size():
+    # a hand-written floor test is a size check of its own; only two stay: the
+    # golden corpus pins the ell text, and bessel_I1's z is a real, not a size
+    found = {
+        refusal
+        for path in Path(fibcomp.__file__).parent.glob("*.py")
+        for refusal in _floor_refusals(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    }
+    assert found == {
+        ("core.py", "check_size", " >= , got "),
+        ("enumeration.py", "EnumClass.__init__", " class needs ell >= 0"),
+        ("reference.py", "bessel_I1", "bessel_I1 is only evaluated at z >= 0"),
+    }
 
 
 def test_version_matches_pyproject():
