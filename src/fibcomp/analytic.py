@@ -8,13 +8,13 @@ of 2^-V it may be off.  The kernels are pi (Machin's formula), exp (with
 cosh and sinh from one exp), the cosine of a rational multiple of pi,
 math.isqrt, and the power series of the Bessel function I_1.  A_k(n)
 comes from Selberg's formula, a few cosines per k, and the q sum, a
-Kloosterman sum, from one modular inverse per h and Clenshaw's
+Kloosterman sum, from one modular inverse per unit h and Clenshaw's
 recurrence over a histogram of its angles, one cosine per k.
 
 Each series is summed at an absolute scale set by its working precision
-P = precision_bits: P bits of a value the size of the largest term, e^x
-for p and e^z for q (x and z as in _p_series and _q_series), so that P
-keeps the meaning of a floating-point precision.  A report's raw value and
+P = precision_bits: P bits of a value the size of the largest term,
+e^(pi sqrt(c n/3)) with c = 2 for p and c = 1 for q (_magnitude), so that
+P keeps the meaning of a floating-point precision.  A report's raw value and
 residual are exact binary fractions (Dyadic), and a series' integer is
 only reported certified when the series' own certificate passes.  Each
 series carries a different one:
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import Frozen, NonCertifiedError, check_size
+from .core import DomainError, Frozen, NonCertifiedError, check_size
 
 RESIDUAL_BITS = 2  # 2^-2; the residual bound of q's drift test and verify's residual row
 STABILITY_BITS = 4  # q's tail moves by less than 2^-4 under a doubled term budget
@@ -57,9 +57,12 @@ class Dyadic(Frozen):
     report's raw_value and residual.  It converts with float() and carries
     mpmath's normalized _mpf_ tuple, so mpmath.mpf(x) is exact at a working
     precision of at least its bit count and mpmath.mp.nstr(x, d) prints it
-    as nstr(x, d) does here.  Two Dyadics are equal when man and exp are."""
+    as nstr(x, d) does here.  man and exp are plain ints; two Dyadics are
+    equal when both are."""
 
     def __init__(self, man: int, exp: int):
+        if type(man) is not int or type(exp) is not int:  # bool is no field
+            raise DomainError(f"Dyadic needs int man and exp, got {man!r}, {exp!r}")
         object.__setattr__(self, "man", man)
         object.__setattr__(self, "exp", exp)
 
@@ -327,8 +330,9 @@ def _inner_real(k: int, n: int, V: int) -> int:
     Terms h and k - h are conjugate, and b and m - b share a cosine, so
     S_k(n) is 2 (2/k) times the sum over coprime h < k/2 of cos(2 pi j/m),
     j = min(b_h, m - b_h) <= m/2: the sum over j = 0..m/2 of
-    c_j cos(2 pi j/m), c_j the histogram of the j, summed from one cosine
-    per k and one P-bit product per j.
+    c_j cos(2 pi j/m), c_j the histogram of the j, filled from one modular
+    inverse per unit h (a unit mod k is one mod m, as m has k's primes) and
+    summed from one cosine per k and one P-bit product per j.
 
     Error bound, with u = 2^-P, alpha = 2 pi/m and t = m//2.  Clenshaw's
     recurrence b_j = c_j + 2y b_(j+1) - b_(j+2), from b_(t+1) = b_(t+2) = 0,
@@ -359,11 +363,9 @@ def _inner_real(k: int, n: int, V: int) -> int:
     c, d = unit * (m + 1) // 2 % m, (unit + m // k * n) % m  # b_h = c/h - d h
     counts = [0] * (m // 2 + 1)
     for h in range(1, k // 2 + 1):
-        try:
+        if math.gcd(h, k) == 1:
             j = (c * pow(h, -1, m) - d * h) % m
-        except ValueError:  # h shares a factor with k
-            continue
-        counts[min(j, m - j)] += 1
+            counts[min(j, m - j)] += 1
     P = V + 2 + k.bit_length() + 2 * m.bit_length()
     C = _cos_pi(2, m, P)
     b1 = b2 = 0  # Clenshaw's b_j and b_(j+1), at scale P
@@ -382,29 +384,20 @@ def default_k_terms(n: int) -> int:
     return root + 16
 
 
-def _magnitude_p(n: int) -> int:
-    # bits of e^(pi sqrt(2n/3)), the size of p's largest term
-    return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 1
+def _magnitude(n: int, c: int) -> int:
+    # bits of e^(pi sqrt(c n/3)), the largest term's size: c = 2 for p's series, 1 for q's
+    return int(math.pi * math.sqrt(c * n / 3) / math.log(2)) + 1
 
 
-def _magnitude_q(n: int) -> int:
-    # bits of e^(pi sqrt(n/3)), the size of q's largest term
-    return int(math.pi * math.sqrt(n / 3) / math.log(2)) + 1
-
-
-def default_bits_p(n: int) -> int:
+def default_bits(n: int, c: int) -> int:
     # 64 guard bits over the bit length of the value being summed to
-    return max(128, _magnitude_p(n) + 63)
+    return max(128, _magnitude(n, c) + 63)
 
 
-def default_bits_q(n: int) -> int:
-    return max(128, _magnitude_q(n) + 63)
-
-
-def _p_scale(n: int, bits: int) -> int:
-    """The scale V of p's sum at a working precision of bits: the fraction
-    bits that bits-bit floats hold at the size of e^x (at least 1)."""
-    return max(bits - _magnitude_p(n), 1)
+def _scale(n: int, bits: int, c: int) -> int:
+    """The scale V of a series' sum at a working precision of bits: the fraction
+    bits that bits-bit floats hold at the size of its largest term (at least 1)."""
+    return max(bits - _magnitude(n, c), 1)
 
 
 def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
@@ -428,8 +421,8 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
         |p(n) - partial sum| <= 2 pi^2 cosh(x/N)/(9 sqrt(3N)),
     where 2 pi^2/(9 sqrt 3) is about 1.2663.  Each factor is rounded the way
     that enlarges the quotient, so it stays an upper bound at any scale T;
-    T = 128 + _magnitude_p(n) // N holds about 128 bits past the integer
-    part of cosh(x/N) < 2^(_magnitude_p(n)/N), whatever bits is.
+    T = 128 + _magnitude(n, 2) // N holds about 128 bits past the integer
+    part of cosh(x/N) < 2^(_magnitude(n, 2)/N), whatever bits is.
     * pi: _pi is within 1 unit, so _pi(T) + 1 is above pi 2^T.
     * x/N: isqrt((24n - 1) 2^(2T)) + 1 is above sqrt(24n - 1) 2^T, so their
       product over 6 2^T, rounded up, and that over N, rounded up, give
@@ -441,17 +434,17 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
     The quotient is then taken in units of 2^-bits, rounded up.
 
     Evaluation error.  _p_series sums terms each within 2 units of
-    2 C_k g(x/k) 2^V, V = _p_scale(n, bits) <= bits (its docstring proves
+    2 C_k g(x/k) 2^V, V = _scale(n, bits, 2) <= bits (its docstring proves
     it), so their sum S is within 2N units, and raw = floor(2S/(24n - 1))
     is within 4N/(24n - 1) + 1 units of scale V of the partial sum.
     """
-    T = 128 + _magnitude_p(n) // k_terms
+    T = 128 + _magnitude(n, 2) // k_terms
     pi = _pi(T) + 1  # pi 2^T rounded up
     x = -(-pi * (math.isqrt((24 * n - 1) << 2 * T) + 1) // (6 << T))  # x 2^T rounded up
     cosh2 = _cosh_sinh(-(-x // k_terms), T, T)[0] + 4  # 2 cosh(x/N) 2^T rounded up
     divisor = 9 * math.isqrt((3 * k_terms) << 2 * T) << 2 * T
     tail = -(-(pi * pi * cosh2 << bits) // divisor)
-    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _p_scale(n, bits)
+    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _scale(n, bits, 2)
 
 
 def _p_series(n: int, k_terms: int, bits: int):
@@ -473,7 +466,7 @@ def _p_series(n: int, k_terms: int, bits: int):
       2^(h-3) + 1 as h = bitlen(4/y') + 3, and the shift to scale b brings
       2 g(y') within 2 units.  0 <= g' <= sinh, so 2 g(y') is within
       2 D 2^-U e^(y'+D 2^-U) 2^b < 1 unit of 2 g(y), as e^y' < 2^(E+1),
-      E = _magnitude_p(n), and U >= b + E + bitlen(D) + 3 for k < 2^40.
+      E = _magnitude(n, 2), and U >= b + E + bitlen(D) + 3 for k < 2^40.
       So G = 2 g 2^b is held within 3 units.
     * C = _A_real at scale a is within 2k units, and |C| <= 2k (2^a + 1).
       The product is off by at most |C| 3 + (G + 3) 2k units of scale
@@ -481,9 +474,9 @@ def _p_series(n: int, k_terms: int, bits: int):
       at most 1/2 as a + b - V >= bitlen(G + 3) + bitlen(4k).  The shift to
       scale V adds at most 1.
     """
-    V = _p_scale(n, bits)
+    V = _scale(n, bits, 2)
     D = math.isqrt(24 * n) + 5
-    U = V + _magnitude_p(n) + D.bit_length() + 48
+    U = V + _magnitude(n, 2) + D.bit_length() + 48
     X = _pi(U) * math.isqrt((24 * n - 1) << 2 * U) // (6 << U)
 
     def term(k):
@@ -516,11 +509,11 @@ def _q_series(n: int, k_terms: int, bits: int):
     With y_k = (z/(2k))^2 = pi^2 (24n+1)/(288 k^2) and F = _bessel_F,
     I_1(z/k) = (z/(2k)) F(y_k), so the series is q(n) = (pi^2 sqrt2/24)
     times the sum over odd k of S_k(n) F(y_k)/k^2.  Each term is summed at
-    scale V + bitlen(2N) + 4, V = bits - _magnitude_q(n) (at least 1), from
+    scale V + bitlen(2N) + 4, V = _scale(n, bits, 1), from
     F at a scale that covers k^2 and S_k at one that covers F.
     """
-    E = _magnitude_q(n)
-    V = max(bits - E, 1) + (2 * k_terms).bit_length() + 4
+    E = _magnitude(n, 1)
+    V = _scale(n, bits, 1) + (2 * k_terms).bit_length() + 4
     U = V + E + 8
     pi = _pi(U)
     Y = pi * pi * (24 * n + 1) // (288 << U)  # y_1 2^U
@@ -553,7 +546,7 @@ def _q_series(n: int, k_terms: int, bits: int):
     return value, term, range(1, max(2 * k_terms, 3) + 1, 2), needs
 
 
-def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> SeriesEvalReport:
+def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> SeriesEvalReport:
     """Sum the series in ascending k over its k range, round the partial sum
     through k <= k_terms, and hold it to the series' certificate.  The
     certificate, needs(raw, residual, total), says whether more terms and
@@ -561,10 +554,10 @@ def _certify(name: str, n: int, k_max, precision_bits, default_bits, series) -> 
     precision or both, as it asks, and tries again.  An attempt at unchanged
     bits keeps the last partial sum and adds only the terms past the old
     budget, so every sum is still reduced in ascending k; new bits start
-    over at k = 1."""
+    over at k = 1.  The series constant c of _magnitude sets the default bits."""
     check_size(n, 1, f"{name} needs n")
     k_terms = default_k_terms(n) if k_max is None else k_max
-    bits = default_bits(n) if precision_bits is None else precision_bits
+    bits = default_bits(n, c) if precision_bits is None else precision_bits
     check_size(k_terms, 1, "k_max must be")
     check_size(bits, 64, "precision_bits must be")
     kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
@@ -604,7 +597,7 @@ def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = 
     in n.  Terms are reduced in ascending k; the rounding is certified by
     a proven bound on the tail and the evaluation error (_p_bounds).
     """
-    return _certify("rademacher_p", n, k_max, precision_bits, default_bits_p, _p_series)
+    return _certify("rademacher_p", n, k_max, precision_bits, 2, _p_series)
 
 
 def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None) -> SeriesEvalReport:
@@ -616,4 +609,4 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
     single h = 0 term.  It is certified by the drift test of the module
     docstring, not by a proven bound as rademacher_p is.
     """
-    return _certify("hagis_q", n, k_max, precision_bits, default_bits_q, _q_series)
+    return _certify("hagis_q", n, k_max, precision_bits, 1, _q_series)

@@ -46,8 +46,8 @@ def trace_forward(a: Composition) -> BijectionTrace:
     pairs = (len(pieces) - 1) // 2
     summed = [pieces[2 * i] + pieces[2 * i + 1] for i in range(pairs)]
     summed.append(pieces[-1])
-    b = Composition(tuple(summed))
-    c = Composition(tuple(summed[:-1]) + (summed[-1] + 1,))
+    b = Composition(summed)
+    c = Composition([*summed[:-1], summed[-1] + 1])
     return BijectionTrace(a, a_conj, b, c)
 
 
@@ -73,4 +73,4 @@ def gt1_to_odd(c: Composition) -> Composition:
     for p in reduced[:-1]:
         pieces.extend((p - 1, 1))
     pieces.append(reduced[-1])
-    return conjugate(Composition(tuple(pieces)))
+    return conjugate(Composition(pieces))

@@ -17,6 +17,7 @@ whitespace.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -74,9 +75,10 @@ class Frozen:
 
 
 class _Parts(Frozen):
-    """Tuple of positive int parts, rendered as "a1+a2+..." text."""
+    """Tuple of positive int parts, from any iterable, rendered as "a1+a2+..." text."""
 
-    def __init__(self, parts: tuple[int, ...]):
+    def __init__(self, parts: Iterable[int]):
+        parts = tuple(parts)
         for i, p in enumerate(parts):
             if type(p) is not int or p < 1:  # bool is no part
                 raise DomainError(f"part {p!r} at position {i} is not a positive integer")
@@ -93,10 +95,10 @@ class _Parts(Frozen):
 class Composition(_Parts):
     """Ordered tuple of positive integer parts."""
 
-    def __init__(self, parts: tuple[int, ...]):
-        if not parts:
-            raise DomainError("composition must have at least one part")
+    def __init__(self, parts: Iterable[int]):
         super().__init__(parts)
+        if not self.parts:
+            raise DomainError("composition must have at least one part")
 
     @property
     def ell(self) -> int:
@@ -106,7 +108,8 @@ class Composition(_Parts):
 class BitSeq(Frozen):
     """Binary string encoding a composition; length n-1 for a composition of n."""
 
-    def __init__(self, bits: tuple[int, ...]):
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
         for b in bits:
             if type(b) is not int or b not in (0, 1):  # True and 1.0 are no bits
                 raise DomainError(f"bit value {b!r} is not 0 or 1")
@@ -119,15 +122,15 @@ class BitSeq(Frozen):
 class Partition(_Parts):
     """Weakly decreasing tuple of positive parts; the empty partition sums to 0."""
 
-    def __init__(self, parts: tuple[int, ...]):
+    def __init__(self, parts: Iterable[int]):
         super().__init__(parts)
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise DomainError("partition parts must be weakly decreasing")
 
 
 def make_composition(parts) -> Composition:
     """Validate a sequence of integers and return it as a Composition."""
-    return Composition(tuple(parts))
+    return Composition(parts)
 
 
 # compiled on first use and kept by re's own cache
@@ -138,7 +141,7 @@ def parse_composition(text: str) -> Composition:
     """Parse canonical "a1+a2+..." text; whitespace and leading zeros rejected."""
     if not re.match(_COMPOSITION_RE, text):
         raise DomainError(f"not a composition in a1+a2+... form: {text!r}")
-    return Composition(tuple(int(p) for p in text.split("+")))
+    return Composition(int(p) for p in text.split("+"))
 
 
 def format_composition(c: Composition) -> str:
@@ -157,7 +160,7 @@ def to_bitseq(c: Composition) -> BitSeq:
         bits.extend([0] * (p - 1))
         bits.append(1)
     bits.extend([0] * (c.parts[-1] - 1))
-    return BitSeq(tuple(bits))
+    return BitSeq(bits)
 
 
 def from_bitseq(b: BitSeq) -> Composition:
@@ -171,13 +174,13 @@ def from_bitseq(b: BitSeq) -> Composition:
         else:
             run += 1
     parts.append(run)
-    return Composition(tuple(parts))
+    return Composition(parts)
 
 
 def conjugate(c: Composition) -> Composition:
     """Complement the bit string: an involution sending ell parts to n-ell+1 parts."""
     encoded = to_bitseq(c)
-    return from_bitseq(BitSeq(tuple(1 - b for b in encoded.bits)))
+    return from_bitseq(BitSeq(1 - b for b in encoded.bits))
 
 
 # Glyphs chosen to render the unit row unambiguously in terminals:

@@ -290,7 +290,7 @@ def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partit
     """Yield each member of cls of size n exactly once, in the class's order;
     an n outside the class's domain raises at the call, not at the first read."""
     members = _walk(n, _spec_in_domain(n, cls).rule, cls.ell)
-    return (cls.value(tuple(parts)) for rest, parts in members if rest == 0)
+    return (cls.value(parts) for rest, parts in members if rest == 0)
 
 
 def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:

@@ -10,12 +10,14 @@ factor is 1 + O(x^(N+1)).
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from .core import DomainError, Frozen, check_size
 
 
 class TruncatedSeries(Frozen):
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __init__(self, coeffs: Iterable[int]):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("series needs at least the constant coefficient")
         for c in coeffs:
@@ -38,7 +40,7 @@ class TruncatedSeries(Frozen):
         if order is not None:
             check_size(order, 0, "order must be")
             values = values[: order + 1] + [0] * (order + 1 - len(values))
-        return cls(tuple(values))
+        return cls(values)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -51,15 +53,15 @@ class TruncatedSeries(Frozen):
         values = [0] * (order + 1)
         if power <= order:
             values[power] = 1
-        return cls(tuple(values))
+        return cls(values)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return TruncatedSeries(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return TruncatedSeries(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -73,7 +75,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             bj = b.coeffs[j]
             if bj:
                 out[i + j] += ai * bj
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -91,7 +93,7 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
             if ak:
                 acc += ak * out[i - k]
         out[i] = -a0 * acc
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def _multiply_geometric(coeffs: list[int], step: int) -> None:
@@ -106,7 +108,7 @@ def partition_gf(N: int) -> TruncatedSeries:
     coeffs = [1] + [0] * N
     for j in range(1, N + 1):
         _multiply_geometric(coeffs, j)
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def compositions_gf(N: int) -> TruncatedSeries:
@@ -114,7 +116,7 @@ def compositions_gf(N: int) -> TruncatedSeries:
     check_size(N, 1, "order must be")
     coeffs = [0] * (N + 1)  # first, so an order too large to hold fails before any power
     coeffs[1:] = [1 << i for i in range(N)]
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def distinct_partitions_ell_gf(ell: int, N: int) -> TruncatedSeries:
@@ -132,7 +134,7 @@ def distinct_partitions_ell_gf(ell: int, N: int) -> TruncatedSeries:
         coeffs[staircase] = 1
         for i in range(1, ell + 1):
             _multiply_geometric(coeffs, i)
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def distinct_compositions_gf(N: int) -> TruncatedSeries:
@@ -151,4 +153,4 @@ def distinct_compositions_gf(N: int) -> TruncatedSeries:
             if c:
                 total[i] += factor * c
         ell += 1
-    return TruncatedSeries(tuple(total))
+    return TruncatedSeries(total)

@@ -10,10 +10,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 
 from fibcomp import analytic, reference
 from fibcomp.analytic import Dyadic
+from fibcomp.core import DomainError
 
 SCALES = (1, 2, 5, 33, 64, 128, 257, 600)
 
@@ -188,3 +190,8 @@ class TestDyadic:
         for x in NSTR_CASES:
             if abs(x.man).bit_length() + x.exp <= 1024:  # past that both overflow
                 assert float(x) == float(Fraction(x.man) * Fraction(2) ** x.exp), x
+
+    @pytest.mark.parametrize("man, exp", [(True, 0), (1, 0.5), (1.0, 0), (1, False), ("1", 0)])
+    def test_fields_are_plain_ints(self, man, exp):
+        with pytest.raises(DomainError, match="Dyadic needs int man and exp"):
+            Dyadic(man, exp)

@@ -10,6 +10,7 @@ class's ell and bessel_I1's z aside)."""
 import ast
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -266,6 +267,43 @@ def test_value_type_contract(value_type, args, text):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+# the value types whose one field is a sequence: any iterable is taken and
+# stored as a tuple
+SEQUENCE_TYPES = [row for row in VALUE_TYPES if isinstance(row[1][0], tuple)]
+
+
+@pytest.mark.parametrize("value_type, args, text", SEQUENCE_TYPES, ids=[t.__name__ for t, _, _ in SEQUENCE_TYPES])
+def test_sequence_field_is_stored_as_a_tuple(value_type, args, text):
+    want = value_type(*args)
+    for items in (list(args[0]), iter(args[0])):
+        got = value_type(items)
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == text
+
+
+# Frozen bases that are never built themselves; their subclasses are
+ABSTRACT_VALUE_TYPES = {"core._Parts", "enumeration.EnumClass"}
+
+
+def test_every_value_type_is_held_to_the_contract():
+    found = set()
+    for info in pkgutil.iter_modules(fibcomp.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"fibcomp.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, fibcomp.core.Frozen)
+                and value.__module__ == module.__name__
+                and value is not fibcomp.core.Frozen
+            ):
+                found.add(f"{info.name}.{value.__qualname__}")
+    listed = {f"{t.__module__.rpartition('.')[2]}.{t.__qualname__}" for t, _, _ in VALUE_TYPES}
+    assert ABSTRACT_VALUE_TYPES <= found
+    assert found - ABSTRACT_VALUE_TYPES <= listed, "a Frozen subclass is missing from VALUE_TYPES"
 
 
 def _cached_table(size, tmp):
