@@ -13,7 +13,7 @@ recurrence over a histogram of its angles, one cosine per k.
 
 Each series is summed at an absolute scale set by its working precision
 P = precision_bits: P bits of a value the size of the largest term,
-e^(pi sqrt(c n/3)) with c = 2 for p and c = 1 for q (_magnitude), so that
+e^(pi sqrt(c n/3)) with c = P_C = 2 for p and c = Q_C = 1 for q (_magnitude), so that
 P keeps the meaning of a floating-point precision.  A report's raw value and
 residual are exact binary fractions (Dyadic), and a series' integer is
 only reported certified when the series' own certificate passes.  Each
@@ -50,6 +50,7 @@ RESIDUAL_BITS = 2  # 2^-2; the residual bound of q's drift test and verify's res
 STABILITY_BITS = 4  # q's tail moves by less than 2^-4 under a doubled term budget
 RESOLUTION_GUARD_BITS = 16  # fractional bits q's raw value must still carry
 MAX_ESCALATIONS = 4
+P_C, Q_C = 2, 1  # the constants c of p's and q's series: their largest term is e^(pi sqrt(c n/3))
 
 
 class Dyadic(Frozen):
@@ -385,7 +386,7 @@ def default_k_terms(n: int) -> int:
 
 
 def _magnitude(n: int, c: int) -> int:
-    # bits of e^(pi sqrt(c n/3)), the largest term's size: c = 2 for p's series, 1 for q's
+    # bits of e^(pi sqrt(c n/3)), the largest term's size: c = P_C for p's series, Q_C for q's
     return int(math.pi * math.sqrt(c * n / 3) / math.log(2)) + 1
 
 
@@ -421,8 +422,8 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
         |p(n) - partial sum| <= 2 pi^2 cosh(x/N)/(9 sqrt(3N)),
     where 2 pi^2/(9 sqrt 3) is about 1.2663.  Each factor is rounded the way
     that enlarges the quotient, so it stays an upper bound at any scale T;
-    T = 128 + _magnitude(n, 2) // N holds about 128 bits past the integer
-    part of cosh(x/N) < 2^(_magnitude(n, 2)/N), whatever bits is.
+    T = 128 + _magnitude(n, P_C) // N holds about 128 bits past the integer
+    part of cosh(x/N) < 2^(_magnitude(n, P_C)/N), whatever bits is.
     * pi: _pi is within 1 unit, so _pi(T) + 1 is above pi 2^T.
     * x/N: isqrt((24n - 1) 2^(2T)) + 1 is above sqrt(24n - 1) 2^T, so their
       product over 6 2^T, rounded up, and that over N, rounded up, give
@@ -434,17 +435,17 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
     The quotient is then taken in units of 2^-bits, rounded up.
 
     Evaluation error.  _p_series sums terms each within 2 units of
-    2 C_k g(x/k) 2^V, V = _scale(n, bits, 2) <= bits (its docstring proves
+    2 C_k g(x/k) 2^V, V = _scale(n, bits, P_C) <= bits (its docstring proves
     it), so their sum S is within 2N units, and raw = floor(2S/(24n - 1))
     is within 4N/(24n - 1) + 1 units of scale V of the partial sum.
     """
-    T = 128 + _magnitude(n, 2) // k_terms
+    T = 128 + _magnitude(n, P_C) // k_terms
     pi = _pi(T) + 1  # pi 2^T rounded up
     x = -(-pi * (math.isqrt((24 * n - 1) << 2 * T) + 1) // (6 << T))  # x 2^T rounded up
     cosh2 = _cosh_sinh(-(-x // k_terms), T, T)[0] + 4  # 2 cosh(x/N) 2^T rounded up
     divisor = 9 * math.isqrt((3 * k_terms) << 2 * T) << 2 * T
     tail = -(-(pi * pi * cosh2 << bits) // divisor)
-    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _scale(n, bits, 2)
+    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _scale(n, bits, P_C)
 
 
 def _p_series(n: int, k_terms: int, bits: int):
@@ -466,7 +467,7 @@ def _p_series(n: int, k_terms: int, bits: int):
       2^(h-3) + 1 as h = bitlen(4/y') + 3, and the shift to scale b brings
       2 g(y') within 2 units.  0 <= g' <= sinh, so 2 g(y') is within
       2 D 2^-U e^(y'+D 2^-U) 2^b < 1 unit of 2 g(y), as e^y' < 2^(E+1),
-      E = _magnitude(n, 2), and U >= b + E + bitlen(D) + 3 for k < 2^40.
+      E = _magnitude(n, P_C), and U >= b + E + bitlen(D) + 3 for k < 2^40.
       So G = 2 g 2^b is held within 3 units.
     * C = _A_real at scale a is within 2k units, and |C| <= 2k (2^a + 1).
       The product is off by at most |C| 3 + (G + 3) 2k units of scale
@@ -474,9 +475,9 @@ def _p_series(n: int, k_terms: int, bits: int):
       at most 1/2 as a + b - V >= bitlen(G + 3) + bitlen(4k).  The shift to
       scale V adds at most 1.
     """
-    V = _scale(n, bits, 2)
+    V = _scale(n, bits, P_C)
     D = math.isqrt(24 * n) + 5
-    U = V + _magnitude(n, 2) + D.bit_length() + 48
+    U = V + _magnitude(n, P_C) + D.bit_length() + 48
     X = _pi(U) * math.isqrt((24 * n - 1) << 2 * U) // (6 << U)
 
     def term(k):
@@ -509,11 +510,11 @@ def _q_series(n: int, k_terms: int, bits: int):
     With y_k = (z/(2k))^2 = pi^2 (24n+1)/(288 k^2) and F = _bessel_F,
     I_1(z/k) = (z/(2k)) F(y_k), so the series is q(n) = (pi^2 sqrt2/24)
     times the sum over odd k of S_k(n) F(y_k)/k^2.  Each term is summed at
-    scale V + bitlen(2N) + 4, V = _scale(n, bits, 1), from
+    scale V + bitlen(2N) + 4, V = _scale(n, bits, Q_C), from
     F at a scale that covers k^2 and S_k at one that covers F.
     """
-    E = _magnitude(n, 1)
-    V = _scale(n, bits, 1) + (2 * k_terms).bit_length() + 4
+    E = _magnitude(n, Q_C)
+    V = _scale(n, bits, Q_C) + (2 * k_terms).bit_length() + 4
     U = V + E + 8
     pi = _pi(U)
     Y = pi * pi * (24 * n + 1) // (288 << U)  # y_1 2^U
@@ -597,7 +598,7 @@ def rademacher_p(n: int, k_max: int | None = None, precision_bits: int | None = 
     in n.  Terms are reduced in ascending k; the rounding is certified by
     a proven bound on the tail and the evaluation error (_p_bounds).
     """
-    return _certify("rademacher_p", n, k_max, precision_bits, 2, _p_series)
+    return _certify("rademacher_p", n, k_max, precision_bits, P_C, _p_series)
 
 
 def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None) -> SeriesEvalReport:
@@ -609,4 +610,4 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
     single h = 0 term.  It is certified by the drift test of the module
     docstring, not by a proven bound as rademacher_p is.
     """
-    return _certify("hagis_q", n, k_max, precision_bits, 1, _q_series)
+    return _certify("hagis_q", n, k_max, precision_bits, Q_C, _q_series)

@@ -368,7 +368,7 @@ class TestRademacherP:
             report = rademacher_p(n)
             bits = report.precision_bits
             tail, error = analytic._p_bounds(n, report.k_terms_used, bits)
-            V = analytic._scale(n, bits, 2)
+            V = analytic._scale(n, bits, analytic.P_C)
             assert report.raw_value.exp == report.residual.exp == -V, n
             assert abs(report.raw_value.man - (p_recurrence(n) << V)) << bits - V <= tail + error, n
             assert report.certified and tail + error + (report.residual.man << bits - V) < 1 << (bits - 1), n
@@ -378,8 +378,8 @@ class TestRademacherP:
         # bits, up to the default budget; at n = 4, N = 8 the bound is about
         # 33 times the distance
         for n in [*range(1, 201), *range(229, 2001, 59), 2000]:
-            bits, budget = analytic.default_bits(n, 2), analytic.default_k_terms(n)
-            V = analytic._scale(n, bits, 2)
+            bits, budget = analytic.default_bits(n, analytic.P_C), analytic.default_k_terms(n)
+            V = analytic._scale(n, bits, analytic.P_C)
             value, term, _, _ = analytic._p_series(n, budget, bits)
             total, N = 0, 1
             for k in range(1, budget + 1):
@@ -397,7 +397,7 @@ class TestRademacherP:
         monkeypatch.setattr(analytic, "_pi", lambda V: scales.append(V) or pi(V))
         monkeypatch.setattr(analytic, "_exp", lambda t, shift, V: scales.extend((shift, V)) or exp(t, shift, V))
         n = 99_999_999
-        analytic._p_bounds(n, 7293, analytic.default_bits(n, 2))
+        analytic._p_bounds(n, 7293, analytic.default_bits(n, analytic.P_C))
         assert scales and max(scales) <= 1000, scales
 
     @pytest.mark.parametrize(
@@ -440,7 +440,7 @@ class TestRademacherP:
         # from 2 terms only the tail bound blocks, so the precision stays;
         # at 64 bits and the default budget only the error bound blocks
         report = rademacher_p(200, k_max=2)
-        assert (report.k_terms_used, report.precision_bits) == (32, analytic.default_bits(200, 2))
+        assert (report.k_terms_used, report.precision_bits) == (32, analytic.default_bits(200, analytic.P_C))
         report = rademacher_p(300, precision_bits=64)
         assert (report.k_terms_used, report.precision_bits) == (analytic.default_k_terms(300), 128)
         assert report.rounded == p_recurrence(300)
@@ -520,7 +520,7 @@ class TestHagisQ:
     def test_escalation_doubles_both_budgets(self):
         # the drift test cannot tell which budget fell short
         report = hagis_q(40, k_max=1)
-        assert (report.k_terms_used, report.precision_bits) == (8, 8 * analytic.default_bits(40, 1))
+        assert (report.k_terms_used, report.precision_bits) == (8, 8 * analytic.default_bits(40, analytic.Q_C))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -564,6 +564,6 @@ class TestDefaults:
         assert analytic.default_k_terms(500) >= int(8 * math.sqrt(500)) + 16
 
     def test_bits_floor(self):
-        assert analytic.default_bits(1, 2) == 128
-        assert analytic.default_bits(1, 1) == 128
-        assert analytic.default_bits(500, 2) > 128
+        assert analytic.default_bits(1, analytic.P_C) == 128
+        assert analytic.default_bits(1, analytic.Q_C) == 128
+        assert analytic.default_bits(500, analytic.P_C) > 128
