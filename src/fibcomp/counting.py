@@ -73,8 +73,15 @@ def _next(kind: str, values: list[int], n: int) -> int:
 
 
 def _extend(kind: str, values: list[int], upto: int) -> None:
-    while len(values) <= upto:
-        values.append(_next(kind, values, len(values)))
+    # every slot first, so a table too large fails before any work; a failed fill keeps what it computed
+    n = len(values)
+    values += [0] * (upto + 1 - n)
+    try:
+        for n in range(n, upto + 1):
+            values[n] = _next(kind, values, n)
+    except BaseException:
+        del values[n:]
+        raise
 
 
 def _memo_value(kind: str, n: int) -> int:
@@ -180,9 +187,8 @@ def _check_table(kind: str, max_n: int) -> None:
 
 def build_table(kind: str, max_n: int) -> MemoTable:
     _check_table(kind, max_n)
-    values: list[int] = []
-    _extend(kind, values, max_n)
-    return MemoTable(kind, values)
+    _extend(kind, _tables[kind], max_n)
+    return MemoTable(kind, _tables[kind][: max_n + 1])  # a copy, so the caller's edits miss the memo
 
 
 # compiled on first use and kept by re's own cache

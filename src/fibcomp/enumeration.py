@@ -175,7 +175,9 @@ CLASSES: dict[str, ClassSpec] = {
         0,
         lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
         _from_table("p"),
-        "partitions", lambda order, ell: genfun.partition_gf(order),
+        # Euler's product read off p's table; the order gets the series' own refusal first
+        "partitions", lambda order, ell: check_size(order, 0, "order must be")
+        or genfun.TruncatedSeries(counting.build_table("p", order).values),
     ),
     "partitions:odd-parts": ClassSpec(0, _odd_partition_parts, _from_table("q")),
     "partitions:distinct-parts": ClassSpec(

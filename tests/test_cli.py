@@ -18,6 +18,8 @@ from fibcomp.core import BitSeq, Composition, ImaginaryResidueError, NonCertifie
 from fibcomp.counting import fibonacci, p_recurrence, q_recurrence
 from fibcomp.genfun import TruncatedSeries
 
+from _oracles import p_table_coin_change
+
 
 def _nudged(real):
     """real, moved by 2^-90: far below what the series need, far above the 2^-100 checks.
@@ -322,6 +324,9 @@ class TestSeries:
         assert out.splitlines() == [
             "0\t1", "1\t1", "2\t2", "3\t3", "4\t5", "5\t7", "6\t11", "7\t15", "8\t22",
         ]
+        # the series reads p's pentagonal table; coin change counts the parts themselves
+        code, out, _ = run_cli(capsys, "series", "partitions", "--order", "1000")
+        assert out.splitlines() == [f"{n}\t{v}" for n, v in enumerate(p_table_coin_change(1000))]
 
     def test_compositions(self, capsys):
         code, out, _ = run_cli(capsys, "series", "compositions", "--order", "4")
@@ -862,8 +867,10 @@ def test_enumerate_streams_under_a_memory_cap():
     [
         ["series", "partitions", "--order", "100000000000"],  # a list of 10^11 coefficients
         ["count", "--class", "compositions:all", "100000000000000"],  # 2^(10^14 - 1)
+        ["count", "--class", "partitions:all", "100000000000"],  # p's table, sized before it is filled
+        ["count", "--class", "partitions:distinct-parts", "100000000000"],  # likewise q's
     ],
-    ids=["series", "count"],
+    ids=["series", "count", "count-p", "count-q"],
 )
 def test_exhausted_memory_is_an_error_line(argv):
     proc = subprocess.run(
@@ -882,12 +889,13 @@ def test_exhausted_memory_is_an_error_line(argv):
         ["series", "compositions", "--order", "99999999999999999999"],
         ["count", "--class", "partitions:distinct-ell=3", "99999999999999999999"],
         ["count", "--class", "compositions:distinct-parts", "9223372036854775808"],
+        ["count", "--class", "partitions:all", "99999999999999999999"],
         ["enumerate", "--count", "--force", "--class", "partitions:all", "99999999999999999999"],
         ["map", "--odd-to-gt1", "1000000000000000000000000000001"],
         ["count", "--class", "compositions:all", str(10**400)],  # 2^(10^400 - 1)
         ["analytic", "p", str(10**400)],  # n past float range
     ],
-    ids=["series-partitions", "series-compositions", "distinct-ell", "distinct-compositions",
+    ids=["series-partitions", "series-compositions", "distinct-ell", "distinct-compositions", "partitions",
          "enumerate-count", "map", "compositions", "analytic"],
 )
 def test_size_past_the_platform_is_an_error_line(capsys, argv):

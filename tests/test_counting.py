@@ -151,6 +151,25 @@ class TestDistinctRecurrence:
         assert [n for n in range(21) if q_recurrence_residual(n) != (1 if triangular(n) else 0)]
 
 
+def test_failed_fill_keeps_only_computed_entries(monkeypatch):
+    # the table is sized before it is filled; a fill that fails at n = 50
+    # must leave p(0..49) and no unfilled slot for a later call to read
+    pentagonal_sum = counting._pentagonal_sum
+
+    def fail_at_50(values, n, scale):
+        if n == 50:
+            raise MemoryError
+        return pentagonal_sum(values, n, scale)
+
+    monkeypatch.setitem(counting._tables, "p", [])  # the memo, restored afterwards
+    monkeypatch.setattr(counting, "_pentagonal_sum", fail_at_50)
+    with pytest.raises(MemoryError):
+        p_recurrence(100)
+    assert counting._tables["p"] == p_table_coin_change(49)
+    monkeypatch.setattr(counting, "_pentagonal_sum", pentagonal_sum)
+    assert p_recurrence(60) == p_table_coin_change(60)[60]
+
+
 @pytest.mark.parametrize(
     "kind,recurrence,oracle",
     [("p", p_recurrence, p_table_coin_change), ("q", q_recurrence, q_table_knapsack)],
@@ -240,6 +259,8 @@ class TestTables:
     def test_build_matches_functions(self):
         t = build_table("p", 50)
         assert list(t.values) == [p_recurrence(n) for n in range(51)]
+        t.values[3] = 0  # a copy of the memo's prefix, so the memo keeps p(3)
+        assert p_recurrence(3) == 3
         t = build_table("q", 50)
         assert list(t.values) == [q_recurrence(n) for n in range(51)]
 
