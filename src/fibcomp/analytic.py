@@ -561,6 +561,8 @@ def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> Series
     bits = default_bits(n, c) if precision_bits is None else precision_bits
     check_size(k_terms, 1, "k_max must be")
     check_size(bits, 64, "precision_bits must be")
+    if k_terms >> 36:  # so that four doublings keep k < 2^40, where _p_series's error analysis holds
+        raise DomainError(f"k_max must be below 2**36, got {k_terms}")
     kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
         value, term, ks, needs = series(n, k_terms, bits)

@@ -94,36 +94,33 @@ class ClassSpec(NamedTuple):
     genfun.  One walk counts every size only if the rule keeps this
     contract: a larger rest never allows fewer parts, and every sequence
     the walker reaches is a member of the class of its own size (with ell
-    parts, for a class that takes ell).  `count(n, cls, cache_dir)` is the
-    exact counter for n already inside the class's domain (n >= min_n).
+    parts, for a class that takes ell).  `count(n, cls)` is the exact
+    counter for n already inside the class's domain (n >= min_n).
     `gf(order, ell)` is the generating function behind the `series` name,
     where one exists, and `takes_ell` says whether the class (and its
-    series) is indexed by a part count ell.  Entries reach counting and
+    series) is indexed by a part count ell.  `table` names the p or q
+    recurrence table that holds the counts, for a class whose counts
+    exact_count may read from the table cache.  Entries reach counting and
     genfun through the module attribute at call time, so a patched or
     wrapped function is the one that runs.
     """
 
     min_n: int
     rule: PartRule
-    count: Callable[[int, EnumClass, str | None], int]
+    count: Callable[[int, EnumClass], int]
     series: str | None = None
     gf: Callable[[int, int | None], genfun.TruncatedSeries] | None = None
     takes_ell: bool = False
+    table: str | None = None
 
 
-def _from_table(kind: str):
-    """Counter reading entry n of the p or q recurrence table."""
-
-    def count(n: int, cls: EnumClass, cache_dir: str | None) -> int:
-        if cache_dir is not None:
-            return counting.cached_table(kind, n, cache_dir).values[n]
-        recurrence = {"p": counting.p_recurrence, "q": counting.q_recurrence}
-        return recurrence[kind](n)
-
-    return count
+def _progression(start: int, step: int, count, series=None, gf=None) -> ClassSpec:
+    """The compositions whose parts are start, start + step, start + 2 step, ...;
+    the domain starts at the smallest member, the one part start."""
+    return ClassSpec(start, lambda rest, parts, ell: range(start, rest + 1, step), count, series, gf)
 
 
-def _series_coefficient(n: int, cls: EnumClass, cache_dir: str | None) -> int:
+def _series_coefficient(n: int, cls: EnumClass) -> int:
     return class_spec(cls).gf(n, cls.ell).coefficient(n)
 
 
@@ -149,22 +146,12 @@ def _distinct_ell_parts(rest: int, parts: Sequence[int], ell: int) -> range:
 # The paper's theorem is the pair odd-parts / min-part-2: compositions of n
 # into odd parts and of n + 1 into parts >= 2 are both counted by F_n.
 CLASSES: dict[str, ClassSpec] = {
-    "compositions:all": ClassSpec(
-        1,
-        lambda rest, parts, ell: range(1, rest + 1),
-        lambda n, cls, cache_dir: counting.c_count(n),
+    "compositions:all": _progression(
+        1, 1, lambda n, cls: counting.c_count(n),
         "compositions", lambda order, ell: genfun.compositions_gf(order),
     ),
-    "compositions:odd-parts": ClassSpec(
-        1,
-        lambda rest, parts, ell: range(1, rest + 1, 2),
-        lambda n, cls, cache_dir: counting.Q_count(n),
-    ),
-    "compositions:min-part-2": ClassSpec(
-        2,
-        lambda rest, parts, ell: range(2, rest + 1),
-        lambda n, cls, cache_dir: counting.fibonacci(n - 1),
-    ),
+    "compositions:odd-parts": _progression(1, 2, lambda n, cls: counting.Q_count(n)),
+    "compositions:min-part-2": _progression(2, 1, lambda n, cls: counting.fibonacci(n - 1)),
     "compositions:distinct-parts": ClassSpec(
         1,
         lambda rest, parts, ell: (p for p in range(1, rest + 1) if p not in parts),
@@ -174,16 +161,20 @@ CLASSES: dict[str, ClassSpec] = {
     "partitions:all": ClassSpec(
         0,
         lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
-        _from_table("p"),
+        lambda n, cls: counting.p_recurrence(n),
         # Euler's product read off p's table; the order gets the series' own refusal first
         "partitions", lambda order, ell: check_size(order, 0, "order must be")
         or genfun.TruncatedSeries(counting.build_table("p", order).values),
+        table="p",
     ),
-    "partitions:odd-parts": ClassSpec(0, _odd_partition_parts, _from_table("q")),
+    "partitions:odd-parts": ClassSpec(
+        0, _odd_partition_parts, lambda n, cls: counting.q_recurrence(n), table="q"
+    ),
     "partitions:distinct-parts": ClassSpec(
         0,
         lambda rest, parts, ell: range(_largest(rest, parts, 1), 0, -1),
-        _from_table("q"),
+        lambda n, cls: counting.q_recurrence(n),
+        table="q",
     ),
     "partitions:distinct-ell": ClassSpec(
         0,
@@ -235,9 +226,12 @@ def parse_class(text: str) -> EnumClass:
 
 
 def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
-    """Size of the class at n from its exact counter; the p and q counts use
-    the table cache in cache_dir when one is given."""
-    return _spec_in_domain(n, cls).count(n, cls, cache_dir)
+    """Size of the class at n from its exact counter; a class with a p or q
+    table reads it from the table cache in cache_dir when one is given."""
+    spec = _spec_in_domain(n, cls)
+    if cache_dir is not None and spec.table is not None:
+        return counting.cached_table(spec.table, n, cache_dir).values[n]
+    return spec.count(n, cls)
 
 
 def _walk(top: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, list[int]]]:

@@ -547,6 +547,15 @@ def test_series_arguments_are_plain_ints(evaluate, arg, value):
 
 
 @pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])
+def test_term_budget_past_the_error_analysis_is_refused(evaluate):
+    # _p_series's error analysis holds for k < 2^40, and four escalations
+    # double the budget; the refusal comes before any term is summed
+    with pytest.raises(DomainError) as refused:
+        evaluate(5, k_max=2**36)
+    assert str(refused.value) == "k_max must be below 2**36, got 68719476736"
+
+
+@pytest.mark.parametrize("evaluate", [rademacher_p, hagis_q], ids=["p", "q"])
 def test_non_certification_message_names_the_series(evaluate):
     with pytest.raises(NonCertifiedError) as exc:
         evaluate(10**6, k_max=1, precision_bits=64)

@@ -723,10 +723,19 @@ class TestCacheDir:
         assert "Traceback" not in err
 
     def test_fibonacci_classes_ignore_the_cache_dir(self, capsys, tmp_path):
+        # every class without a p or q table, Fibonacci or not
         path = tmp_path / "not-a-directory"
         path.write_text("", encoding="ascii")
-        code, out, _ = run_cli(capsys, "count", "--class", "compositions:odd-parts", "--cache-dir", str(path), "10")
-        assert (code, out) == (0, "55\n")
+        want = {
+            "compositions:all": 512, "compositions:odd-parts": 55, "compositions:min-part-2": 34,
+            "compositions:distinct-parts": 57, "partitions:distinct-ell=3": 4,
+        }
+        assert set(want) == {
+            name + ("=3" if spec.takes_ell else "") for name, spec in enumeration.CLASSES.items() if spec.table is None
+        }
+        for cls, count in want.items():
+            code, out, _ = run_cli(capsys, "count", "--class", cls, "--cache-dir", str(path), "10")
+            assert (code, out) == (0, f"{count}\n"), cls
 
     @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
     def test_wrongly_seeded_cache_exit_1(self, capsys, tmp_path, cls, kind):
@@ -880,6 +889,18 @@ def test_exhausted_memory_is_an_error_line(argv):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr == b"error: out of memory\n"
+
+
+@pytest.mark.parametrize("series", ["p", "q"])
+def test_term_budget_past_the_error_analysis_is_an_error_line(series):
+    # four doublings of this budget would pass k = 2^40, where p's error analysis
+    # stops; it is refused before any term is summed, so the call ends at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcomp", "analytic", series, "5", "--kmax", "99999999999999999999"],
+        env=_subprocess_env(), capture_output=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: k_max must be below 2**36, got 99999999999999999999\n"
 
 
 @pytest.mark.parametrize(
