@@ -1,9 +1,11 @@
 """Cross-check suites wiring the fast paths against the enumeration oracles.
 
 Each suite returns a list of CheckResult records; the CLI renders them and
-maps any failure to a nonzero exit.  Most rows go through one runner,
-_first_failure: it tests the row's cases in order, and the first case that
-fails is the row's smallest counterexample.  A row that names its cases
+maps any failure to a nonzero exit.  Each row is a _Row: it tests its cases
+in order, and the first case that fails is the row's smallest
+counterexample, after which it takes no more.  Rows that share a stream
+share one walk of it, which goes on for the rows still open; a row with
+cases of its own runs through _first_failure.  A row that names its cases
 also catches the analytic layer's evaluation errors (NonCertifiedError,
 ImaginaryResidueError), so a broken evaluator fails that row alone and the
 suite goes on to the next.
@@ -11,6 +13,7 @@ suite goes on to the next.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -36,51 +39,51 @@ class CheckResult(NamedTuple):
 _EVALUATION_ERRORS = (NonCertifiedError, ImaginaryResidueError)
 
 
+class _Row:
+    """One row: the cases it has tested, and its first counterexample."""
+
+    def __init__(self, name: str):
+        self.name, self.count, self.bad = name, 0, None
+
+    def test(self, fails, *case) -> None:
+        """Count the case and keep fails(*case): None when the case holds, the
+        counterexample text when it does not.  A failed row takes no more."""
+        if self.bad is None:
+            self.count += 1
+            self.bad = fails(*case)
+
+    def result(self) -> CheckResult:
+        if self.bad is None:
+            return CheckResult(self.name, True, f"{self.count} cases")
+        return CheckResult(self.name, False, f"smallest counterexample: {self.bad}")
+
+
 def _first_failure(name: str, cases, fails, label: str | None = None) -> CheckResult:
-    """Call fails(*case) on each case in order.  fails returns None when the
-    case holds and the counterexample text when it does not, and the first
-    counterexample ends the row.  With a label, an evaluation error raised
-    while a case is made or tested ends the row too, reported as
-    "<label>: <message>" with the label formatted by the case's values (by
-    none when the first case could not be made); without one it propagates.
-    """
-    count, case = 0, ()
+    """One _Row over cases made only while it holds.  With a label, an
+    evaluation error raised while a case is made or tested ends the row too,
+    reported as "<label>: <message>" with the label formatted by the case's
+    values (by none when the first case could not be made); without one it
+    propagates."""
+    row, case = _Row(name), ()
     try:
         for case in cases:
-            count += 1
-            bad = fails(*case)
-            if bad is not None:
-                return CheckResult(name, False, f"smallest counterexample: {bad}")
+            row.test(fails, *case)
+            if row.bad is not None:
+                break
     except _EVALUATION_ERRORS as exc:
         if label is None:
             raise
-        return CheckResult(name, False, f"smallest counterexample: {label.format(*case)}: {exc}")
-    return CheckResult(name, True, f"{count} cases")
+        row.bad = f"{label.format(*case)}: {exc}"
+    return row.result()
 
 
-def _compositions(kind: str, limit: int):
-    cls = enumeration.CompositionClass(kind)
-    for n in range(1, limit + 1):
-        for c in enumeration.gen_compositions(n, cls):
-            yield n, c
+def _zero_runs_even(bits) -> bool:
+    return all(len(run) % 2 == 0 for run in str(bits).split("1"))
 
 
-def _zero_runs_even(c) -> bool:
-    run = 0
-    for b in to_bitseq(c).bits:
-        if b == 0:
-            run += 1
-        elif run % 2:
-            return False
-        else:
-            run = 0
-    return run % 2 == 0
-
-
-def _conjugate_odd_length_even_index_ones(c) -> bool:
+def _conjugate_odd_length_even_index_ones(dual) -> bool:
     # odd part count is part of the characterization: c = 2 conjugates
     # to 1+1, whose lone even-index part is 1, yet 2 is not odd
-    dual = conjugate(c)
     return dual.ell % 2 == 1 and all(p == 1 for p in dual.parts[1::2])
 
 
@@ -88,78 +91,75 @@ def _all_odd(c) -> bool:
     return all(p % 2 for p in c.parts)
 
 
-# (check name, test of a composition c of n: None when it holds, else c)
+# (check name, test of a composition c of n with its bit string and its
+# conjugate: None when it holds, else c)
 _CODEC_CHECKS = (
-    ("codec roundtrip", lambda n, c: None if from_bitseq(to_bitseq(c)).parts == c.parts else str(c)),
-    ("conjugation involution", lambda n, c: None if conjugate(conjugate(c)).parts == c.parts else str(c)),
-    ("conjugate part-count law", lambda n, c: None if conjugate(c).ell == n - c.ell + 1 else str(c)),
-    ("odd parts iff even zero-runs", lambda n, c: None if _all_odd(c) == _zero_runs_even(c) else str(c)),
+    ("codec roundtrip", lambda n, c, bits, dual: None if from_bitseq(bits).parts == c.parts else str(c)),
+    ("conjugation involution", lambda n, c, bits, dual: None if conjugate(dual).parts == c.parts else str(c)),
+    ("conjugate part-count law", lambda n, c, bits, dual: None if dual.ell == n - c.ell + 1 else str(c)),
+    (
+        "odd parts iff even zero-runs",
+        lambda n, c, bits, dual: None if _all_odd(c) == _zero_runs_even(bits) else str(c),
+    ),
     (
         "odd parts iff conjugate odd length with even-index ones",
-        lambda n, c: None if _all_odd(c) == _conjugate_odd_length_even_index_ones(c) else str(c),
+        lambda n, c, bits, dual: None if _all_odd(c) == _conjugate_odd_length_even_index_ones(dual) else str(c),
     ),
 )
 
 
 def _suite_codec(bound: int) -> list[CheckResult]:
-    return [
-        _first_failure(f"{name} n<={bound}", _compositions("all", bound), fails)
-        for name, fails in _CODEC_CHECKS
-    ]
+    rows = [(_Row(f"{name} n<={bound}"), fails) for name, fails in _CODEC_CHECKS]
+    every = enumeration.CompositionClass("all")
+    for n in range(1, bound + 1):
+        # one walk, and each member encoded and conjugated once, for every row
+        for c in enumeration.gen_compositions(n, every):
+            case = (n, c, to_bitseq(c), conjugate(c))
+            for row, fails in rows:
+                row.test(fails, *case)
+    return [row.result() for row, _ in rows]
 
 
 def _suite_bijection(bound: int) -> list[CheckResult]:
     odd_cls = enumeration.CompositionClass("odd-parts")
     min2_cls = enumeration.CompositionClass("min-part-2")
+    roundtrip = _Row(f"roundtrip inverse(forward) n<={bound}")
+    image_row = _Row(f"image equals min-part-2 target n<={bound}")
+    parity = _Row(f"odd-part parity n == ell (mod 2) n<={bound}")
+    count = _Row(f"both classes count F_n n<={bound}")
 
-    def forward(a):
-        # None where the map refuses a: an even part in the odd-parts stream
-        # fails the rows that map it, not the whole suite
-        try:
-            return bijection.odd_to_gt1(a)
-        except DomainError:
-            return None
-
-    def roundtrip_fails(n, a):
-        b = forward(a)
+    def inverts(a, b):
         return None if b is not None and bijection.gt1_to_odd(b).parts == a.parts else str(a)
 
-    def image_and_target():
-        # every composition in the image or the target, in order: the first
-        # that is missing from one of them is the least of the difference.
-        # A composition the map refuses stands for itself; it sums to n, not
-        # n + 1, so it is never in the target.
-        for n in range(1, bound + 1):
-            image = {(forward(a) or a).parts for a in enumeration.gen_compositions(n, odd_cls)}
-            target = {c.parts for c in enumeration.gen_compositions(n + 1, min2_cls)}
-            for parts in sorted(image | target):
-                yield n, parts, image, target
+    def in_both(n, parts, image, target):
+        return None if parts in image and parts in target else f"n={n}, {'+'.join(map(str, parts))}"
 
-    def counts_differ(n):
-        # the streams the rows above map, so a wrong stream fails this row too
-        odd_count = sum(1 for _ in enumeration.gen_compositions(n, odd_cls))
-        gt1_count = sum(1 for _ in enumeration.gen_compositions(n + 1, min2_cls))
+    def counts_differ(n, odd_count, gt1_count):
         fib = counting.fibonacci(n)
         return None if odd_count == gt1_count == fib else f"n={n}: {odd_count}, {gt1_count}, F={fib}"
 
-    return [
-        _first_failure(f"roundtrip inverse(forward) n<={bound}", _compositions("odd-parts", bound), roundtrip_fails),
-        _first_failure(
-            f"image equals min-part-2 target n<={bound}",
-            image_and_target(),
-            lambda n, parts, image, target: (
-                None if parts in image and parts in target else f"n={n}, {'+'.join(map(str, parts))}"
-            ),
-        ),
-        _first_failure(
-            f"odd-part parity n == ell (mod 2) n<={bound}",
-            _compositions("odd-parts", bound),
-            lambda n, a: None if (a.n - a.ell) % 2 == 0 else str(a),
-        ),
-        _first_failure(
-            f"both classes count F_n n<={bound}", ((n,) for n in range(1, bound + 1)), counts_differ
-        ),
-    ]
+    for n in range(1, bound + 1):
+        # each stream's members with the times each was yielded, so that a
+        # stream that yields a member twice fails the count row
+        image = collections.Counter()
+        for a in enumeration.gen_compositions(n, odd_cls):
+            # b is None where the map refuses a, an even part: that fails the
+            # rows that map a, not the suite, and a stands for itself in the
+            # image; it sums to n, not n + 1, so it is never in the target
+            try:
+                b = bijection.odd_to_gt1(a)
+            except DomainError:
+                b = None
+            roundtrip.test(inverts, a, b)
+            parity.test(lambda a: None if (a.n - a.ell) % 2 == 0 else str(a), a)
+            image[(b or a).parts] += 1
+        target = collections.Counter(c.parts for c in enumeration.gen_compositions(n + 1, min2_cls))
+        # every composition in the image or the target, in order: the first
+        # that is missing from one of them is the least of the difference
+        for parts in sorted(image.keys() | target.keys()):
+            image_row.test(in_both, n, parts, image, target)
+        count.test(counts_differ, n, image.total(), target.total())
+    return [row.result() for row in (roundtrip, image_row, parity, count)]
 
 
 def _count_rows(bound: int):
@@ -267,7 +267,7 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
         _first_failure(
             f"partition series times euler product order {order}",
             orders,
-            lambda n: None if times_euler.coefficient(n) == one.coefficient(n) else "product != 1",
+            lambda n: None if times_euler.coefficient(n) == one.coefficient(n) else f"n={n}",
         ),
         _first_failure(
             f"distinct compositions series vs enumeration n<={top}",
