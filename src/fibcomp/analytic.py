@@ -432,20 +432,43 @@ def _p_bounds(n: int, k_terms: int, bits: int) -> tuple[int, int]:
       above 2 cosh(t/2^T) 2^T, and as cosh rises on [0, inf) that is at
       least 2 cosh(x/N) 2^T.
     * sqrt(3N): isqrt(3N 2^(2T)) is at most sqrt(3N) 2^T.
-    The quotient is then taken in units of 2^-bits, rounded up.
+    The quotient is then taken in units of 2^-bits, rounded up (_p_tail).
+
+    Early tail.  Once the tail is surely at least 1, its size no longer
+    matters: the certificate fails and needs asks for more terms whatever
+    it is.  With y = x/N, cosh y >= e^y/2 and pi^2/9 > 1 make the tail at
+    least e^y/sqrt(3N), which is at least 1 when y log2(e) >= bitlen(3N)/2;
+    pi > 333/106, sqrt(24n - 1) >= isqrt(24n - 1) and log2(e) > 14426/10^4
+    turn that into one integer comparison.  Then pi < 355/113,
+    sqrt(24n - 1) < isqrt(24n - 1) + 1 and log2(e) < 14427/10^4 give an
+    integer E >= y log2(e), so cosh y <= e^y <= 2^E, and the tail is below
+    1.27 2^E.  _p_tail rounds each factor within a relative 2^-100 of it and
+    the quotient up by 1 unit, so 2^(E+1) is at least what _p_tail returns,
+    without a cosh of E bits.
 
     Evaluation error.  _p_series sums terms each within 2 units of
     2 C_k g(x/k) 2^V, V = _scale(n, bits, P_C) <= bits (its docstring proves
     it), so their sum S is within 2N units, and raw = floor(2S/(24n - 1))
     is within 4N/(24n - 1) + 1 units of scale V of the partial sum.
     """
+    root = math.isqrt(24 * n - 1)  # y = pi sqrt(24n - 1)/(6N)
+    if 2 * 333 * 14426 * root >= 106 * 6 * 10**4 * k_terms * (3 * k_terms).bit_length():  # the early tail
+        E = -(-355 * 14427 * (root + 1) // (113 * 6 * 10**4 * k_terms))
+        tail = 1 << bits + E + 1
+    else:
+        tail = _p_tail(n, k_terms, bits)
+    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _scale(n, bits, P_C)
+
+
+def _p_tail(n: int, k_terms: int, bits: int) -> int:
+    """The tail bound of _p_bounds, 2 pi^2 cosh(x/N)/(9 sqrt(3N)) in units of
+    2^-bits, from one cosh at scale T."""
     T = 128 + _magnitude(n, P_C) // k_terms
     pi = _pi(T) + 1  # pi 2^T rounded up
     x = -(-pi * (math.isqrt((24 * n - 1) << 2 * T) + 1) // (6 << T))  # x 2^T rounded up
     cosh2 = _cosh_sinh(-(-x // k_terms), T, T)[0] + 4  # 2 cosh(x/N) 2^T rounded up
     divisor = 9 * math.isqrt((3 * k_terms) << 2 * T) << 2 * T
-    tail = -(-(pi * pi * cosh2 << bits) // divisor)
-    return tail, 4 * k_terms // (24 * n - 1) + 2 << bits - _scale(n, bits, P_C)
+    return -(-(pi * pi * cosh2 << bits) // divisor)
 
 
 def _p_series(n: int, k_terms: int, bits: int):

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 domain error or bad usage, 2 verification or
 certification failure.  Plain output is line-oriented with no trailing
 whitespace; --json emits exactly one JSON document.  Identical argv yields
-byte-identical stdout.
+byte-identical stdout: no environment variable changes a call, and a call
+touches the file system only where its argv names a directory (count's
+--cache-dir).
 
 Each subcommand's handler computes and writes nothing: it returns its exit
 status, its JSON document and its plain lines, and `run` alone writes one of
@@ -70,7 +72,7 @@ def _build_parser() -> _Parser:
     p_count.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for recurrence table files (FIBCOMP_CACHE_DIR as fallback)",
+        help="directory for the p and q table files (no cache if omitted)",
     )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
@@ -111,17 +113,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("FIBCOMP_CACHE_DIR") or None
-
-
 def _count(args, cls, value: int):
     return 0, {"n": args.n, "class": str(cls), "count": value}, map(str, (value,))
 
 
 def _cmd_count(args):
     cls = enumeration.parse_class(args.cls)
-    return _count(args, cls, enumeration.exact_count(args.n, cls, _cache_dir(args)))
+    return _count(args, cls, enumeration.exact_count(args.n, cls, args.cache_dir or None))
 
 
 def _cmd_enumerate(args):

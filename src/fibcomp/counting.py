@@ -191,8 +191,8 @@ def build_table(kind: str, max_n: int) -> MemoTable:
     return MemoTable(kind, _tables[kind][: max_n + 1])  # a copy, so the caller's edits miss the memo
 
 
-# compiled on first use and kept by re's own cache
-_HEADER_RE = r"fibcomp-table v1 kind=(p|q) max=(0|[1-9][0-9]*)\Z"
+# compiled on first use and kept by re's own cache; the kinds are _ROWS's
+_HEADER_RE = rf"fibcomp-table v1 kind=({'|'.join(map(re.escape, _ROWS))}) max=(0|[1-9][0-9]*)\Z"
 
 
 def save_table(table: MemoTable, path) -> None:

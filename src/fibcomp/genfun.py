@@ -9,7 +9,6 @@ factor is 1 + O(x^(N+1)).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .core import DomainError, Frozen, check_size
@@ -142,15 +141,21 @@ def distinct_compositions_gf(N: int) -> TruncatedSeries:
 
     Each partition into ell distinct parts orders in ell! ways, so the
     coefficient at x^n counts compositions of n with pairwise distinct
-    parts.  The sum is finite: ell(ell+1)/2 <= N bounds ell.
+    parts.  The sum is finite: ell(ell+1)/2 <= N bounds ell.  The rows
+    q_ell(m), partitions of m into exactly ell distinct parts, fill one from
+    the last: taking 1 from every part leaves ell distinct parts, or ell - 1
+    when the least part was 1, so q_ell(m) = q_ell(m - ell) + q_(ell-1)(m - ell)
+    from q_0 = 1, 0, 0, ...; O(N^1.5) additions in all.
     """
     check_size(N, 0, "order must be")
-    total = [0] * (N + 1)
-    ell = 0
+    row = [1] + [0] * N  # q_0
+    total = row[:]
+    ell, factor = 1, 1
     while ell * (ell + 1) // 2 <= N:
-        factor = math.factorial(ell)
-        for i, c in enumerate(distinct_partitions_ell_gf(ell, N).coeffs):
-            if c:
-                total[i] += factor * c
+        factor *= ell
+        previous, row = row, [0] * (N + 1)
+        for m in range(ell * (ell + 1) // 2, N + 1):
+            row[m] = row[m - ell] + previous[m - ell]
+            total[m] += factor * row[m]
         ell += 1
     return TruncatedSeries(total)

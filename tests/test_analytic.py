@@ -400,6 +400,50 @@ class TestRademacherP:
         analytic._p_bounds(n, 7293, analytic.default_bits(n, analytic.P_C))
         assert scales and max(scales) <= 1000, scales
 
+    def test_early_tail_covers_the_full_one(self, monkeypatch):
+        # n = 10^6 and N = 2..16 take the early path, where the full cosh is
+        # still cheap: the early tail is at least the full one, and the
+        # certificate asks for the same as it would with the full one
+        n, bounds = 10**6, analytic._p_bounds
+        bits = analytic.default_bits(n, analytic.P_C)
+        residuals = (analytic.Dyadic(0, 0), analytic.Dyadic(1, -1))
+        asks = {}
+        for N in range(2, 17):
+            tail, _ = bounds(n, N, bits)
+            full = analytic._p_tail(n, N, bits)
+            assert tail != full and tail >= full >= 1 << bits, N
+            needs = analytic._p_series(n, N, bits)[3]
+            asks[N] = [needs(None, residual, None) for residual in residuals]
+        def full_bounds(n, N, bits):
+            return analytic._p_tail(n, N, bits), bounds(n, N, bits)[1]
+
+        monkeypatch.setattr(analytic, "_p_bounds", full_bounds)
+        for N, early in asks.items():
+            needs = analytic._p_series(n, N, bits)[3]
+            assert [needs(None, residual, None) for residual in residuals] == early == [(True, False)] * 2, N
+
+    def test_early_tail_only_where_the_full_one_is_at_least_1(self):
+        hits = 0
+        for n in [*range(1, 200, 7), 1000, 10**4]:
+            bits = analytic.default_bits(n, analytic.P_C)
+            for N in range(1, 33):
+                tail, _ = analytic._p_bounds(n, N, bits)
+                full = analytic._p_tail(n, N, bits)
+                if tail != full:
+                    hits += 1
+                    assert tail >= full >= 1 << bits, (n, N)
+        assert hits > 100
+
+    def test_early_tail_runs_no_kernel(self, monkeypatch):
+        # at n = 10^8 - 1 the full tail at N = 1 is a cosh of about 37 000 bits
+        monkeypatch.setattr(analytic, "_pi", None)
+        monkeypatch.setattr(analytic, "_exp", None)
+        n = 99_999_999
+        bits = analytic.default_bits(n, analytic.P_C)
+        for N in (1, 2, 4):
+            tail, _ = analytic._p_bounds(n, N, bits)
+            assert tail.bit_length() > bits + 30_000 // N, N
+
     @pytest.mark.parametrize(
         "n, bits", [(1, None), (2, None), (7, None), (45, None), (100, None), (100, 64), (333, None), (333, 80)]
     )

@@ -693,11 +693,16 @@ class TestCacheDir:
         )
         assert (code, out) == (0, f"{p_recurrence(30)}\n")
 
-    def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_env_var_is_not_read(self, capsys, tmp_path, monkeypatch):
+        # only --cache-dir names a cache: a corrupt table in a directory the
+        # argv does not name is neither read nor rewritten
+        path = tmp_path / "p.table"
+        path.write_text("fibcomp-table v1 kind=p max=2\n1\n1\n3\n", encoding="ascii")
+        before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
         monkeypatch.setenv("FIBCOMP_CACHE_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "count", "--class", "partitions:all", "40")
-        assert (code, out) == (0, f"{p_recurrence(40)}\n")
-        assert (tmp_path / "p.table").exists()
+        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "30")
+        assert (code, out, err) == (0, "5604\n", "")
+        assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
 
     def test_fibonacci_classes_write_no_table(self, capsys, tmp_path):
         # F_n comes from fast doubling; only the p and q tables are cached

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,6 +180,16 @@ class TestDistinctCompositionsGF:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             distinct_compositions_gf(-1)
+
+    def test_matches_the_per_ell_sum(self):
+        for N in range(61):
+            want = [0] * (N + 1)
+            ell = 0
+            while ell * (ell + 1) // 2 <= N:
+                for i, c in enumerate(distinct_partitions_ell_gf(ell, N).coeffs):
+                    want[i] += math.factorial(ell) * c
+                ell += 1
+            assert distinct_compositions_gf(N).coeffs == tuple(want), N
 
     def test_matches_enumeration(self):
         series = distinct_compositions_gf(20)

@@ -2,7 +2,9 @@
 
 golden_cli.json holds the argv, exit code, stdout and stderr of fresh-process
 `fibcomp` calls covering count, enumerate, series, map, verify and analytic.
-"{cache}" in an argv stands for an empty cache directory.  Program-owned
+"{cache}" in an argv stands for an empty cache directory.  Every record runs
+with FIBCOMP_CACHE_DIR naming a directory of corrupt p and q tables, which
+fails a record that reads the environment or writes there.  Program-owned
 `error:` lines on stderr must match too; argparse's usage text varies across
 Python versions, so for usage errors only the exit code and stdout count.
 
@@ -27,16 +29,29 @@ CORPUS = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encodi
 SERIES = json.loads(Path(__file__).with_name("golden_series.json").read_text(encoding="ascii"))
 
 
+# each fails its recurrence at index 2
+POISON = {
+    "p.table": b"fibcomp-table v1 kind=p max=2\n1\n1\n3\n",
+    "q.table": b"fibcomp-table v1 kind=q max=2\n1\n1\n2\n",
+}
+
+
 @pytest.mark.parametrize("record", CORPUS, ids=[" ".join(r["argv"]) for r in CORPUS])
 def test_golden_cli_output(record, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FIBCOMP_CACHE_DIR", raising=False)
-    argv = [arg.replace("{cache}", str(tmp_path)) for arg in record["argv"]]
+    cache, poisoned = tmp_path / "cache", tmp_path / "poisoned"
+    cache.mkdir()
+    poisoned.mkdir()
+    for name, data in POISON.items():
+        (poisoned / name).write_bytes(data)
+    monkeypatch.setenv("FIBCOMP_CACHE_DIR", str(poisoned))
+    argv = [arg.replace("{cache}", str(cache)) for arg in record["argv"]]
     code = cli.run(argv)
     out, err = capsys.readouterr()
     assert code == record["exit"]
     assert out == record["stdout"]
     if record["stderr"].startswith("error:"):
         assert err == record["stderr"]
+    assert {entry.name: entry.read_bytes() for entry in poisoned.iterdir()} == POISON
 
 
 @pytest.mark.parametrize("record", SERIES, ids=[f"{r['series']} {r['n']}" for r in SERIES])
