@@ -34,9 +34,10 @@ series carries a different one:
 A failed certificate escalates up to four times before signaling
 non-certification.  Each escalation doubles what the certificate found
 short: for p the term budget when the tail bound blocks and the working
-precision when the error bound does, for q both.
-The term sums are reduced in ascending k order, so reports are
-reproducible byte for byte.
+precision when the error bound does, for q both.  An attempt keeps one
+partial sum, over its term budget; q's drift test itself sums the rest of
+the doubled budget.  The term sums are reduced in ascending k order, so
+reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -526,9 +527,9 @@ def _p_series(n: int, k_terms: int, bits: int):
 
 
 def _q_series(n: int, k_terms: int, bits: int):
-    """The q series' raw value of a sum, term(k), the k of the doubled
-    budget and its certificate, the drift test, at the working precision
-    bits.
+    """The q series' raw value of a sum, term(k), its odd k <= k_terms and
+    its certificate, the drift test, which sums the doubled budget itself,
+    at the working precision bits.
 
     With y_k = (z/(2k))^2 = pi^2 (24n+1)/(288 k^2) and F = _bessel_F,
     I_1(z/k) = (z/(2k)) F(y_k), so the series is q(n) = (pi^2 sqrt2/24)
@@ -556,28 +557,30 @@ def _q_series(n: int, k_terms: int, bits: int):
         # A residual of 0 is meaningless when the working precision cannot
         # even represent the fractional part at this magnitude, so insist
         # on a margin of usable bits below the integer scale (the margin of
-        # a raw value of 0 counts as unlimited).  The drift test cannot tell
-        # which budget fell short, so a failure grows both.
+        # a raw value of 0 counts as unlimited).  Only then are the odd k
+        # past the budget summed, up to the doubled one, which reaches one
+        # even at k_terms = 1 so that the test never compares a sum with
+        # itself.  It cannot tell which budget fell short: a failure grows both.
         failed = not (
             residual.man << RESIDUAL_BITS < 1 << V
-            and abs(total.man - raw.man) << STABILITY_BITS < 1 << V
             and (raw.man == 0 or bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS)
         )
+        if not failed:
+            total += sum(term(k) for k in range((k_terms + 1) | 1, max(2 * k_terms, 3) + 1, 2))
+            failed = abs(value(total).man - raw.man) << STABILITY_BITS >= 1 << V
         return failed, failed
 
-    # odd k only; the doubled budget must reach an odd k beyond the budget
-    # even at k_terms = 1, or the drift test compares a sum with itself
-    return value, term, range(1, max(2 * k_terms, 3) + 1, 2), needs
+    return value, term, range(1, k_terms + 1, 2), needs  # odd k only
 
 
 def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> SeriesEvalReport:
-    """Sum the series in ascending k over its k range, round the partial sum
-    through k <= k_terms, and hold it to the series' certificate.  The
-    certificate, needs(raw, residual, total), says whether more terms and
-    whether more bits are needed; a failed one doubles the term budget, the
-    precision or both, as it asks, and tries again.  An attempt at unchanged
-    bits keeps the last partial sum and adds only the terms past the old
-    budget, so every sum is still reduced in ascending k; new bits start
+    """Sum the series in ascending k over its k <= k_terms, round the sum,
+    and hold it to the series' certificate, needs(raw, residual, total) with
+    total the partial sum, which says whether more terms and whether more
+    bits are needed; a failed one doubles the term budget, the precision or
+    both, as it asks, and tries again.  Each attempt keeps one partial sum:
+    at unchanged bits it adds only the terms past the old budget to the
+    last one, so every sum is still reduced in ascending k; new bits start
     over at k = 1.  The series constant c of _magnitude sets the default bits."""
     check_size(n, 1, f"{name} needs n")
     k_terms = default_k_terms(n) if k_max is None else k_max
@@ -589,21 +592,16 @@ def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> Series
     kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
         value, term, ks, needs = series(n, k_terms, bits)
-        done, at_budget = kept[1:] if kept[0] == bits else (0, 0)
-        total = at_budget
-        for k in ks:
-            if k > done:
-                total += term(k)
-                if k <= k_terms:
-                    at_budget = total
-        raw = value(at_budget)
+        done, total = kept[1:] if kept[0] == bits else (0, 0)
+        total += sum(term(k) for k in ks if k > done)
+        raw = value(total)
         # the nearest integer, ties to even
         nearest, rest = divmod(raw.man, 1 << -raw.exp)
         if 2 * rest > 1 << -raw.exp or (2 * rest == 1 << -raw.exp and nearest & 1):
             nearest += 1
         residual = Dyadic(abs(raw.man - (nearest << -raw.exp)), raw.exp)
-        more_terms, more_bits = needs(raw, residual, value(total))
-        kept = bits, k_terms, at_budget
+        more_terms, more_bits = needs(raw, residual, total)
+        kept = bits, k_terms, total
         certified = not (more_terms or more_bits)
         report = SeriesEvalReport(n, k_terms, bits, raw, nearest, residual, certified)
         if certified:
@@ -632,7 +630,7 @@ def hagis_q(n: int, k_max: int | None = None, precision_bits: int | None = None)
 
     q(n) = (pi / sqrt(24n+1)) sum_{k odd} k^-1 (sum_h e^{pi i (t(h,k) - 2nh/k)})
     I_1(pi sqrt(48n+2) / (12k)), with the k = 1 inner sum taken as its
-    single h = 0 term.  It is certified by the drift test of the module
-    docstring, not by a proven bound as rademacher_p is.
+    single h = 0 term.  The drift test of the module docstring certifies it,
+    summing the doubled budget itself, not a proven bound as rademacher_p's.
     """
     return _certify("hagis_q", n, k_max, precision_bits, Q_C, _q_series)

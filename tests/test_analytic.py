@@ -566,6 +566,19 @@ class TestHagisQ:
         report = hagis_q(40, k_max=1)
         assert (report.k_terms_used, report.precision_bits) == (8, 8 * analytic.default_bits(40, analytic.Q_C))
 
+    def test_each_attempt_sums_its_budget_and_only_a_tested_drift(self, monkeypatch):
+        # k_terms = 1, 2, 4 and 8, each at doubled bits: the drift test sums
+        # the odd k past the budget, up to the doubled one, only once the
+        # residual and resolution conditions hold; at k_terms = 4 the
+        # residual fails, so 5 and 7 are not summed there
+        attempts = []
+        series, inner = analytic._q_series, analytic._inner_real
+        monkeypatch.setattr(analytic, "_q_series", lambda *args: attempts.append([]) or series(*args))
+        monkeypatch.setattr(analytic, "_inner_real", lambda k, n, V: attempts[-1].append(k) or inner(k, n, V))
+        report = hagis_q(45, k_max=1)
+        assert attempts == [[1, 3], [1, 3], [1, 3], list(range(1, 16, 2))]
+        assert (report.k_terms_used, report.rounded, report.certified) == (8, q_recurrence(45), True)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             hagis_q(0)

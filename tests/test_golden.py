@@ -12,7 +12,9 @@ golden_series.json holds the report of `rademacher_p(n)` and `hagis_q(n)` at
 default settings for n = 1..60, 100, 250, 330, 450, 1000 and 2000: `rounded`,
 `certified`, `k_terms`, `precision_bits`, and `raw` and `residual` printed
 with mpmath's `mp.nstr` to 30 and 3 digits, the digits `fibcomp analytic`
-prints through its port of that formatter.  A
+prints through its port of that formatter.  Each record is checked twice:
+against the library's report through mpmath, and as the document
+`fibcomp analytic --json` prints, whose keys are the record's.  A
 kernel change must leave every field as recorded; the file is never
 re-captured to make a change pass.
 """
@@ -68,3 +70,12 @@ def test_golden_series_report(record):
         "raw": mp.nstr(report.raw_value, 30),
         "residual": mp.nstr(report.residual, 3),
     } == record
+
+
+@pytest.mark.parametrize("record", SERIES, ids=[f"{r['series']} {r['n']}" for r in SERIES])
+def test_golden_series_through_the_cli(record, capsys):
+    # the same record, its digits printed by the CLI's own nstr: its keys
+    # are exactly the --json keys
+    assert cli.run(["analytic", "--json", record["series"], str(record["n"])]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out), err) == (record, "")
