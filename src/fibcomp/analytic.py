@@ -35,9 +35,10 @@ A failed certificate escalates up to four times before signaling
 non-certification.  Each escalation doubles what the certificate found
 short: for p the term budget when the tail bound blocks and the working
 precision when the error bound does, for q both.  An attempt keeps one
-partial sum, over its term budget; q's drift test itself sums the rest of
-the doubled budget.  The term sums are reduced in ascending k order, so
-reports are reproducible byte for byte.
+partial sum, over its term budget, and the next attempt extends it only at
+the same scale: a new scale starts over at k = 1.  q's drift test itself
+sums the rest of the doubled budget.  The term sums are reduced in ascending
+k order, so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -556,14 +557,14 @@ def _q_series(n: int, k_terms: int, bits: int):
     def needs(raw, residual, total):
         # A residual of 0 is meaningless when the working precision cannot
         # even represent the fractional part at this magnitude, so insist
-        # on a margin of usable bits below the integer scale (the margin of
-        # a raw value of 0 counts as unlimited).  Only then are the odd k
-        # past the budget summed, up to the doubled one, which reaches one
-        # even at k_terms = 1 so that the test never compares a sum with
-        # itself.  It cannot tell which budget fell short: a failure grows both.
+        # on a margin of usable bits below the integer scale.  Only then are
+        # the odd k past the budget summed, up to the doubled one, which
+        # reaches one even at k_terms = 1 so that the test never compares a
+        # sum with itself.  It cannot tell which budget fell short: a failure
+        # grows both.
         failed = not (
             residual.man << RESIDUAL_BITS < 1 << V
-            and (raw.man == 0 or bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS)
+            and bits - (raw.man.bit_length() - V) >= RESOLUTION_GUARD_BITS
         )
         if not failed:
             total += sum(term(k) for k in range((k_terms + 1) | 1, max(2 * k_terms, 3) + 1, 2))
@@ -578,10 +579,11 @@ def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> Series
     and hold it to the series' certificate, needs(raw, residual, total) with
     total the partial sum, which says whether more terms and whether more
     bits are needed; a failed one doubles the term budget, the precision or
-    both, as it asks, and tries again.  Each attempt keeps one partial sum:
-    at unchanged bits it adds only the terms past the old budget to the
-    last one, so every sum is still reduced in ascending k; new bits start
-    over at k = 1.  The series constant c of _magnitude sets the default bits."""
+    both, as it asks, and tries again.  Each attempt keeps its partial sum
+    and scale, the exponent of value's result; a next attempt at that scale
+    adds only the terms past the old budget, still in ascending k, and a new
+    scale starts over at k = 1.  The series constant c of _magnitude sets
+    the default bits."""
     check_size(n, 1, f"{name} needs n")
     k_terms = default_k_terms(n) if k_max is None else k_max
     bits = default_bits(n, c) if precision_bits is None else precision_bits
@@ -589,10 +591,10 @@ def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> Series
     check_size(bits, 64, "precision_bits must be")
     if k_terms >> 36:  # so that four doublings keep k < 2^40, where _p_series's error analysis holds
         raise DomainError(f"k_max must be below 2**36, got {k_terms}")
-    kept = None, 0, 0  # bits, k_terms and partial sum of the last attempt
+    kept = None, 0, 0  # scale, k_terms and partial sum of the last attempt
     for _ in range(MAX_ESCALATIONS + 1):
         value, term, ks, needs = series(n, k_terms, bits)
-        done, total = kept[1:] if kept[0] == bits else (0, 0)
+        done, total = kept[1:] if kept[0] == value(0).exp else (0, 0)
         total += sum(term(k) for k in ks if k > done)
         raw = value(total)
         # the nearest integer, ties to even
@@ -601,7 +603,7 @@ def _certify(name: str, n: int, k_max, precision_bits, c: int, series) -> Series
             nearest += 1
         residual = Dyadic(abs(raw.man - (nearest << -raw.exp)), raw.exp)
         more_terms, more_bits = needs(raw, residual, total)
-        kept = bits, k_terms, total
+        kept = raw.exp, k_terms, total
         certified = not (more_terms or more_bits)
         report = SeriesEvalReport(n, k_terms, bits, raw, nearest, residual, certified)
         if certified:

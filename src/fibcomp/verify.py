@@ -77,6 +77,18 @@ def _first_failure(name: str, cases, fails, label: str | None = None) -> CheckRe
     return row.result()
 
 
+def _sides_agree(name: str, last: int, *sides) -> CheckResult:
+    """A _first_failure row over n = 0..last that holds while every side, a
+    function of n, gives the first side's value; the first n where one does
+    not is its counterexample."""
+
+    def differs(n: int) -> str | None:
+        want = sides[0](n)
+        return None if all(side(n) == want for side in sides[1:]) else f"n={n}"
+
+    return _first_failure(name, ((n,) for n in range(last + 1)), differs)
+
+
 def _zero_runs_even(bits) -> bool:
     return all(len(run) % 2 == 0 for run in str(bits).split("1"))
 
@@ -199,12 +211,8 @@ def _suite_counts(bound: int) -> list[CheckResult]:
     # Gauss's identity: counting sums the left side from q's table alone, and
     # the right side is 1 at triangular n and 0 elsewhere, from a set made here
     triangular = {m * (m + 1) // 2 for m in range(63)}
-
-    def residual_differs(n: int) -> str | None:
-        return None if counting.q_recurrence_residual(n) == (1 if n in triangular else 0) else f"n={n}"
-
-    cases = ((n,) for n in range(2001))
-    results.append(_first_failure("q recurrence residual 0/1 pattern n<=2000", cases, residual_differs))
+    gauss = "q recurrence residual 0/1 pattern n<=2000"
+    results.append(_sides_agree(gauss, 2000, counting.q_recurrence_residual, lambda n: int(n in triangular)))
 
     # not a first-failure row: a passing row reports the threshold it found
     first = counting.binet_first_failure(100)
@@ -236,45 +244,24 @@ def _suite_genfun(bound: int) -> list[CheckResult]:
     top = min(bound, 20)
     compositions = genfun.distinct_compositions_gf(top)
     # the empty composition counts at n = 0, as in the series
-    direct = enumeration.tally_by_enumeration(top, enumeration.CompositionClass("distinct-parts"))
+    direct = enumeration.tally_by_enumeration(top, enumeration.CompositionClass("distinct-parts")).__getitem__
     by_ell = [
         genfun.distinct_partitions_ell_gf(ell, top) for ell in range(top + 1) if ell * (ell + 1) // 2 <= top
     ]
 
-    def compositions_differ(n):
-        linked = sum(math.factorial(ell) * gf.coefficient(n) for ell, gf in enumerate(by_ell))
-        return None if compositions.coefficient(n) == direct[n] == linked else f"n={n}"
+    def linked(n):
+        return sum(math.factorial(ell) * gf.coefficient(n) for ell, gf in enumerate(by_ell))
 
-    orders = [(n,) for n in range(order + 1)]
     enumerated = min(bound, order)
-    counted = enumeration.tally_by_enumeration(enumerated, partitions)
-    return [
-        _first_failure(
-            f"partition series vs recurrence order {order}",
-            orders,
-            lambda n: None if series.coefficient(n) == counting.p_recurrence(n) else f"n={n}",
-        ),
-        _first_failure(
-            f"partition series vs enumeration n<={enumerated}",
-            ((n,) for n in range(enumerated + 1)),
-            lambda n: None if series.coefficient(n) == counted[n] else f"n={n}",
-        ),
-        _first_failure(
-            f"odd/distinct product identity order {order}",
-            orders,
-            lambda n: None if odd_product.coefficient(n) == distinct_product.coefficient(n) else f"n={n}",
-        ),
-        _first_failure(
-            f"partition series times euler product order {order}",
-            orders,
-            lambda n: None if times_euler.coefficient(n) == one.coefficient(n) else f"n={n}",
-        ),
-        _first_failure(
-            f"distinct compositions series vs enumeration n<={top}",
-            ((n,) for n in range(top + 1)),
-            compositions_differ,
-        ),
-    ]
+    counted = enumeration.tally_by_enumeration(enumerated, partitions).__getitem__
+    rows = (
+        (f"partition series vs recurrence order {order}", order, series.coefficient, counting.p_recurrence),
+        (f"partition series vs enumeration n<={enumerated}", enumerated, series.coefficient, counted),
+        (f"odd/distinct product identity order {order}", order, odd_product.coefficient, distinct_product.coefficient),
+        (f"partition series times euler product order {order}", order, times_euler.coefficient, one.coefficient),
+        (f"distinct compositions series vs enumeration n<={top}", top, compositions.coefficient, direct, linked),
+    )
+    return [_sides_agree(*row) for row in rows]
 
 
 def _suite_analytic(bound: int) -> list[CheckResult]:

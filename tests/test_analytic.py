@@ -579,6 +579,21 @@ class TestHagisQ:
         assert attempts == [[1, 3], [1, 3], [1, 3], list(range(1, 16, 2))]
         assert (report.k_terms_used, report.rounded, report.certified) == (8, q_recurrence(45), True)
 
+    @pytest.mark.parametrize("n, k_max", [(100, 2), (45, 1), (450, 2)])
+    def test_a_terms_only_certificate_never_mixes_scales(self, monkeypatch, n, k_max):
+        # q's scale grows with its term budget, so a certificate that asks for
+        # more terms alone must not extend a sum kept at the old scale: one
+        # that did certified 55599, 128 and 6183215253894 here
+        series = analytic._q_series
+
+        def terms_only(*args):
+            value, term, ks, needs = series(*args)
+            return value, term, ks, lambda *report: (needs(*report)[0], False)
+
+        monkeypatch.setattr(analytic, "_q_series", terms_only)
+        report = hagis_q(n, k_max=k_max)
+        assert (report.rounded, report.certified) == (q_recurrence(n), True)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             hagis_q(0)
