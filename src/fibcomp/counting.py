@@ -3,7 +3,9 @@ partition recurrences, all over arbitrary-precision integers.
 
 Also home to the floating-point Binet evaluation used to demonstrate where
 double-width arithmetic stops rounding to the true Fibonacci value, and to
-a small line-oriented cache format for the memo tables.
+a small line-oriented cache format for the memo tables.  Every p and q entry
+is computed in one place, the in-process memo; a cache file is read only when
+it covers the n asked for, and is otherwise rewritten from the memo.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ def _next(kind: str, values: list[int], n: int) -> int:
     return (1 if right(n) else 0) + _pentagonal_sum(values, n, scale)
 
 
-def _extend(kind: str, values: list[int], upto: int) -> None:
-    # every slot first, so a table too large fails before any work; a failed fill keeps what it computed
+def _extend(kind: str, upto: int) -> None:
+    # the one fill loop of the p and q entries, over the memo; every slot first, so a
+    # table too large fails before any work, and a failed fill keeps what it computed
+    values = _tables[kind]
     n = len(values)
     values += [0] * (upto + 1 - n)
     try:
@@ -86,7 +90,7 @@ def _extend(kind: str, values: list[int], upto: int) -> None:
 
 def _memo_value(kind: str, n: int) -> int:
     check_size(n, 0, f"{kind}_recurrence needs n")
-    _extend(kind, _tables[kind], n)
+    _extend(kind, n)
     return _tables[kind][n]
 
 
@@ -187,7 +191,7 @@ def _check_table(kind: str, max_n: int) -> None:
 
 def build_table(kind: str, max_n: int) -> MemoTable:
     _check_table(kind, max_n)
-    _extend(kind, _tables[kind], max_n)
+    _extend(kind, max_n)
     return MemoTable(kind, _tables[kind][: max_n + 1])  # a copy, so the caller's edits miss the memo
 
 
@@ -243,7 +247,9 @@ def load_table(path) -> MemoTable:
 
 
 def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
-    """Fetch a table from cache_dir, extending and rewriting it as needed."""
+    """Fetch a table from cache_dir.  A file that covers max_n is returned once
+    its entry max_n passes the recurrence; a missing or shorter one is
+    replaced by build_table(kind, max_n), so no entry is computed from a file."""
     _check_table(kind, max_n)  # before the directory is made or read
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -253,9 +259,10 @@ def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
         if table.kind != kind:
             raise DomainError(f"{path}: holds kind {table.kind!r}, wanted {kind!r}")
         if table.max_n >= max_n:
+            # the entry the caller reads, which the sample may have skipped
+            if table.values[max_n] != _next(kind, table.values, max_n):
+                raise DomainError(f"{path}: table fails its recurrence at index {max_n}")
             return table
-        _extend(kind, table.values, max_n)
-    else:
-        table = build_table(kind, max_n)
+    table = build_table(kind, max_n)
     save_table(table, path)
     return table

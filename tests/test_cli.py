@@ -758,11 +758,26 @@ class TestCacheDir:
     def test_wrongly_seeded_cache_exit_1(self, capsys, tmp_path, cls, kind):
         # grown from the seed 2 instead of 1; for p that is every entry doubled
         values = [2]
-        counting._extend(kind, values, 300)
+        for n in range(1, 301):
+            values.append(counting._next(kind, values, n))
         counting.save_table(counting.MemoTable(kind, values), tmp_path / f"{kind}.table")
         code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
+    def test_entry_read_is_checked_and_a_short_file_is_rebuilt(self, capsys, tmp_path, cls, kind):
+        # entry 300 raised by 1 passes the load's sample, not the read at 300
+        path = tmp_path / f"{kind}.table"
+        table = counting.build_table(kind, 300)
+        table.values[300] += 1
+        counting.save_table(table, path)
+        code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: {path}: table fails its recurrence at index 300\n")
+        code, out, err = run_cli(capsys, "count", "--class", cls, "400", "--cache-dir", str(tmp_path))
+        want = p_recurrence if kind == "p" else q_recurrence
+        assert (code, out, err) == (0, f"{want(400)}\n", "")
+        assert counting.load_table(path).values == counting.build_table(kind, 400).values
 
     def test_non_ascii_cache_exit_1(self, capsys, tmp_path):
         path = tmp_path / "p.table"

@@ -365,7 +365,8 @@ class TestTables:
         # doubled); past the seed each table satisfies its recurrence, so a
         # sample that skips index 0 passes it
         values = [2]
-        counting._extend(kind, values, upto)
+        for n in range(1, upto + 1):
+            values.append(counting._next(kind, values, n))
         path = tmp_path / f"{kind}.table"
         save_table(MemoTable(kind, values), path)
         with pytest.raises(DomainError):
@@ -436,6 +437,23 @@ class TestTables:
         assert t.values[80] == q_recurrence(80)
         reloaded = load_table(tmp_path / "q.table")
         assert reloaded.max_n >= 80
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_cached_table_never_grows_a_file(self, tmp_path, kind):
+        # entry 300 raised by 1: no sampled index is 300 and no sampled entry's
+        # recurrence reads it, so the file loads; the read at 300 checks that
+        # entry, and a read past it rebuilds the whole table from the memo
+        path = tmp_path / f"{kind}.table"
+        table = build_table(kind, 300)
+        table.values[300] += 1
+        save_table(table, path)
+        assert load_table(path).values == table.values
+        with pytest.raises(DomainError, match=rf"{kind}\.table: table fails its recurrence at index 300\Z"):
+            cached_table(kind, 300, tmp_path)
+        assert load_table(path).values == table.values
+        assert cached_table(kind, 400, tmp_path).values[400] == counting._memo_value(kind, 400)
+        assert load_table(path).values == build_table(kind, 400).values
+        assert cached_table(kind, 300, tmp_path).values[300] == counting._memo_value(kind, 300)
 
     def test_cached_table_kind_mismatch(self, tmp_path):
         save_table(build_table("p", 10), tmp_path / "q.table")
