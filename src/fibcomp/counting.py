@@ -4,8 +4,8 @@ partition recurrences, all over arbitrary-precision integers.
 Also home to the floating-point Binet evaluation used to demonstrate where
 double-width arithmetic stops rounding to the true Fibonacci value, and to
 a small line-oriented cache format for the memo tables.  Every p and q entry
-is computed in one place, the in-process memo; a cache file is read only when
-it covers the n asked for, and is otherwise rewritten from the memo.
+is computed in one place, the in-process memo; a cache file is parsed only when
+its header covers the n asked for, and is otherwise rewritten from the memo unread.
 """
 
 from __future__ import annotations
@@ -209,13 +209,17 @@ def save_table(table: MemoTable, path) -> None:
     try:
         temporary.write_text("\n".join(lines) + "\n", encoding="ascii")
         os.replace(temporary, path)
+    except OSError as exc:  # named for the table, not the random temporary
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         temporary.unlink(missing_ok=True)  # already gone once replaced
 
 
-def load_table(path) -> MemoTable:
-    """Load a saved table, re-deriving its seed entry and a 16-index sample
-    before trusting it."""
+def load_table(path, covers: int = 0) -> MemoTable | None:
+    """Load a saved table that reaches index covers, else return None with its
+    body unparsed; the seed, a 16-index sample and entry covers are re-derived
+    from the file's lower entries before the table is trusted."""
+    check_size(covers, 0, "load_table needs covers")
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
@@ -227,6 +231,8 @@ def load_table(path) -> MemoTable:
     if not header:
         raise DomainError(f"{path}: bad table header {lines[0]!r}")
     kind, max_n = header.group(1), int(header.group(2))
+    if max_n < covers:
+        return None
     body = lines[1:]
     if len(body) != max_n + 1:
         raise DomainError(f"{path}: expected {max_n + 1} values, found {len(body)}")
@@ -234,12 +240,11 @@ def load_table(path) -> MemoTable:
         values = [int(line) for line in body]
     except ValueError as exc:
         raise DomainError(f"{path}: non-integer table line ({exc})") from exc
-    # deterministic sample so a given file always gets the same audit
-    rng = random.Random(f"{kind}:{max_n}")
-    audited = set(rng.sample(range(max_n + 1), min(16, max_n + 1)))
-    # a check trusts the entries below it, so the seed is always audited:
-    # a table scaled or seeded wrongly satisfies the recurrence elsewhere
-    audited.add(0)
+    # a sample seeded by the header, so a given file always gets the same audit
+    audited = set(random.Random(f"{kind}:{max_n}").sample(range(max_n + 1), min(16, max_n + 1)))
+    # a check trusts the entries below it, so the seed is always audited (a table
+    # scaled or seeded wrongly satisfies the recurrence elsewhere), as is the entry read
+    audited.update((0, covers))
     for i in sorted(audited):
         if values[i] != _next(kind, values, i):
             raise DomainError(f"{path}: table fails its recurrence at index {i}")
@@ -247,22 +252,16 @@ def load_table(path) -> MemoTable:
 
 
 def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
-    """Fetch a table from cache_dir.  A file that covers max_n is returned once
-    its entry max_n passes the recurrence; a missing or shorter one is
-    replaced by build_table(kind, max_n), so no entry is computed from a file."""
+    """Fetch a table from cache_dir: a file that covers max_n once load_table's
+    audit, entry max_n included, passes; else build_table(kind, max_n), saved
+    over a missing or shorter file unread, so no entry is computed from a file."""
     _check_table(kind, max_n)  # before the directory is made or read
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{kind}.table"
-    if path.exists():
-        table = load_table(path)
-        if table.kind != kind:
-            raise DomainError(f"{path}: holds kind {table.kind!r}, wanted {kind!r}")
-        if table.max_n >= max_n:
-            # the entry the caller reads, which the sample may have skipped
-            if table.values[max_n] != _next(kind, table.values, max_n):
-                raise DomainError(f"{path}: table fails its recurrence at index {max_n}")
-            return table
-    table = build_table(kind, max_n)
-    save_table(table, path)
+    path = Path(cache_dir) / f"{kind}.table"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    table = load_table(path, max_n) if path.exists() else None
+    if table is None:
+        table = build_table(kind, max_n)
+        save_table(table, path)
+    elif table.kind != kind:
+        raise DomainError(f"{path}: holds kind {table.kind!r}, wanted {kind!r}")
     return table

@@ -678,6 +678,42 @@ class TestVerify:
         assert [line for line in out.splitlines() if not line.startswith("[OK] ")] == want
 
 
+def _edit_lines(edit):
+    """A corruption that rewrites a saved table's lines: edit(kind, lines) -> lines."""
+    def corrupt(kind, data):
+        return b"".join(line + b"\n" for line in edit(kind, data.splitlines()))
+    return corrupt
+
+
+def _seeded_two(kind, lines):
+    # the kind's recurrence grown from the seed 2 instead of 1
+    values = [2]
+    for n in range(1, len(lines) - 1):
+        values.append(counting._next(kind, values, n))
+    return lines[:1] + [str(v).encode() for v in values]
+
+
+def _other_kind(kind, lines):
+    other = "q" if kind == "p" else "p"
+    table = counting.build_table(other, len(lines) - 2)
+    return [lines[0].replace(f"kind={kind}".encode(), f"kind={other}".encode())] + [
+        str(v).encode() for v in table.values
+    ]
+
+
+# each corruption of a saved table, as (kind, file bytes) -> file bytes
+_CORRUPTIONS = {
+    "non-integer line": _edit_lines(lambda kind, lines: lines[:151] + [b"x"] + lines[152:]),
+    "wrong seed": _edit_lines(_seeded_two),
+    "wrong line count": _edit_lines(lambda kind, lines: lines[:-1]),
+    "other kind": _edit_lines(_other_kind),
+    "raised last entry": _edit_lines(lambda kind, lines: lines[:-1] + [str(int(lines[-1]) + 1).encode()]),
+    "bad header": _edit_lines(lambda kind, lines: [lines[0].replace(b" v1 ", b" v9 ")] + lines[1:]),
+    "empty": lambda kind, data: b"",
+    "non-ASCII byte": _edit_lines(lambda kind, lines: lines[:151] + [lines[151] + b"\xff"] + lines[152:]),
+}
+
+
 class TestCacheDir:
     def test_flag_creates_and_reuses_table(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -778,6 +814,45 @@ class TestCacheDir:
         want = p_recurrence if kind == "p" else q_recurrence
         assert (code, out, err) == (0, f"{want(400)}\n", "")
         assert counting.load_table(path).values == counting.build_table(kind, 400).values
+
+    @pytest.mark.parametrize("covers", [True, False], ids=["covers-n", "shorter-than-n"])
+    @pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
+    @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
+    def test_corruption_behaviour(self, capsys, tmp_path, cls, kind, corruption, covers):
+        # a 300-entry file, read at 200 (covered) or at 400 (shorter): a covering
+        # file is refused unless the corruption sits where no audit reads it; a
+        # shorter one is replaced unread unless its header cannot be read
+        path = tmp_path / f"{kind}.table"
+        counting.save_table(counting.build_table(kind, 300), path)
+        path.write_bytes(_CORRUPTIONS[corruption](kind, path.read_bytes()))
+        before = path.read_bytes()
+        n = 200 if covers else 400
+        code, out, err = run_cli(capsys, "count", "--class", cls, str(n), "--cache-dir", str(tmp_path))
+        want = p_recurrence if kind == "p" else q_recurrence
+        if covers and corruption == "raised last entry":
+            assert (code, out, err) == (0, f"{want(n)}\n", "")
+            assert path.read_bytes() == before
+        elif covers or corruption in ("bad header", "empty", "non-ASCII byte"):
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert path.read_bytes() == before
+        else:
+            assert (code, out, err) == (0, f"{want(n)}\n", "")
+            assert counting.load_table(path) == counting.build_table(kind, n)
+
+    def test_a_failed_write_is_one_fixed_error_line(self, capsys, tmp_path, monkeypatch):
+        # the temporary file's name is random; the error line names the table
+        def fail(self, data, encoding=None, errors=None, newline=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail)
+        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(tmp_path))
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second
+        code, out, err = first
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "p.table" in err and ".tmp" not in err
 
     def test_non_ascii_cache_exit_1(self, capsys, tmp_path):
         path = tmp_path / "p.table"

@@ -383,9 +383,10 @@ class TestTables:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as failed:
             save_table(build_table("p", 400), path)
         monkeypatch.undo()
+        assert (failed.value.errno, failed.value.filename) == (28, str(path))  # not the temporary's
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["p.table"]
 
@@ -454,6 +455,54 @@ class TestTables:
         assert cached_table(kind, 400, tmp_path).values[400] == counting._memo_value(kind, 400)
         assert load_table(path).values == build_table(kind, 400).values
         assert cached_table(kind, 300, tmp_path).values[300] == counting._memo_value(kind, 300)
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_a_short_file_is_replaced_unparsed(self, tmp_path, kind):
+        # a body line that is no integer is never read from a file shorter than n
+        path = tmp_path / f"{kind}.table"
+        save_table(build_table(kind, 300), path)
+        lines = path.read_text("ascii").splitlines()
+        lines[151] = "x"  # entry 150
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        assert cached_table(kind, 400, tmp_path).values[400] == counting._memo_value(kind, 400)
+        assert load_table(path) == build_table(kind, 400)
+
+    @pytest.mark.parametrize("kind,other", [("p", "q"), ("q", "p")])
+    def test_a_short_file_of_another_kind_is_replaced(self, tmp_path, kind, other):
+        path = tmp_path / f"{kind}.table"
+        save_table(build_table(other, 300), path)
+        assert cached_table(kind, 400, tmp_path) == build_table(kind, 400)
+        assert load_table(path) == build_table(kind, 400)
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_load_audits_the_entry_it_covers(self, tmp_path, kind):
+        # entry 300 raised by 1 is outside the sample and read by no sampled entry
+        path = tmp_path / f"{kind}.table"
+        table = build_table(kind, 300)
+        table.values[300] += 1
+        save_table(table, path)
+        with pytest.raises(DomainError, match=rf"{kind}\.table: table fails its recurrence at index 300\Z"):
+            load_table(path, 300)
+        assert load_table(path) == table
+        assert load_table(path, 301) is None
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_a_short_file_costs_no_recurrence_step(self, tmp_path, kind, monkeypatch):
+        # with the memo warm, replacing a shorter file audits none of its entries
+        build_table(kind, 400)
+        save_table(build_table(kind, 300), tmp_path / f"{kind}.table")
+        steps = []
+        real = counting._next
+        monkeypatch.setattr(counting, "_next", lambda *args: steps.append(args[2]) or real(*args))
+        assert cached_table(kind, 400, tmp_path) == build_table(kind, 400)
+        assert steps == []
+
+    def test_load_needs_a_plain_covers(self, tmp_path):
+        path = tmp_path / "p.table"
+        save_table(build_table("p", 5), path)
+        for covers in (-1, True, 2.5):
+            with pytest.raises(DomainError, match="load_table needs covers >= 0"):
+                load_table(path, covers)
 
     def test_cached_table_kind_mismatch(self, tmp_path):
         save_table(build_table("p", 10), tmp_path / "q.table")
