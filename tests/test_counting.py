@@ -485,6 +485,12 @@ class TestTables:
             load_table(path, 300)
         assert load_table(path) == table
         assert load_table(path, 301) is None
+        # one loop: with a sampled entry wrong too, the smaller index is reported
+        sampled = min(i for k, max_n, i in _AUDITED if (k, max_n) == (kind, 300) and i > 0)
+        table.values[sampled] += 1
+        save_table(table, path)
+        with pytest.raises(DomainError, match=rf"at index {sampled}\Z"):
+            load_table(path, 300)
 
     @pytest.mark.parametrize("kind", ["p", "q"])
     def test_a_short_file_costs_no_recurrence_step(self, tmp_path, kind, monkeypatch):
