@@ -5,7 +5,8 @@ Also home to the floating-point Binet evaluation used to demonstrate where
 double-width arithmetic stops rounding to the true Fibonacci value, and to
 a small line-oriented cache format for the memo tables.  Every p and q entry
 is computed in one place, the in-process memo; a cache file is parsed only when
-its header covers the n asked for, and is otherwise rewritten from the memo unread.
+its header covers the n asked for, and is otherwise rewritten from the memo,
+read no further than its header line.
 """
 
 from __future__ import annotations
@@ -199,6 +200,14 @@ def build_table(kind: str, max_n: int) -> MemoTable:
 _HEADER_RE = rf"fibcomp-table v1 kind=({'|'.join(map(re.escape, _ROWS))}) max=(0|[1-9][0-9]*)\Z"
 
 
+class _WriteError(OSError):
+    """A failed table write: the errno of the step that failed, the table's
+    path as filename, and a text that says the table could not be written."""
+
+    def __str__(self) -> str:
+        return f"cannot write {self.filename}: {self.strerror}"
+
+
 def save_table(table: MemoTable, path) -> None:
     """Write the table to a temporary file beside path, then rename it over
     path, so readers and concurrent writers see a whole old or new file."""
@@ -210,29 +219,36 @@ def save_table(table: MemoTable, path) -> None:
         temporary.write_text("\n".join(lines) + "\n", encoding="ascii")
         os.replace(temporary, path)
     except OSError as exc:  # named for the table, not the random temporary
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise _WriteError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         temporary.unlink(missing_ok=True)  # already gone once replaced
 
 
 def load_table(path, covers: int = 0) -> MemoTable | None:
-    """Load a saved table that reaches index covers, else return None with its
-    body unparsed; the seed, a 16-index sample and entry covers are re-derived
-    from the file's lower entries before the table is trusted."""
+    """Load a saved table that reaches index covers, else return None with the
+    file read no further than its header line; the seed, a 16-index sample and
+    entry covers are re-derived from the file's lower entries before the table
+    is trusted."""
     check_size(covers, 0, "load_table needs covers")
+    with Path(path).open("rb") as handle:
+        data = handle.readline()
+        # the header line is read first: a valid one that stops below covers ends the
+        # load; any other file is read whole and checked in full, as it always was
+        first = data.decode("ascii", "replace").splitlines()[:1]
+        header = re.match(_HEADER_RE, first[0]) if first else None
+        if header and int(header.group(2)) < covers:
+            return None
+        data += handle.read()
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: non-ASCII byte in table file at offset {exc.start}") from exc
-    lines = text.splitlines()
+    lines = text.splitlines()  # lines[0] is the header line matched above
     if not lines:
         raise DomainError(f"{path}: empty table file")
-    header = re.match(_HEADER_RE, lines[0])
     if not header:
         raise DomainError(f"{path}: bad table header {lines[0]!r}")
     kind, max_n = header.group(1), int(header.group(2))
-    if max_n < covers:
-        return None
     body = lines[1:]
     if len(body) != max_n + 1:
         raise DomainError(f"{path}: expected {max_n + 1} values, found {len(body)}")
@@ -254,10 +270,15 @@ def load_table(path, covers: int = 0) -> MemoTable | None:
 def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
     """Fetch a table from cache_dir: a file that covers max_n once load_table's
     audit, entry max_n included, passes; else build_table(kind, max_n), saved
-    over a missing or shorter file unread, so no entry is computed from a file."""
+    over a missing or shorter file read no further than its header line, so no
+    entry is computed from a file.  A cache_dir that is a file, or a path
+    through one, raises NotADirectoryError saying so."""
     _check_table(kind, max_n)  # before the directory is made or read
     path = Path(cache_dir) / f"{kind}.table"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file, or a path through one
+        raise NotADirectoryError(f"{path.parent}: cache path is not a directory") from exc
     table = load_table(path, max_n) if path.exists() else None
     if table is None:
         table = build_table(kind, max_n)

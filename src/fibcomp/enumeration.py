@@ -32,6 +32,10 @@ from the largest.  Generators are lazy; counting builds no stream.
 
 CLASSES declares each family:kind class once: its part rule, its exact
 counter, its generating function and whether it takes a part count ell.
+Most rows are data: _progression(start, step) for compositions into parts
+start, start + step, ..., _descending(step, gap) for partitions into
+parts = 1 (mod step) that fall by at least gap, and distinct-ell caps the
+distinct row at ell parts.
 The generators, the CLI and the verify suites all read it.
 """
 
@@ -94,7 +98,8 @@ class ClassSpec(NamedTuple):
     genfun.  One walk counts every size only if the rule keeps this
     contract: a larger rest never allows fewer parts, and every sequence
     the walker reaches is a member of the class of its own size (with ell
-    parts, for a class that takes ell).  `count(n, cls)` is the exact
+    parts, for a class that takes ell); the rules that _progression and
+    _descending build keep it.  `count(n, cls)` is the exact
     counter for n already inside the class's domain (n >= min_n).
     `gf(order, ell)` is the generating function behind the `series` name,
     where one exists, and `takes_ell` says whether the class (and its
@@ -120,27 +125,33 @@ def _progression(start: int, step: int, count, series=None, gf=None) -> ClassSpe
     return ClassSpec(start, lambda rest, parts, ell: range(start, rest + 1, step), count, series, gf)
 
 
+def _descending(step: int, gap: int, count, series=None, gf=None, table=None) -> ClassSpec:
+    """The partitions into parts 1, 1 + step, 1 + 2 step, ..., each at most the
+    part before it less gap, largest first; the domain starts at n = 0, the
+    empty partition."""
+
+    def rule(rest: int, parts: Sequence[int], ell: int | None) -> range:
+        top = parts[-1] - gap if parts and parts[-1] - gap < rest else rest
+        return range(top - (top - 1) % step, 0, -step)
+
+    return ClassSpec(0, rule, count, series, gf, table=table)
+
+
+def _ell_parts(spec: ClassSpec) -> ClassSpec:
+    """spec, a distinct-parts row, with at most ell parts: none once ell are
+    placed, and while left are still to place, each below the last, the
+    left - 1 after the next need 1 + 2 + ... + (left - 1), kept back from it."""
+    distinct = spec.rule
+
+    def rule(rest: int, parts: Sequence[int], ell: int) -> range:
+        left = ell - len(parts)
+        return distinct(rest - left * (left - 1) // 2, parts, ell) if left else range(0)
+
+    return spec._replace(rule=rule, takes_ell=True)
+
+
 def _series_coefficient(n: int, cls: EnumClass) -> int:
     return class_spec(cls).gf(n, cls.ell).coefficient(n)
-
-
-def _largest(rest: int, parts: Sequence[int], gap: int) -> int:
-    """Largest part allowed after parts in a partition whose parts fall by
-    at least gap, with rest of n still to place."""
-    return min(rest, parts[-1] - gap) if parts else rest
-
-
-def _odd_partition_parts(rest: int, parts: Sequence[int], ell: int | None) -> range:
-    top = _largest(rest, parts, 0)
-    return range(top if top % 2 else top - 1, 0, -2)
-
-
-def _distinct_ell_parts(rest: int, parts: Sequence[int], ell: int) -> range:
-    left = ell - len(parts)  # parts still to place, each below the last
-    if left == 0:
-        return range(0)
-    # the left - 1 smaller parts need at least 1 + 2 + ... + (left - 1)
-    return range(_largest(rest - left * (left - 1) // 2, parts, 1), 0, -1)
 
 
 # The paper's theorem is the pair odd-parts / min-part-2: compositions of n
@@ -158,31 +169,19 @@ CLASSES: dict[str, ClassSpec] = {
         _series_coefficient,
         "distinct-compositions", lambda order, ell: genfun.distinct_compositions_gf(order),
     ),
-    "partitions:all": ClassSpec(
-        0,
-        lambda rest, parts, ell: range(_largest(rest, parts, 0), 0, -1),
-        lambda n, cls: counting.p_recurrence(n),
+    "partitions:all": _descending(
+        1, 0, lambda n, cls: counting.p_recurrence(n),
         # Euler's product read off p's table; the order gets the series' own refusal first
         "partitions", lambda order, ell: check_size(order, 0, "order must be")
         or genfun.TruncatedSeries(counting.build_table("p", order).values),
         table="p",
     ),
-    "partitions:odd-parts": ClassSpec(
-        0, _odd_partition_parts, lambda n, cls: counting.q_recurrence(n), table="q"
-    ),
-    "partitions:distinct-parts": ClassSpec(
-        0,
-        lambda rest, parts, ell: range(_largest(rest, parts, 1), 0, -1),
-        lambda n, cls: counting.q_recurrence(n),
-        table="q",
-    ),
-    "partitions:distinct-ell": ClassSpec(
-        0,
-        _distinct_ell_parts,
-        _series_coefficient,
+    "partitions:odd-parts": _descending(2, 0, lambda n, cls: counting.q_recurrence(n), table="q"),
+    "partitions:distinct-parts": _descending(1, 1, lambda n, cls: counting.q_recurrence(n), table="q"),
+    "partitions:distinct-ell": _ell_parts(_descending(
+        1, 1, _series_coefficient,
         "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
-        takes_ell=True,
-    ),
+    )),
 }
 
 # Series names in the order the CLI has always listed them: plain names

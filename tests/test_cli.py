@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -775,6 +776,15 @@ class TestCacheDir:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "path-through-a-file"])
+    def test_cache_dir_naming_a_file_says_so(self, capsys, tmp_path, below):
+        path = tmp_path / "not-a-directory"
+        path.write_text("", encoding="ascii")
+        cache = path / below if below else path
+        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(cache))
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second == (1, "", f"error: {cache}: cache path is not a directory\n")
+
     def test_fibonacci_classes_ignore_the_cache_dir(self, capsys, tmp_path):
         # every class without a p or q table, Fibonacci or not
         path = tmp_path / "not-a-directory"
@@ -821,7 +831,8 @@ class TestCacheDir:
     def test_corruption_behaviour(self, capsys, tmp_path, cls, kind, corruption, covers):
         # a 300-entry file, read at 200 (covered) or at 400 (shorter): a covering
         # file is refused unless the corruption sits where no audit reads it; a
-        # shorter one is replaced unread unless its header cannot be read
+        # shorter one is replaced, read no further than its header line, unless
+        # that header cannot be read (the non-ASCII byte sits in the body)
         path = tmp_path / f"{kind}.table"
         counting.save_table(counting.build_table(kind, 300), path)
         path.write_bytes(_CORRUPTIONS[corruption](kind, path.read_bytes()))
@@ -832,7 +843,7 @@ class TestCacheDir:
         if covers and corruption == "raised last entry":
             assert (code, out, err) == (0, f"{want(n)}\n", "")
             assert path.read_bytes() == before
-        elif covers or corruption in ("bad header", "empty", "non-ASCII byte"):
+        elif covers or corruption in ("bad header", "empty"):
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
             assert path.read_bytes() == before
@@ -853,6 +864,17 @@ class TestCacheDir:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "p.table" in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("step", ["write_text", "replace"])
+    def test_a_failed_write_says_the_table_could_not_be_written(self, capsys, tmp_path, monkeypatch, step):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+
+        monkeypatch.setattr(*((Path, "write_text") if step == "write_text" else (os, "replace")), fail)
+        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(tmp_path))
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        want = f"error: cannot write {tmp_path / 'p.table'}: {os.strerror(errno.ENOENT)}\n"
+        assert first == second == (1, "", want)
 
     def test_non_ascii_cache_exit_1(self, capsys, tmp_path):
         path = tmp_path / "p.table"

@@ -503,6 +503,46 @@ class TestTables:
         assert cached_table(kind, 400, tmp_path) == build_table(kind, 400)
         assert steps == []
 
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_a_short_file_is_read_to_its_header_only(self, tmp_path, kind, monkeypatch):
+        # a non-ASCII byte in the body of a file shorter than n is never read;
+        # the same file read where it covers refuses it at the same offset as ever
+        path = tmp_path / f"{kind}.table"
+        save_table(build_table(kind, 300), path)
+        data = path.read_bytes()
+        header = data[: data.index(b"\n") + 1]
+        offset = data.index(b"\n", len(header) + 1000) - 1
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        chunks = []
+        real_open = Path.open
+
+        class Spy:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def readline(self, *args):
+                chunks.append(self.handle.readline(*args))
+                return chunks[-1]
+
+            def read(self, *args):
+                chunks.append(self.handle.read(*args))
+                return chunks[-1]
+
+        monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: Spy(real_open(self, *args, **kwargs)))
+        assert load_table(path, 301) is None
+        monkeypatch.undo()
+        assert chunks == [header]
+        with pytest.raises(DomainError, match=rf"{kind}\.table: non-ASCII byte in table file at offset {offset}\Z"):
+            load_table(path, 300)
+        assert cached_table(kind, 400, tmp_path) == build_table(kind, 400)
+        assert load_table(path) == build_table(kind, 400)
+
     def test_load_needs_a_plain_covers(self, tmp_path):
         path = tmp_path / "p.table"
         save_table(build_table("p", 5), path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -182,6 +183,26 @@ class TestTally:
         assert len(tally) == 15
         for n in range(enumeration.class_spec(cls).min_n, 15):
             assert tally[n] == sum(1 for _ in gen_class(n, cls)), n
+
+    # sha256 over one line "top ell rest parts" per item that _walk yields, for
+    # top = 0..20 (and ell = 0..6 for distinct-ell): a change to a row's rule
+    # that moves any member or prefix, or its order, shows here
+    _PINNED_WALKS = {
+        "partitions:all": "00e3807c705c399b469d2c20d64bbd414720c52c766e453a42ebd1be9d72ef06",
+        "partitions:odd-parts": "51b1cfea1a50cdba028bbdc7b5525156018ca2bdbb68d781436253cdfd689847",
+        "partitions:distinct-parts": "e45b06b1e7fd9ea21ae13109f7b2e139ac9064338266f12a05f870974336660e",
+        "partitions:distinct-ell": "44cf64d2a21184a9ba764587af481ec2cc73da7141ff314b5d5f8191e7c974d5",
+    }
+
+    @pytest.mark.parametrize("key", list(_PINNED_WALKS))
+    def test_partition_walks_are_pinned(self, key):
+        spec = enumeration.CLASSES[key]
+        digest = hashlib.sha256()
+        for ell in range(7) if spec.takes_ell else (None,):
+            for top in range(21):
+                for rest, parts in enumeration._walk(top, spec.rule, ell):
+                    digest.update(f"{top} {ell} {rest} {parts}\n".encode())
+        assert digest.hexdigest() == self._PINNED_WALKS[key]
 
     def test_tally_checks_its_domain(self):
         with pytest.raises(DomainError):
