@@ -232,8 +232,8 @@ def load_table(path, covers: int = 0) -> MemoTable | None:
     check_size(covers, 0, "load_table needs covers")
     with Path(path).open("rb") as handle:
         data = handle.readline()
-        # the header line is read first: a valid one that stops below covers ends the
-        # load; any other file is read whole and checked in full, as it always was
+        # a valid header that stops below covers is all that is read of a shorter
+        # file; any other file is read whole and checked in full
         first = data.decode("ascii", "replace").splitlines()[:1]
         header = re.match(_HEADER_RE, first[0]) if first else None
         if header and int(header.group(2)) < covers:
