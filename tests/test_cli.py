@@ -865,12 +865,12 @@ class TestCacheDir:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "p.table" in err and ".tmp" not in err
 
-    @pytest.mark.parametrize("step", ["write_text", "replace"])
-    def test_a_failed_write_says_the_table_could_not_be_written(self, capsys, tmp_path, monkeypatch, step):
+    @pytest.mark.parametrize("owner,step", [(Path, "write_text"), (os, "replace")], ids=["write_text", "replace"])
+    def test_a_failed_write_says_the_table_could_not_be_written(self, capsys, tmp_path, monkeypatch, owner, step):
         def fail(*args, **kwargs):
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
 
-        monkeypatch.setattr(*((Path, "write_text") if step == "write_text" else (os, "replace")), fail)
+        monkeypatch.setattr(owner, step, fail)
         argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(tmp_path))
         first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
         want = f"error: cannot write {tmp_path / 'p.table'}: {os.strerror(errno.ENOENT)}\n"

@@ -506,7 +506,7 @@ class TestTables:
     @pytest.mark.parametrize("kind", ["p", "q"])
     def test_a_short_file_is_read_to_its_header_only(self, tmp_path, kind, monkeypatch):
         # a non-ASCII byte in the body of a file shorter than n is never read;
-        # the same file read where it covers refuses it at the same offset as ever
+        # the same file read where it covers is refused at the byte's offset
         path = tmp_path / f"{kind}.table"
         save_table(build_table(kind, 300), path)
         data = path.read_bytes()
