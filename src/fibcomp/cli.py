@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 domain error or bad usage, 2 verification or
 certification failure.  Plain output is line-oriented with no trailing
 whitespace; --json emits exactly one JSON document.  Identical argv yields
-byte-identical stdout: no environment variable changes a call, and a call
-touches the file system only where its argv names a directory (count's
---cache-dir).
+byte-identical stdout: no environment variable changes a call, and no
+call reads or writes a file.
 
 Each subcommand's handler computes and writes nothing: it returns its exit
 status, its JSON document and its plain lines, and `run` alone writes one of
@@ -72,7 +71,7 @@ def _build_parser() -> _Parser:
     p_count.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for the p and q table files (no cache if omitted)",
+        help="accepted and ignored: no count reads or writes a file",
     )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a class exhaustively")
@@ -119,7 +118,7 @@ def _count(args, cls, value: int):
 
 def _cmd_count(args):
     cls = enumeration.parse_class(args.cls)
-    return _count(args, cls, enumeration.exact_count(args.n, cls, args.cache_dir or None))
+    return _count(args, cls, enumeration.exact_count(args.n, cls))
 
 
 def _cmd_enumerate(args):
@@ -268,8 +267,7 @@ def main() -> None:
         status = 1
     # At exit CPython runs a full collection over every tracked object, some
     # 12 000 after `analytic p 250`.  A frozen heap is left out of it; no
-    # object here needs a finalizer then (table writes end in os.replace
-    # inside the call).
+    # object here needs a finalizer then.
     gc.freeze()
     sys.exit(status)
 

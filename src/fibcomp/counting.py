@@ -6,7 +6,8 @@ double-width arithmetic stops rounding to the true Fibonacci value, and to
 a small line-oriented cache format for the memo tables.  Every p and q entry
 is computed in one place, the in-process memo; a cache file is parsed only when
 its header covers the n asked for, and is otherwise rewritten from the memo,
-read no further than its header line.
+read no further than its header line.  The file functions (save_table,
+load_table, cached_table) are library code only: no CLI call reaches them.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from the largest.  Generators are lazy; counting builds no stream.
 
 CLASSES declares each family:kind class once: its part rule, its exact
 counter, its generating function and whether it takes a part count ell.
+Every counter computes in process; no class reads or writes a file.
 Most rows are data: _progression(start, step) for compositions into parts
 start, start + step, ..., _descending(step, gap) for partitions into
 parts = 1 (mod step) that fall by at least gap, and distinct-ell caps the
@@ -103,9 +104,7 @@ class ClassSpec(NamedTuple):
     counter for n already inside the class's domain (n >= min_n).
     `gf(order, ell)` is the generating function behind the `series` name,
     where one exists, and `takes_ell` says whether the class (and its
-    series) is indexed by a part count ell.  `table` names the p or q
-    recurrence table that holds the counts, for a class whose counts
-    exact_count may read from the table cache.  Entries reach counting and
+    series) is indexed by a part count ell.  Entries reach counting and
     genfun through the module attribute at call time, so a patched or
     wrapped function is the one that runs.
     """
@@ -116,7 +115,6 @@ class ClassSpec(NamedTuple):
     series: str | None = None
     gf: Callable[[int, int | None], genfun.TruncatedSeries] | None = None
     takes_ell: bool = False
-    table: str | None = None
 
 
 def _progression(start: int, step: int, count, series=None, gf=None) -> ClassSpec:
@@ -125,7 +123,7 @@ def _progression(start: int, step: int, count, series=None, gf=None) -> ClassSpe
     return ClassSpec(start, lambda rest, parts, ell: range(start, rest + 1, step), count, series, gf)
 
 
-def _descending(step: int, gap: int, count, series=None, gf=None, table=None) -> ClassSpec:
+def _descending(step: int, gap: int, count, series=None, gf=None) -> ClassSpec:
     """The partitions into parts 1, 1 + step, 1 + 2 step, ..., each at most the
     part before it less gap, largest first; the domain starts at n = 0, the
     empty partition."""
@@ -134,7 +132,7 @@ def _descending(step: int, gap: int, count, series=None, gf=None, table=None) ->
         top = parts[-1] - gap if parts and parts[-1] - gap < rest else rest
         return range(top - (top - 1) % step, 0, -step)
 
-    return ClassSpec(0, rule, count, series, gf, table=table)
+    return ClassSpec(0, rule, count, series, gf)
 
 
 def _ell_parts(spec: ClassSpec) -> ClassSpec:
@@ -174,10 +172,9 @@ CLASSES: dict[str, ClassSpec] = {
         # Euler's product read off p's table; the order gets the series' own refusal first
         "partitions", lambda order, ell: check_size(order, 0, "order must be")
         or genfun.TruncatedSeries(counting.build_table("p", order).values),
-        table="p",
     ),
-    "partitions:odd-parts": _descending(2, 0, lambda n, cls: counting.q_recurrence(n), table="q"),
-    "partitions:distinct-parts": _descending(1, 1, lambda n, cls: counting.q_recurrence(n), table="q"),
+    "partitions:odd-parts": _descending(2, 0, lambda n, cls: counting.q_recurrence(n)),
+    "partitions:distinct-parts": _descending(1, 1, lambda n, cls: counting.q_recurrence(n)),
     "partitions:distinct-ell": _ell_parts(_descending(
         1, 1, _series_coefficient,
         "distinct-partitions", lambda order, ell: genfun.distinct_partitions_ell_gf(ell, order),
@@ -224,13 +221,9 @@ def parse_class(text: str) -> EnumClass:
     return _FAMILIES[family](kind)
 
 
-def exact_count(n: int, cls: EnumClass, cache_dir: str | None = None) -> int:
-    """Size of the class at n from its exact counter; a class with a p or q
-    table reads it from the table cache in cache_dir when one is given."""
-    spec = _spec_in_domain(n, cls)
-    if cache_dir is not None and spec.table is not None:
-        return counting.cached_table(spec.table, n, cache_dir).values[n]
-    return spec.count(n, cls)
+def exact_count(n: int, cls: EnumClass) -> int:
+    """Size of the class at n from its exact counter, computed in process."""
+    return _spec_in_domain(n, cls).count(n, cls)
 
 
 def _walk(top: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, list[int]]]:

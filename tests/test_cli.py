@@ -1,5 +1,4 @@
 import contextlib
-import errno
 import importlib
 import io
 import json
@@ -7,6 +6,7 @@ import math
 import os
 import random
 import select
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -715,21 +715,21 @@ _CORRUPTIONS = {
 }
 
 
-class TestCacheDir:
-    def test_flag_creates_and_reuses_table(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "count", "--class", "partitions:all", "64", "--cache-dir", str(tmp_path)
-        )
-        assert (code, out) == (0, f"{p_recurrence(64)}\n")
-        table = tmp_path / "p.table"
-        assert table.exists()
-        header = table.read_text("ascii").splitlines()[0]
-        assert header == "fibcomp-table v1 kind=p max=64"
-        code, out, _ = run_cli(
-            capsys, "count", "--class", "partitions:all", "30", "--cache-dir", str(tmp_path)
-        )
-        assert (code, out) == (0, f"{p_recurrence(30)}\n")
+def _tree(root):
+    """Every path under root with its regular file's bytes or its file type;
+    a FIFO is not opened."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        mode = path.lstat().st_mode
+        found[path.relative_to(root).as_posix()] = path.read_bytes() if stat.S_ISREG(mode) else stat.S_IFMT(mode)
+    return found
 
+
+# every class, by the name count takes
+_COUNT_CLASSES = [name + ("=3" if spec.takes_ell else "") for name, spec in enumeration.CLASSES.items()]
+
+
+class TestCacheDir:
     def test_env_var_is_not_read(self, capsys, tmp_path, monkeypatch):
         # only --cache-dir names a cache: a corrupt table in a directory the
         # argv does not name is neither read nor rewritten
@@ -742,7 +742,8 @@ class TestCacheDir:
         assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
 
     def test_fibonacci_classes_write_no_table(self, capsys, tmp_path):
-        # F_n comes from fast doubling; only the p and q tables are cached
+        # F_n comes from fast doubling, p and q from their recurrences in
+        # process; no class writes a table
         for cls, n, want in (
             ("partitions:all", 64, p_recurrence(64)),
             ("partitions:odd-parts", 64, q_recurrence(64)),
@@ -751,138 +752,54 @@ class TestCacheDir:
         ):
             code, out, _ = run_cli(capsys, "count", "--class", cls, str(n), "--cache-dir", str(tmp_path))
             assert (code, out) == (0, f"{want}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.table", "q.table"]
-        headers = [(tmp_path / f"{kind}.table").read_text("ascii").splitlines()[0] for kind in "pq"]
-        assert headers == ["fibcomp-table v1 kind=p max=64", "fibcomp-table v1 kind=q max=64"]
-
-    def test_corrupt_cache_exit_1(self, capsys, tmp_path):
-        run_cli(capsys, "count", "--class", "partitions:distinct-parts", "40", "--cache-dir", str(tmp_path))
-        path = tmp_path / "q.table"
-        lines = path.read_text("ascii").splitlines()
-        body = [str(int(v) + 3) for v in lines[1:]]
-        path.write_text("\n".join([lines[0]] + body) + "\n", encoding="ascii")
-        code, _, err = run_cli(
-            capsys, "count", "--class", "partitions:distinct-parts", "40", "--cache-dir", str(tmp_path)
-        )
-        assert code == 1
-        assert "error" in err
-
-
-    def test_cache_dir_naming_a_file_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "not-a-directory"
-        path.write_text("", encoding="ascii")
-        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "--cache-dir", str(path), "10")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "path-through-a-file"])
-    def test_cache_dir_naming_a_file_says_so(self, capsys, tmp_path, below):
-        path = tmp_path / "not-a-directory"
-        path.write_text("", encoding="ascii")
-        cache = path / below if below else path
-        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(cache))
-        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
-        assert first == second == (1, "", f"error: {cache}: cache path is not a directory\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_fibonacci_classes_ignore_the_cache_dir(self, capsys, tmp_path):
-        # every class without a p or q table, Fibonacci or not
-        path = tmp_path / "not-a-directory"
-        path.write_text("", encoding="ascii")
-        want = {
-            "compositions:all": 512, "compositions:odd-parts": 55, "compositions:min-part-2": 34,
-            "compositions:distinct-parts": 57, "partitions:distinct-ell=3": 4,
-        }
-        assert set(want) == {
-            name + ("=3" if spec.takes_ell else "") for name, spec in enumeration.CLASSES.items() if spec.table is None
-        }
-        for cls, count in want.items():
-            code, out, _ = run_cli(capsys, "count", "--class", cls, "--cache-dir", str(path), "10")
-            assert (code, out) == (0, f"{count}\n"), cls
-
-    @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
-    def test_wrongly_seeded_cache_exit_1(self, capsys, tmp_path, cls, kind):
-        # grown from the seed 2 instead of 1; for p that is every entry doubled
-        values = [2]
-        for n in range(1, 301):
-            values.append(counting._next(kind, values, n))
-        counting.save_table(counting.MemoTable(kind, values), tmp_path / f"{kind}.table")
-        code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
-
-    @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
-    def test_entry_read_is_checked_and_a_short_file_is_rebuilt(self, capsys, tmp_path, cls, kind):
-        # entry 300 raised by 1 passes the load's sample, not the read at 300
-        path = tmp_path / f"{kind}.table"
-        table = counting.build_table(kind, 300)
-        table.values[300] += 1
-        counting.save_table(table, path)
-        code, out, err = run_cli(capsys, "count", "--class", cls, "300", "--cache-dir", str(tmp_path))
-        assert (code, out, err) == (1, "", f"error: {path}: table fails its recurrence at index 300\n")
-        code, out, err = run_cli(capsys, "count", "--class", cls, "400", "--cache-dir", str(tmp_path))
-        want = p_recurrence if kind == "p" else q_recurrence
-        assert (code, out, err) == (0, f"{want(400)}\n", "")
-        assert counting.load_table(path).values == counting.build_table(kind, 400).values
+        # every class ignores --cache-dir, whatever it names: the call prints
+        # what it prints without the flag and leaves the path as it was
+        plain_file = tmp_path / "file"
+        plain_file.write_bytes(b"")
+        corrupt = tmp_path / "corrupt"
+        corrupt.mkdir()
+        (corrupt / "p.table").write_bytes(b"fibcomp-table v1 kind=p max=2\n1\n1\n3\n")
+        (corrupt / "q.table").write_bytes(b"fibcomp-table v9 kind=q\n\xff\n")
+        fifos = tmp_path / "fifos"
+        fifos.mkdir()
+        for name in ("p.table", "q.table"):
+            os.mkfifo(fifos / name)
+        before = _tree(tmp_path)
+        for cache in (tmp_path / "missing" / "nested", plain_file, plain_file / "sub", corrupt):
+            for cls in _COUNT_CLASSES:
+                for n in ("0", "5", "40"):
+                    want = run_cli(capsys, "count", "--class", cls, n)
+                    assert run_cli(capsys, "count", "--class", cls, n, "--cache-dir", str(cache)) == want, (cache, cls)
+        # a call that opened a FIFO would wait for a writer, so it runs in a
+        # process of its own
+        for cls in _COUNT_CLASSES:
+            argv = ["count", "--class", cls, "40"]
+            want = run_cli(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "fibcomp", *argv, "--cache-dir", str(fifos)],
+                env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == want, cls
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("covers", [True, False], ids=["covers-n", "shorter-than-n"])
     @pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
     @pytest.mark.parametrize("cls,kind", [("partitions:all", "p"), ("partitions:distinct-parts", "q")])
     def test_corruption_behaviour(self, capsys, tmp_path, cls, kind, corruption, covers):
-        # a 300-entry file, read at 200 (covered) or at 400 (shorter): a covering
-        # file is refused unless the corruption sits where no audit reads it; a
-        # shorter one is replaced, read no further than its header line, unless
-        # that header cannot be read (the non-ASCII byte sits in the body)
+        # a corrupt 300-entry file, read at 200 (covered) or at 400 (shorter),
+        # is neither read nor rewritten: the count comes from the recurrence
         path = tmp_path / f"{kind}.table"
         counting.save_table(counting.build_table(kind, 300), path)
         path.write_bytes(_CORRUPTIONS[corruption](kind, path.read_bytes()))
         before = path.read_bytes()
         n = 200 if covers else 400
-        code, out, err = run_cli(capsys, "count", "--class", cls, str(n), "--cache-dir", str(tmp_path))
         want = p_recurrence if kind == "p" else q_recurrence
-        if covers and corruption == "raised last entry":
-            assert (code, out, err) == (0, f"{want(n)}\n", "")
-            assert path.read_bytes() == before
-        elif covers or corruption in ("bad header", "empty"):
-            assert (code, out) == (1, "")
-            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-            assert path.read_bytes() == before
-        else:
-            assert (code, out, err) == (0, f"{want(n)}\n", "")
-            assert counting.load_table(path) == counting.build_table(kind, n)
-
-    def test_a_failed_write_is_one_fixed_error_line(self, capsys, tmp_path, monkeypatch):
-        # the temporary file's name is random; the error line names the table
-        def fail(self, data, encoding=None, errors=None, newline=None):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_text", fail)
-        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(tmp_path))
-        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
-        assert first == second
-        code, out, err = first
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "p.table" in err and ".tmp" not in err
-
-    @pytest.mark.parametrize("owner,step", [(Path, "write_text"), (os, "replace")], ids=["write_text", "replace"])
-    def test_a_failed_write_says_the_table_could_not_be_written(self, capsys, tmp_path, monkeypatch, owner, step):
-        def fail(*args, **kwargs):
-            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
-
-        monkeypatch.setattr(owner, step, fail)
-        argv = ("count", "--class", "partitions:all", "5", "--cache-dir", str(tmp_path))
-        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
-        want = f"error: cannot write {tmp_path / 'p.table'}: {os.strerror(errno.ENOENT)}\n"
-        assert first == second == (1, "", want)
-
-    def test_non_ascii_cache_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "p.table"
-        path.write_bytes(b"fibcomp-table v1 kind=p max=2\n1\n1\n\xff\n")
-        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "2", "--cache-dir", str(tmp_path))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {path}: ")
-        assert "Traceback" not in err
+        code, out, err = run_cli(capsys, "count", "--class", cls, str(n), "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, f"{want(n)}\n", "")
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
     def test_old_fib_table_is_ignored(self, capsys, tmp_path):
         (tmp_path / "fib.table").write_text("fibcomp-table v1 kind=fib max=2\n0\n1\n1\n", encoding="ascii")

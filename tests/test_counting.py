@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -387,8 +388,18 @@ class TestTables:
             save_table(build_table("p", 400), path)
         monkeypatch.undo()
         assert (failed.value.errno, failed.value.filename) == (28, str(path))  # not the temporary's
+        assert str(failed.value) == f"cannot write {path}: No space left on device"
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["p.table"]
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "path-through-a-file"])
+    def test_cache_dir_naming_a_file_says_so(self, tmp_path, below):
+        path = tmp_path / "not-a-directory"
+        path.write_bytes(b"")
+        cache = path / below if below else path
+        with pytest.raises(NotADirectoryError, match=f"^{re.escape(str(cache))}: cache path is not a directory$"):
+            cached_table("p", 5, cache)
+        assert path.read_bytes() == b""
 
     def test_concurrent_writers_and_readers(self, tmp_path):
         # two processes take turns extending one p table, each loading the

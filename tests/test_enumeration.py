@@ -322,13 +322,12 @@ class TestClassRegistry:
         ]
 
     @pytest.mark.parametrize("cls", list(registry_examples()), ids=str)
-    def test_exact_count_matches_enumeration_and_series(self, cls, tmp_path):
+    def test_exact_count_matches_enumeration_and_series(self, cls):
         spec = enumeration.class_spec(cls)
         top = 12
         for n in range(spec.min_n, top + 1):
             want = count_by_enumeration(n, cls)
             assert enumeration.exact_count(n, cls) == want, n
-            assert enumeration.exact_count(n, cls, str(tmp_path)) == want, n
             if spec.gf is not None:
                 assert spec.gf(top, cls.ell).coefficient(n) == want, n
 

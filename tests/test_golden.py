@@ -2,9 +2,10 @@
 
 golden_cli.json holds the argv, exit code, stdout and stderr of fresh-process
 `fibcomp` calls covering count, enumerate, series, map, verify and analytic.
-"{cache}" in an argv stands for an empty cache directory.  Every record runs
-with FIBCOMP_CACHE_DIR naming a directory of corrupt p and q tables, which
-fails a record that reads the environment or writes there.  Program-owned
+"{cache}" in an argv stands for an empty cache directory, which must still be
+empty after the call: no call writes a file.  Every record runs with
+FIBCOMP_CACHE_DIR naming a directory of corrupt p and q tables, which fails
+a record that reads the environment or writes there.  Program-owned
 `error:` lines on stderr must match too; argparse's usage text varies across
 Python versions, so for usage errors only the exit code and stdout count.
 
@@ -54,6 +55,7 @@ def test_golden_cli_output(record, tmp_path, capsys, monkeypatch):
     if record["stderr"].startswith("error:"):
         assert err == record["stderr"]
     assert {entry.name: entry.read_bytes() for entry in poisoned.iterdir()} == POISON
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("record", SERIES, ids=[f"{r['series']} {r['n']}" for r in SERIES])
