@@ -754,6 +754,14 @@ class TestCacheDir:
             assert (code, out) == (0, f"{want}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_cache_dir_naming_a_file_exit_0(self, capsys, tmp_path):
+        # a file where a directory is expected is not refused: the flag is ignored
+        path = tmp_path / "not-a-directory"
+        path.write_text("", encoding="ascii")
+        code, out, err = run_cli(capsys, "count", "--class", "partitions:all", "--cache-dir", str(path), "10")
+        assert (code, out, err) == (0, f"{p_recurrence(10)}\n", "")
+        assert path.read_bytes() == b""
+
     def test_fibonacci_classes_ignore_the_cache_dir(self, capsys, tmp_path):
         # every class ignores --cache-dir, whatever it names: the call prints
         # what it prints without the flag and leaves the path as it was

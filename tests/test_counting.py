@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import random
@@ -400,6 +401,33 @@ class TestTables:
         with pytest.raises(NotADirectoryError, match=f"^{re.escape(str(cache))}: cache path is not a directory$"):
             cached_table("p", 5, cache)
         assert path.read_bytes() == b""
+
+    def test_a_failed_cached_write_is_one_fixed_error_line(self, tmp_path, monkeypatch):
+        # the temporary file's name is random; the error names the table
+        def fail(self, data, encoding=None, errors=None, newline=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(OSError) as failed:
+                cached_table("p", 5, tmp_path)
+            messages.append(str(failed.value))
+        assert messages[0] == messages[1]
+        assert "\n" not in messages[0]
+        assert "p.table" in messages[0] and ".tmp" not in messages[0]
+
+    @pytest.mark.parametrize("owner,step", [(Path, "write_text"), (os, "replace")], ids=["write_text", "replace"])
+    def test_a_failed_cached_write_says_the_table_could_not_be_written(self, tmp_path, monkeypatch, owner, step):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+
+        monkeypatch.setattr(owner, step, fail)
+        want = f"cannot write {tmp_path / 'p.table'}: {os.strerror(errno.ENOENT)}"
+        for _ in range(2):
+            with pytest.raises(OSError) as failed:
+                cached_table("p", 5, tmp_path)
+            assert str(failed.value) == want
 
     def test_concurrent_writers_and_readers(self, tmp_path):
         # two processes take turns extending one p table, each loading the
