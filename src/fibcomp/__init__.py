@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "counting": (
         "BinetReport",
-        "MemoTable",
         "Q_count",
         "binet_first_failure",
         "binet_float",

@@ -22,7 +22,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import bijection, enumeration
+from . import bijection
 from .core import (
     DomainError,
     ImaginaryResidueError,
@@ -32,9 +32,11 @@ from .core import (
 )
 
 
-# verify.suite_names(), spelled out so that only the verify subcommand loads
-# verify (a test keeps the two equal)
+# verify.suite_names() and enumeration.SERIES's keys, spelled out so that
+# only the subcommands that use them load verify and enumeration (tests keep
+# each pair equal)
 SUITE_NAMES = ("codec", "bijection", "counts", "genfun", "analytic")
+SERIES_NAMES = ("partitions", "compositions", "distinct-partitions", "distinct-compositions")
 
 
 class _UsageError(Exception):
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
 
     p_series = sub.add_parser("series", parents=[common], help="generating function coefficients")
     p_series.set_defaults(handler=_cmd_series)
-    p_series.add_argument("name", choices=list(enumeration.SERIES))
+    p_series.add_argument("name", choices=list(SERIES_NAMES))
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--ell", type=int, default=None, help="part count for distinct-partitions")
 
@@ -117,6 +119,8 @@ def _count(args, cls, value: int):
 
 
 def _cmd_count(args):
+    from . import enumeration  # and through it counting and genfun; analytic and map need none
+
     cls = enumeration.parse_class(args.cls)
     return _count(args, cls, enumeration.exact_count(args.n, cls))
 
@@ -124,6 +128,8 @@ def _cmd_count(args):
 def _cmd_enumerate(args):
     if args.n > 30 and not args.force:
         raise DomainError(f"enumerate for n={args.n} may be huge; pass --force to proceed")
+    from . import enumeration
+
     cls = enumeration.parse_class(args.cls)
     if args.count:
         return _count(args, cls, enumeration.count_by_enumeration(args.n, cls))
@@ -150,6 +156,8 @@ def _cmd_map(args):
 
 
 def _cmd_series(args):
+    from . import enumeration
+
     spec = enumeration.SERIES[args.name]
     if args.ell is not None and not spec.takes_ell:
         takers = ", ".join(name for name, s in enumeration.SERIES.items() if s.takes_ell)

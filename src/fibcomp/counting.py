@@ -2,21 +2,13 @@
 partition recurrences, all over arbitrary-precision integers.
 
 Also home to the floating-point Binet evaluation used to demonstrate where
-double-width arithmetic stops rounding to the true Fibonacci value, and to
-a small line-oriented cache format for the memo tables.  Every p and q entry
-is computed in one place, the in-process memo; a cache file is parsed only when
-its header covers the n asked for, and is otherwise rewritten from the memo,
-read no further than its header line.  The file functions (save_table,
-load_table, cached_table) are library code only: no CLI call reaches them.
+double-width arithmetic stops rounding to the true Fibonacci value.  Every
+p and q entry is computed in one place, the in-process memo.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import random
-import re
-from pathlib import Path
 from typing import NamedTuple
 
 from .core import DomainError, check_size
@@ -174,116 +166,11 @@ def binet_first_failure(limit: int = 100) -> int | None:
     return None
 
 
-class MemoTable(NamedTuple):
-    """Values 0..N of one recurrence kind, suitable for saving and loading."""
-
-    kind: str
-    values: list[int]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
-
-
-def _check_table(kind: str, max_n: int) -> None:
+def build_table(kind: str, max_n: int) -> list[int]:
+    """Values 0..max_n of the p or q recurrence, a copy of the memo's prefix,
+    so the caller's edits miss the memo."""
     if kind not in _ROWS:
         raise DomainError(f"unknown table kind {kind!r}")
     check_size(max_n, 0, f"table for {kind!r} needs max_n")
-
-
-def build_table(kind: str, max_n: int) -> MemoTable:
-    _check_table(kind, max_n)
     _extend(kind, max_n)
-    return MemoTable(kind, _tables[kind][: max_n + 1])  # a copy, so the caller's edits miss the memo
-
-
-# compiled on first use and kept by re's own cache; the kinds are _ROWS's
-_HEADER_RE = rf"fibcomp-table v1 kind=({'|'.join(map(re.escape, _ROWS))}) max=(0|[1-9][0-9]*)\Z"
-
-
-class _WriteError(OSError):
-    """A failed table write: the errno of the step that failed, the table's
-    path as filename, and a text that says the table could not be written."""
-
-    def __str__(self) -> str:
-        return f"cannot write {self.filename}: {self.strerror}"
-
-
-def save_table(table: MemoTable, path) -> None:
-    """Write the table to a temporary file beside path, then rename it over
-    path, so readers and concurrent writers see a whole old or new file."""
-    path = Path(path)
-    lines = [f"fibcomp-table v1 kind={table.kind} max={table.max_n}"]
-    lines.extend(str(v) for v in table.values)
-    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        temporary.write_text("\n".join(lines) + "\n", encoding="ascii")
-        os.replace(temporary, path)
-    except OSError as exc:  # named for the table, not the random temporary
-        raise _WriteError(exc.errno, exc.strerror, str(path)) from exc
-    finally:
-        temporary.unlink(missing_ok=True)  # already gone once replaced
-
-
-def load_table(path, covers: int = 0) -> MemoTable | None:
-    """Load a saved table that reaches index covers, else return None with the
-    file read no further than its header line; the seed, a 16-index sample and
-    entry covers are re-derived from the file's lower entries before the table
-    is trusted."""
-    check_size(covers, 0, "load_table needs covers")
-    with Path(path).open("rb") as handle:
-        data = handle.readline()
-        # a valid header that stops below covers is all that is read of a shorter
-        # file; any other file is read whole and checked in full
-        first = data.decode("ascii", "replace").splitlines()[:1]
-        header = re.match(_HEADER_RE, first[0]) if first else None
-        if header and int(header.group(2)) < covers:
-            return None
-        data += handle.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: non-ASCII byte in table file at offset {exc.start}") from exc
-    lines = text.splitlines()  # lines[0] is the header line matched above
-    if not lines:
-        raise DomainError(f"{path}: empty table file")
-    if not header:
-        raise DomainError(f"{path}: bad table header {lines[0]!r}")
-    kind, max_n = header.group(1), int(header.group(2))
-    body = lines[1:]
-    if len(body) != max_n + 1:
-        raise DomainError(f"{path}: expected {max_n + 1} values, found {len(body)}")
-    try:
-        values = [int(line) for line in body]
-    except ValueError as exc:
-        raise DomainError(f"{path}: non-integer table line ({exc})") from exc
-    # a sample seeded by the header, so a given file always gets the same audit
-    audited = set(random.Random(f"{kind}:{max_n}").sample(range(max_n + 1), min(16, max_n + 1)))
-    # a check trusts the entries below it, so the seed is always audited (a table
-    # scaled or seeded wrongly satisfies the recurrence elsewhere), as is the entry read
-    audited.update((0, covers))
-    for i in sorted(audited):
-        if values[i] != _next(kind, values, i):
-            raise DomainError(f"{path}: table fails its recurrence at index {i}")
-    return MemoTable(kind, values)
-
-
-def cached_table(kind: str, max_n: int, cache_dir) -> MemoTable:
-    """Fetch a table from cache_dir: a file that covers max_n once load_table's
-    audit, entry max_n included, passes; else build_table(kind, max_n), saved
-    over a missing or shorter file read no further than its header line, so no
-    entry is computed from a file.  A cache_dir that is a file, or a path
-    through one, raises NotADirectoryError saying so."""
-    _check_table(kind, max_n)  # before the directory is made or read
-    path = Path(cache_dir) / f"{kind}.table"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file, or a path through one
-        raise NotADirectoryError(f"{path.parent}: cache path is not a directory") from exc
-    table = load_table(path, max_n) if path.exists() else None
-    if table is None:
-        table = build_table(kind, max_n)
-        save_table(table, path)
-    elif table.kind != kind:
-        raise DomainError(f"{path}: holds kind {table.kind!r}, wanted {kind!r}")
-    return table
+    return _tables[kind][: max_n + 1]

@@ -171,7 +171,7 @@ CLASSES: dict[str, ClassSpec] = {
         1, 0, lambda n, cls: counting.p_recurrence(n),
         # Euler's product read off p's table; the order gets the series' own refusal first
         "partitions", lambda order, ell: check_size(order, 0, "order must be")
-        or genfun.TruncatedSeries(counting.build_table("p", order).values),
+        or genfun.TruncatedSeries(counting.build_table("p", order)),
     ),
     "partitions:odd-parts": _descending(2, 0, lambda n, cls: counting.q_recurrence(n)),
     "partitions:distinct-parts": _descending(1, 1, lambda n, cls: counting.q_recurrence(n)),

@@ -696,10 +696,16 @@ def _seeded_two(kind, lines):
 
 def _other_kind(kind, lines):
     other = "q" if kind == "p" else "p"
-    table = counting.build_table(other, len(lines) - 2)
     return [lines[0].replace(f"kind={kind}".encode(), f"kind={other}".encode())] + [
-        str(v).encode() for v in table.values
+        str(v).encode() for v in counting.build_table(other, len(lines) - 2)
     ]
+
+
+def _table_file(kind, max_n):
+    """The bytes of a table file as earlier versions wrote it: a header line,
+    then entries 0..max_n, one a line."""
+    lines = [f"fibcomp-table v1 kind={kind} max={max_n}", *map(str, counting.build_table(kind, max_n))]
+    return "".join(line + "\n" for line in lines).encode("ascii")
 
 
 # each corruption of a saved table, as (kind, file bytes) -> file bytes
@@ -800,8 +806,7 @@ class TestCacheDir:
         # a corrupt 300-entry file, read at 200 (covered) or at 400 (shorter),
         # is neither read nor rewritten: the count comes from the recurrence
         path = tmp_path / f"{kind}.table"
-        counting.save_table(counting.build_table(kind, 300), path)
-        path.write_bytes(_CORRUPTIONS[corruption](kind, path.read_bytes()))
+        path.write_bytes(_CORRUPTIONS[corruption](kind, _table_file(kind, 300)))
         before = path.read_bytes()
         n = 200 if covers else 400
         want = p_recurrence if kind == "p" else q_recurrence

@@ -30,8 +30,8 @@ EXPORTED = {
         "from_bitseq", "make_composition", "parse_composition", "render_graph", "to_bitseq",
     ),
     "counting": (
-        "BinetReport", "MemoTable", "Q_count", "binet_first_failure", "binet_float", "c_count",
-        "fibonacci", "p_recurrence", "q_recurrence", "q_recurrence_residual",
+        "BinetReport", "Q_count", "binet_first_failure", "binet_float", "c_count", "fibonacci",
+        "p_recurrence", "q_recurrence", "q_recurrence_residual",
     ),
     "enumeration": (
         "CompositionClass", "PartitionClass", "count_by_enumeration", "gen_compositions",
@@ -201,6 +201,32 @@ def test_only_verify_calls_load_verify():
     ]
 
 
+def test_only_the_counting_subcommands_load_the_counters():
+    # analytic and map call no counter, so their cold start loads neither
+    # enumeration nor, through it, counting and genfun
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from fibcomp import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(argv)
+        print(code, *(f"fibcomp.{m}" in sys.modules for m in ("enumeration", "counting", "genfun")))
+        """
+    )
+    for argv, want in (
+        (["analytic", "p", "10"], "0 False False False"),
+        (["analytic", "q", "10"], "0 False False False"),
+        (["map", "--trace", "1+1+1+9+1+1+5+3"], "0 False False False"),
+        (["count", "--class", "partitions:all", "30"], "0 True True True"),
+        (["enumerate", "--class", "compositions:min-part-2", "7"], "0 True True True"),
+        (["series", "partitions", "--order", "10"], "0 True True True"),
+        (["verify", "--suite", "codec", "--max-n", "6"], "0 True True True"),
+    ):
+        proc = _run_python(f"argv = {argv!r}" + code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", ""), argv
+
+
 def test_cli_calls_load_no_class_builder_and_analytic_no_rationals():
     # dataclasses brings in inspect and execs generated code for each class
     # at import; the series never build a Fraction, so analytic needs neither
@@ -306,69 +332,62 @@ def test_every_value_type_is_held_to_the_contract():
     assert found - ABSTRACT_VALUE_TYPES <= listed, "a Frozen subclass is missing from VALUE_TYPES"
 
 
-def _cached_table(size, tmp):
-    # with a table on file, cached_table would otherwise return it unread
-    fibcomp.counting.save_table(fibcomp.counting.build_table("p", 5), tmp / "p.table")
-    return fibcomp.counting.cached_table("p", size, tmp)
-
-
 # every size-taking public function of the package, one size argument at a
-# time, as (size, scratch directory) -> call
+# time, as size -> call
 SIZE_TAKERS = {
-    "c_count": lambda size, tmp: fibcomp.c_count(size),
-    "fibonacci": lambda size, tmp: fibcomp.fibonacci(size),
-    "Q_count": lambda size, tmp: fibcomp.Q_count(size),
-    "p_recurrence": lambda size, tmp: fibcomp.p_recurrence(size),
-    "q_recurrence": lambda size, tmp: fibcomp.q_recurrence(size),
-    "q_recurrence_residual": lambda size, tmp: fibcomp.q_recurrence_residual(size),
-    "binet_float": lambda size, tmp: fibcomp.binet_float(size),
-    "build_table": lambda size, tmp: fibcomp.counting.build_table("q", size),
-    "cached_table": _cached_table,
-    "from_list": lambda size, tmp: fibcomp.TruncatedSeries.from_list([1, 2], size),
-    "one": lambda size, tmp: fibcomp.TruncatedSeries.one(size),
-    "monomial-power": lambda size, tmp: fibcomp.TruncatedSeries.monomial(size, 3),
-    "monomial-order": lambda size, tmp: fibcomp.TruncatedSeries.monomial(1, size),
-    "partition_gf": lambda size, tmp: fibcomp.partition_gf(size),
-    "compositions_gf": lambda size, tmp: fibcomp.compositions_gf(size),
-    "distinct_partitions_ell_gf-ell": lambda size, tmp: fibcomp.distinct_partitions_ell_gf(size, 5),
-    "distinct_partitions_ell_gf-order": lambda size, tmp: fibcomp.distinct_partitions_ell_gf(2, size),
-    "distinct_compositions_gf": lambda size, tmp: fibcomp.distinct_compositions_gf(size),
-    "PartitionClass-ell": lambda size, tmp: fibcomp.PartitionClass("distinct-ell", size),
-    "exact_count": lambda size, tmp: fibcomp.enumeration.exact_count(size, fibcomp.CompositionClass("all")),
-    "gen_class": lambda size, tmp: fibcomp.enumeration.gen_class(size, fibcomp.PartitionClass("all")),
-    "gen_compositions": lambda size, tmp: fibcomp.gen_compositions(size, fibcomp.CompositionClass("odd-parts")),
-    "gen_partitions": lambda size, tmp: fibcomp.gen_partitions(size, fibcomp.PartitionClass("distinct-parts")),
-    "tally_by_enumeration": lambda size, tmp: fibcomp.enumeration.tally_by_enumeration(
+    "c_count": lambda size: fibcomp.c_count(size),
+    "fibonacci": lambda size: fibcomp.fibonacci(size),
+    "Q_count": lambda size: fibcomp.Q_count(size),
+    "p_recurrence": lambda size: fibcomp.p_recurrence(size),
+    "q_recurrence": lambda size: fibcomp.q_recurrence(size),
+    "q_recurrence_residual": lambda size: fibcomp.q_recurrence_residual(size),
+    "binet_float": lambda size: fibcomp.binet_float(size),
+    "build_table": lambda size: fibcomp.counting.build_table("q", size),
+    "from_list": lambda size: fibcomp.TruncatedSeries.from_list([1, 2], size),
+    "one": lambda size: fibcomp.TruncatedSeries.one(size),
+    "monomial-power": lambda size: fibcomp.TruncatedSeries.monomial(size, 3),
+    "monomial-order": lambda size: fibcomp.TruncatedSeries.monomial(1, size),
+    "partition_gf": lambda size: fibcomp.partition_gf(size),
+    "compositions_gf": lambda size: fibcomp.compositions_gf(size),
+    "distinct_partitions_ell_gf-ell": lambda size: fibcomp.distinct_partitions_ell_gf(size, 5),
+    "distinct_partitions_ell_gf-order": lambda size: fibcomp.distinct_partitions_ell_gf(2, size),
+    "distinct_compositions_gf": lambda size: fibcomp.distinct_compositions_gf(size),
+    "PartitionClass-ell": lambda size: fibcomp.PartitionClass("distinct-ell", size),
+    "exact_count": lambda size: fibcomp.enumeration.exact_count(size, fibcomp.CompositionClass("all")),
+    "gen_class": lambda size: fibcomp.enumeration.gen_class(size, fibcomp.PartitionClass("all")),
+    "gen_compositions": lambda size: fibcomp.gen_compositions(size, fibcomp.CompositionClass("odd-parts")),
+    "gen_partitions": lambda size: fibcomp.gen_partitions(size, fibcomp.PartitionClass("distinct-parts")),
+    "tally_by_enumeration": lambda size: fibcomp.enumeration.tally_by_enumeration(
         size, fibcomp.CompositionClass("min-part-2")
     ),
-    "count_by_enumeration": lambda size, tmp: fibcomp.count_by_enumeration(size, fibcomp.PartitionClass("odd-parts")),
-    "binet_first_failure": lambda size, tmp: fibcomp.binet_first_failure(size),
-    "is_triangular": lambda size, tmp: fibcomp.counting.is_triangular(size),
-    "coefficient": lambda size, tmp: fibcomp.TruncatedSeries((5, 7, 9)).coefficient(size),
-    "nstr": lambda size, tmp: fibcomp.analytic.nstr(fibcomp.analytic.Dyadic(5, -2), size),
-    "rademacher_p-n": lambda size, tmp: fibcomp.rademacher_p(size),
-    "rademacher_p-k_max": lambda size, tmp: fibcomp.rademacher_p(10, k_max=size),
-    "rademacher_p-precision_bits": lambda size, tmp: fibcomp.rademacher_p(10, precision_bits=size),
-    "hagis_q-n": lambda size, tmp: fibcomp.hagis_q(size),
-    "hagis_q-k_max": lambda size, tmp: fibcomp.hagis_q(10, k_max=size),
-    "hagis_q-precision_bits": lambda size, tmp: fibcomp.hagis_q(10, precision_bits=size),
-    "verify_suite": lambda size, tmp: fibcomp.verify_suite("codec", size),
-    "dedekind_s-h": lambda size, tmp: fibcomp.dedekind_s(size, 5),
-    "dedekind_s-k": lambda size, tmp: fibcomp.dedekind_s(1, size),
-    "hagis_t": lambda size, tmp: fibcomp.hagis_t(1, size),
-    "kloosterman_A-k": lambda size, tmp: fibcomp.kloosterman_A(size, 5, 64),
-    "kloosterman_A-n": lambda size, tmp: fibcomp.kloosterman_A(3, size, 64),
-    "kloosterman_A-precision_bits": lambda size, tmp: fibcomp.kloosterman_A(3, 5, size),
-    "bessel_I1": lambda size, tmp: fibcomp.bessel_I1("1", size),
+    "count_by_enumeration": lambda size: fibcomp.count_by_enumeration(size, fibcomp.PartitionClass("odd-parts")),
+    "binet_first_failure": lambda size: fibcomp.binet_first_failure(size),
+    "is_triangular": lambda size: fibcomp.counting.is_triangular(size),
+    "coefficient": lambda size: fibcomp.TruncatedSeries((5, 7, 9)).coefficient(size),
+    "nstr": lambda size: fibcomp.analytic.nstr(fibcomp.analytic.Dyadic(5, -2), size),
+    "rademacher_p-n": lambda size: fibcomp.rademacher_p(size),
+    "rademacher_p-k_max": lambda size: fibcomp.rademacher_p(10, k_max=size),
+    "rademacher_p-precision_bits": lambda size: fibcomp.rademacher_p(10, precision_bits=size),
+    "hagis_q-n": lambda size: fibcomp.hagis_q(size),
+    "hagis_q-k_max": lambda size: fibcomp.hagis_q(10, k_max=size),
+    "hagis_q-precision_bits": lambda size: fibcomp.hagis_q(10, precision_bits=size),
+    "verify_suite": lambda size: fibcomp.verify_suite("codec", size),
+    "dedekind_s-h": lambda size: fibcomp.dedekind_s(size, 5),
+    "dedekind_s-k": lambda size: fibcomp.dedekind_s(1, size),
+    "hagis_t": lambda size: fibcomp.hagis_t(1, size),
+    "kloosterman_A-k": lambda size: fibcomp.kloosterman_A(size, 5, 64),
+    "kloosterman_A-n": lambda size: fibcomp.kloosterman_A(3, size, 64),
+    "kloosterman_A-precision_bits": lambda size: fibcomp.kloosterman_A(3, 5, size),
+    "bessel_I1": lambda size: fibcomp.bessel_I1("1", size),
 }
 
 
 # a bool is an int to isinstance and 2.5 compares with ints, but neither is a size
 @pytest.mark.parametrize("size", [True, 2.5, "3"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize("call", SIZE_TAKERS.values(), ids=SIZE_TAKERS)
-def test_a_size_must_be_a_plain_int(call, size, tmp_path):
+def test_a_size_must_be_a_plain_int(call, size):
     with pytest.raises(fibcomp.DomainError):
-        call(size, tmp_path)
+        call(size)
 
 
 # a size below its floor, in check_size's words; binet_first_failure(-1) once
@@ -389,13 +408,6 @@ def test_a_size_below_its_floor_is_refused(call, text):
     with pytest.raises(fibcomp.DomainError) as refused:
         call()
     assert str(refused.value) == text
-
-
-def test_a_table_is_checked_before_its_directory_is_made(tmp_path):
-    for kind, size in (("r", 5), ("p", -1), ("q", True)):
-        with pytest.raises(fibcomp.DomainError):
-            fibcomp.counting.cached_table(kind, size, tmp_path / "d")
-        assert not (tmp_path / "d").exists()
 
 
 def _floor_refusals(node, file, scope=""):

@@ -26,9 +26,10 @@ def test_suite_names_cover_all_suites():
 
 
 def test_cli_suite_choices_match_verify():
-    from fibcomp import cli
+    from fibcomp import cli, enumeration
 
     assert cli.SUITE_NAMES == verify.suite_names()
+    assert cli.SERIES_NAMES == tuple(enumeration.SERIES)
 
 
 def test_unknown_suite_rejected():
