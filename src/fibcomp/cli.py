@@ -119,7 +119,7 @@ def _count(args, cls, value: int):
 
 
 def _cmd_count(args):
-    from . import enumeration  # and through it counting and genfun; analytic and map need none
+    from . import enumeration  # not at the top: analytic and map need no counter
 
     cls = enumeration.parse_class(args.cls)
     return _count(args, cls, enumeration.exact_count(args.n, cls))
