@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -236,7 +237,25 @@ class TestBinet:
         assert report.abs_error == math.inf
 
 
+# the indices a saved table's audit drew: index 0 and a 16-index sample
+# seeded by "kind:max", for a short and a long table of each kind
+_AUDITED_TABLES = [(kind, max_n) for kind in ("p", "q") for max_n in (40, 300)]
+_AUDITED = [
+    (kind, max_n, index)
+    for kind, max_n in _AUDITED_TABLES
+    for index in sorted({0, *random.Random(f"{kind}:{max_n}").sample(range(max_n + 1), 16)})
+]
+
+
+def _failures(kind, values):
+    """Every index whose entry differs from the recurrence step over the
+    entries below it: the table files' audit, run at every index."""
+    return [n for n in range(len(values)) if values[n] != counting._next(kind, values, n)]
+
+
 class TestTables:
+    # the test_load_* names are kept from the table files' loader, whose audit was
+    # this recurrence check; the files are gone, and the check is run on the list
     def test_build_matches_functions(self):
         t = build_table("p", 50)
         assert t == [p_recurrence(n) for n in range(51)]
@@ -252,6 +271,32 @@ class TestTables:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             build_table("r", 10)
+
+    @pytest.mark.parametrize("kind,max_n", _AUDITED_TABLES)
+    def test_untouched_table_loads(self, kind, max_n):
+        assert _failures(kind, build_table(kind, max_n)) == []
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("kind,max_n,index", _AUDITED)
+    def test_load_rejects_corrupt_value(self, kind, max_n, index, delta):
+        # one entry moved by one fails its own step, and no step below it
+        values = build_table(kind, max_n)
+        values[index] += delta
+        assert _failures(kind, values)[:1] == [index]
+
+    def test_load_rejects_wholesale_corruption(self):
+        values = [v + 1 for v in build_table("p", 40)]
+        assert _failures("p", values)[:1] == [0]
+
+    @pytest.mark.parametrize("kind,upto", [("p", 300), ("q", 300)])
+    def test_load_rejects_wrong_seed(self, kind, upto):
+        # the recurrence grown from the wrong seed 2 (for p, every entry
+        # doubled); past the seed each table satisfies its recurrence, so
+        # only the seed's own step catches it
+        values = [2]
+        for n in range(1, upto + 1):
+            values.append(counting._next(kind, values, n))
+        assert _failures(kind, values) == [0]
 
 
 @given(st.integers(min_value=0, max_value=600))
