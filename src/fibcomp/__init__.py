@@ -48,10 +48,9 @@ _EXPORTS = {
     "enumeration": (
         "CompositionClass",
         "PartitionClass",
-        "count_by_enumeration",
-        "gen_compositions",
-        "gen_partitions",
+        "gen_class",
         "parse_class",
+        "tally_by_enumeration",
     ),
     "genfun": (
         "TruncatedSeries",

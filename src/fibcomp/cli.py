@@ -132,7 +132,7 @@ def _cmd_enumerate(args):
 
     cls = enumeration.parse_class(args.cls)
     if args.count:
-        return _count(args, cls, enumeration.count_by_enumeration(args.n, cls))
+        return _count(args, cls, enumeration.tally_by_enumeration(args.n, cls)[args.n])
     # islice refuses a limit past sys.maxsize, and no stream is read that
     # far, so such a limit is none
     limit = None if args.limit is not None and args.limit > sys.maxsize else args.limit

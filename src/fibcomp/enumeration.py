@@ -260,20 +260,6 @@ def _walk(top: int, rule: PartRule, ell: int | None) -> Iterator[tuple[int, list
             rest += parts.pop()
 
 
-def gen_compositions(n: int, cls: CompositionClass) -> Iterator[Composition]:
-    """Yield each composition of n in cls exactly once, lexicographically."""
-    if not isinstance(cls, CompositionClass):
-        raise DomainError(f"expected a composition class, got {cls}")
-    return gen_class(n, cls)
-
-
-def gen_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
-    """Yield each partition of n in cls exactly once, largest-first."""
-    if not isinstance(cls, PartitionClass):
-        raise DomainError(f"expected a partition class, got {cls}")
-    return gen_class(n, cls)
-
-
 def gen_class(n: int, cls: EnumClass) -> Iterator[Composition] | Iterator[Partition]:
     """Yield each member of cls of size n exactly once, in the class's order;
     an n outside the class's domain raises at the call, not at the first read."""
@@ -292,8 +278,3 @@ def tally_by_enumeration(top: int, cls: EnumClass) -> list[int]:
         counts[top - rest] += 1
     return counts
 
-
-def count_by_enumeration(n: int, cls: EnumClass) -> int:
-    """Size of the class at n, by walking its members rather than by any
-    counter: entry n of tally_by_enumeration(n, cls)."""
-    return tally_by_enumeration(n, cls)[n]

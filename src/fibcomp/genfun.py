@@ -15,6 +15,8 @@ from .core import DomainError, Frozen, check_size
 
 
 class TruncatedSeries(Frozen):
+    """x^0..x^N from a non-empty iterable of ints; monomial(power, order) gives x^power."""
+
     def __init__(self, coeffs: Iterable[int]):
         coeffs = tuple(coeffs)
         if not coeffs:
@@ -32,18 +34,6 @@ class TruncatedSeries(Frozen):
         if type(i) is not int or not 0 <= i <= self.order:  # bool is no index
             raise DomainError(f"coefficient index {i!r} outside 0..{self.order}")
         return self.coeffs[i]
-
-    @classmethod
-    def from_list(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
-        values = list(coeffs)
-        if order is not None:
-            check_size(order, 0, "order must be")
-            values = values[: order + 1] + [0] * (order + 1 - len(values))
-        return cls(values)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_list([1], order)
 
     @classmethod
     def monomial(cls, power: int, order: int) -> "TruncatedSeries":

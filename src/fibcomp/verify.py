@@ -125,7 +125,7 @@ def _suite_codec(bound: int) -> list[CheckResult]:
     every = enumeration.CompositionClass("all")
     for n in range(1, bound + 1):
         # one walk, and each member encoded and conjugated once, for every row
-        for c in enumeration.gen_compositions(n, every):
+        for c in enumeration.gen_class(n, every):
             case = (n, c, to_bitseq(c), conjugate(c))
             for row, fails in rows:
                 row.test(fails, *case)
@@ -154,7 +154,7 @@ def _suite_bijection(bound: int) -> list[CheckResult]:
         # each stream's members with the times each was yielded, so that a
         # stream that yields a member twice fails the count row
         image = collections.Counter()
-        for a in enumeration.gen_compositions(n, odd_cls):
+        for a in enumeration.gen_class(n, odd_cls):
             # b is None where the map refuses a, an even part: that fails the
             # rows that map a, not the suite, and a stands for itself in the
             # image; it sums to n, not n + 1, so it is never in the target
@@ -165,7 +165,7 @@ def _suite_bijection(bound: int) -> list[CheckResult]:
             roundtrip.test(inverts, a, b)
             parity.test(lambda a: None if (a.n - a.ell) % 2 == 0 else str(a), a)
             image[(b or a).parts] += 1
-        target = collections.Counter(c.parts for c in enumeration.gen_compositions(n + 1, min2_cls))
+        target = collections.Counter(c.parts for c in enumeration.gen_class(n + 1, min2_cls))
         # every composition in the image or the target, in order: the first
         # that is missing from one of them is the least of the difference
         for parts in sorted(image.keys() | target.keys()):
@@ -227,10 +227,11 @@ def _suite_counts(bound: int) -> list[CheckResult]:
 
 def _suite_genfun(bound: int) -> list[CheckResult]:
     order = 40
-    one = genfun.TruncatedSeries.one(order)
 
     def monomial(j: int):
         return genfun.TruncatedSeries.monomial(j, order)
+
+    one = monomial(0)
 
     def product(factors):
         return functools.reduce(genfun.series_mul, factors, one)

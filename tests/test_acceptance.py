@@ -24,9 +24,8 @@ from fibcomp.counting import (
 from fibcomp.enumeration import (
     CompositionClass,
     PartitionClass,
-    count_by_enumeration,
-    gen_compositions,
-    gen_partitions,
+    gen_class,
+    tally_by_enumeration,
 )
 from fibcomp.genfun import distinct_compositions_gf, partition_gf
 
@@ -55,11 +54,11 @@ def test_criterion_2_bijection_exhaustive_to_18():
     started = time.perf_counter()
     total = 0
     for n in range(1, 19):
-        odd = list(gen_compositions(n, CompositionClass("odd-parts")))
+        odd = list(gen_class(n, CompositionClass("odd-parts")))
         image = [odd_to_gt1(a) for a in odd]
         for a, c in zip(odd, image):
             assert gt1_to_odd(c) == a
-        target = {c.parts for c in gen_compositions(n + 1, CompositionClass("min-part-2"))}
+        target = {c.parts for c in gen_class(n + 1, CompositionClass("min-part-2"))}
         assert {c.parts for c in image} == target
         assert len(image) == len(set(image)) == len(target) == fibonacci(n)
         total += len(image)
@@ -73,9 +72,9 @@ def test_criterion_2_bijection_exhaustive_to_18():
 
 def test_criterion_3_composition_count():
     for n in range(1, 17):
-        assert c_count(n) == count_by_enumeration(n, CompositionClass("all"))
+        assert c_count(n) == tally_by_enumeration(n, CompositionClass("all"))[n]
     assert c_count(4) == 8
-    eight = {c.parts for c in gen_compositions(4, CompositionClass("all"))}
+    eight = {c.parts for c in gen_class(4, CompositionClass("all"))}
     assert eight == {
         (4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1),
     }
@@ -84,14 +83,14 @@ def test_criterion_3_composition_count():
 
 def test_criterion_4_odd_equals_distinct():
     for n in range(0, 41):
-        assert count_by_enumeration(n, PartitionClass("odd-parts")) == count_by_enumeration(
+        assert tally_by_enumeration(n, PartitionClass("odd-parts"))[n] == tally_by_enumeration(
             n, PartitionClass("distinct-parts")
-        )
+        )[n]
     assert q_recurrence(8) == 6
-    assert [p.parts for p in gen_partitions(8, PartitionClass("distinct-parts"))] == [
+    assert [p.parts for p in gen_class(8, PartitionClass("distinct-parts"))] == [
         (8,), (7, 1), (6, 2), (5, 3), (5, 2, 1), (4, 3, 1),
     ]
-    assert [p.parts for p in gen_partitions(8, PartitionClass("odd-parts"))] == [
+    assert [p.parts for p in gen_class(8, PartitionClass("odd-parts"))] == [
         (7, 1), (5, 3), (5, 1, 1, 1), (3, 3, 1, 1), (3, 1, 1, 1, 1, 1),
         (1, 1, 1, 1, 1, 1, 1, 1),
     ]
@@ -101,7 +100,7 @@ def test_criterion_4_odd_equals_distinct():
 def test_criterion_5_partition_recurrence_and_series():
     series = partition_gf(40)
     for n in range(0, 41):
-        want = count_by_enumeration(n, PartitionClass("all"))
+        want = tally_by_enumeration(n, PartitionClass("all"))[n]
         assert p_recurrence(n) == want
         assert series.coefficient(n) == want
     print("[PASS] criterion 5: p_recurrence = enumeration = series coefficients n<=40")
@@ -114,14 +113,14 @@ def test_criterion_6_corrected_shift_regression():
     corrected = q_table_corrected(60)
     assert corrected[:41] == [q_recurrence(n) for n in range(41)]
     for n in range(41):
-        assert corrected[n] == count_by_enumeration(n, PartitionClass("distinct-parts"))
+        assert corrected[n] == tally_by_enumeration(n, PartitionClass("distinct-parts"))[n]
     diverged = [n for n in range(61) if literal[n] != corrected[n]]
     # the linear shifts coincide with the quadratic ones while n <= 4 (the
     # k = 1 shifts are equal and k = 2 first acts at n = 5), so the first
     # possible failure point is n = 5, and it is realized there
     assert literal[:5] == corrected[:5]
     assert diverged[0] == 5
-    assert literal[5] != count_by_enumeration(5, PartitionClass("distinct-parts"))
+    assert literal[5] != tally_by_enumeration(5, PartitionClass("distinct-parts"))[5]
     print(
         "[PASS] criterion 6: corrected shifts exact n<=2000; literal shifts first "
         f"fail at n={diverged[0]} (n<=4 coincides by shift algebra)"
@@ -191,9 +190,9 @@ def test_criterion_8_distinct_composition_series():
     series = distinct_compositions_gf(20)
     assert series.coefficient(0) == 1
     for n in range(1, 21):
-        assert series.coefficient(n) == count_by_enumeration(
+        assert series.coefficient(n) == tally_by_enumeration(
             n, CompositionClass("distinct-parts")
-        )
+        )[n]
     assert series.coefficient(6) == 11
     print("[PASS] criterion 8: distinct-composition series = enumeration n<=20, coeff(6) = 11")
 

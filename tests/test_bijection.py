@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from fibcomp.bijection import gt1_to_odd, odd_to_gt1, trace_forward
 from fibcomp.core import DomainError, conjugate, make_composition, parse_composition
 from fibcomp.counting import fibonacci
-from fibcomp.enumeration import CompositionClass, gen_compositions
+from fibcomp.enumeration import CompositionClass, gen_class
 
 
 def comp(text):
@@ -81,23 +81,23 @@ class TestErrors:
 class TestExhaustive:
     def test_roundtrip_and_image(self):
         for n in range(1, 15):
-            odd = list(gen_compositions(n, CompositionClass("odd-parts")))
+            odd = list(gen_class(n, CompositionClass("odd-parts")))
             image = [odd_to_gt1(a) for a in odd]
             for a, c in zip(odd, image):
                 assert c.n == n + 1
                 assert all(p >= 2 for p in c.parts)
                 assert gt1_to_odd(c) == a
-            target = list(gen_compositions(n + 1, CompositionClass("min-part-2")))
+            target = list(gen_class(n + 1, CompositionClass("min-part-2")))
             assert set(image) == set(target)
             assert len(image) == len(set(image))
 
     def test_cardinality_fibonacci(self):
         for n in range(1, 26):
-            assert sum(1 for _ in gen_compositions(n, CompositionClass("odd-parts"))) == fibonacci(n)
+            assert sum(1 for _ in gen_class(n, CompositionClass("odd-parts"))) == fibonacci(n)
 
     def test_parity_lemma(self):
         for n in range(1, 15):
-            for a in gen_compositions(n, CompositionClass("odd-parts")):
+            for a in gen_class(n, CompositionClass("odd-parts")):
                 assert (a.n - a.ell) % 2 == 0
 
 

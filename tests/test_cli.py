@@ -557,7 +557,7 @@ class TestVerify:
                 ],
             ),
             (
-                "enumeration", "gen_compositions", _even_composition_at(4), "bijection", 6,
+                "enumeration", "gen_class", _even_composition_at(4), "bijection", 6,
                 [
                     "[FAIL] bijection: roundtrip inverse(forward) n<=6 (smallest counterexample: 2+2)",
                     "[FAIL] bijection: image equals min-part-2 target n<=6 (smallest counterexample: n=4, 2+2)",
@@ -568,7 +568,7 @@ class TestVerify:
             (
                 # a member yielded twice: the image and target rows see sets,
                 # and only the count row, which counts every yield, fails
-                "enumeration", "gen_compositions",
+                "enumeration", "gen_class",
                 lambda real: lambda n, cls: [*real(n, cls), *real(n, cls)] if (n, cls.kind) == (3, "odd-parts")
                 else real(n, cls),
                 "bijection", 6,

@@ -18,7 +18,7 @@ from fibcomp.counting import (
     q_recurrence,
     q_recurrence_residual,
 )
-from fibcomp.enumeration import CompositionClass, PartitionClass, count_by_enumeration
+from fibcomp.enumeration import CompositionClass, PartitionClass, tally_by_enumeration
 
 from _oracles import (
     fib_list,
@@ -40,7 +40,7 @@ class TestCompositionCount:
 
     def test_matches_enumeration(self):
         for n in range(1, 17):
-            assert c_count(n) == count_by_enumeration(n, CompositionClass("all"))
+            assert c_count(n) == tally_by_enumeration(n, CompositionClass("all"))[n]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -72,8 +72,8 @@ class TestFibonacci:
 
     def test_q_count_matches_enumerations(self):
         for n in range(1, 21):
-            assert Q_count(n) == count_by_enumeration(n, CompositionClass("odd-parts"))
-            assert Q_count(n) == count_by_enumeration(n + 1, CompositionClass("min-part-2"))
+            assert Q_count(n) == tally_by_enumeration(n, CompositionClass("odd-parts"))[n]
+            assert Q_count(n) == tally_by_enumeration(n + 1, CompositionClass("min-part-2"))[n + 1]
 
 
 class TestPartitionRecurrence:
@@ -85,7 +85,7 @@ class TestPartitionRecurrence:
 
     def test_matches_enumeration(self):
         for n in range(0, 41):
-            assert p_recurrence(n) == count_by_enumeration(n, PartitionClass("all"))
+            assert p_recurrence(n) == tally_by_enumeration(n, PartitionClass("all"))[n]
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -101,8 +101,8 @@ class TestDistinctRecurrence:
     def test_matches_both_enumerations(self):
         for n in range(0, 41):
             q = q_recurrence(n)
-            assert q == count_by_enumeration(n, PartitionClass("distinct-parts"))
-            assert q == count_by_enumeration(n, PartitionClass("odd-parts"))
+            assert q == tally_by_enumeration(n, PartitionClass("distinct-parts"))[n]
+            assert q == tally_by_enumeration(n, PartitionClass("odd-parts"))[n]
 
     def test_matches_corrected_oracle(self):
         oracle = q_table_corrected(400)
@@ -201,8 +201,8 @@ class TestLiteralShiftRegression:
 
     def test_literal_contradicts_enumeration_at_five(self):
         literal = q_table_literal(5)
-        assert literal[5] != count_by_enumeration(5, PartitionClass("distinct-parts"))
-        assert q_recurrence(5) == count_by_enumeration(5, PartitionClass("distinct-parts"))
+        assert literal[5] != tally_by_enumeration(5, PartitionClass("distinct-parts"))[5]
+        assert q_recurrence(5) == tally_by_enumeration(5, PartitionClass("distinct-parts"))[5]
 
 
 class TestBinet:

@@ -34,8 +34,7 @@ EXPORTED = {
         "p_recurrence", "q_recurrence", "q_recurrence_residual",
     ),
     "enumeration": (
-        "CompositionClass", "PartitionClass", "count_by_enumeration", "gen_compositions",
-        "gen_partitions", "parse_class",
+        "CompositionClass", "PartitionClass", "gen_class", "parse_class", "tally_by_enumeration",
     ),
     "genfun": (
         "TruncatedSeries", "compositions_gf", "distinct_compositions_gf",
@@ -343,8 +342,6 @@ SIZE_TAKERS = {
     "q_recurrence_residual": lambda size: fibcomp.q_recurrence_residual(size),
     "binet_float": lambda size: fibcomp.binet_float(size),
     "build_table": lambda size: fibcomp.counting.build_table("q", size),
-    "from_list": lambda size: fibcomp.TruncatedSeries.from_list([1, 2], size),
-    "one": lambda size: fibcomp.TruncatedSeries.one(size),
     "monomial-power": lambda size: fibcomp.TruncatedSeries.monomial(size, 3),
     "monomial-order": lambda size: fibcomp.TruncatedSeries.monomial(1, size),
     "partition_gf": lambda size: fibcomp.partition_gf(size),
@@ -354,13 +351,11 @@ SIZE_TAKERS = {
     "distinct_compositions_gf": lambda size: fibcomp.distinct_compositions_gf(size),
     "PartitionClass-ell": lambda size: fibcomp.PartitionClass("distinct-ell", size),
     "exact_count": lambda size: fibcomp.enumeration.exact_count(size, fibcomp.CompositionClass("all")),
-    "gen_class": lambda size: fibcomp.enumeration.gen_class(size, fibcomp.PartitionClass("all")),
-    "gen_compositions": lambda size: fibcomp.gen_compositions(size, fibcomp.CompositionClass("odd-parts")),
-    "gen_partitions": lambda size: fibcomp.gen_partitions(size, fibcomp.PartitionClass("distinct-parts")),
-    "tally_by_enumeration": lambda size: fibcomp.enumeration.tally_by_enumeration(
+    "gen_class": lambda size: fibcomp.gen_class(size, fibcomp.PartitionClass("all")),
+    "gen_class-compositions": lambda size: fibcomp.gen_class(size, fibcomp.CompositionClass("odd-parts")),
+    "tally_by_enumeration": lambda size: fibcomp.tally_by_enumeration(
         size, fibcomp.CompositionClass("min-part-2")
     ),
-    "count_by_enumeration": lambda size: fibcomp.count_by_enumeration(size, fibcomp.PartitionClass("odd-parts")),
     "binet_first_failure": lambda size: fibcomp.binet_first_failure(size),
     "is_triangular": lambda size: fibcomp.counting.is_triangular(size),
     "coefficient": lambda size: fibcomp.TruncatedSeries((5, 7, 9)).coefficient(size),

@@ -80,7 +80,7 @@ def test_each_stream_is_walked_once_and_each_member_mapped_once(monkeypatch, nam
     # the compositions of each n, bijection the odd-parts stream of n and the
     # min-part-2 stream of n + 1, mapping each of the F_1 + ... + F_9 = F_11 - 1
     # odd-parts members once
-    calls = {"gen_compositions": 0, "odd_to_gt1": 0}
+    calls = {"gen_class": 0, "odd_to_gt1": 0}
 
     def counted(module, attribute):
         real = getattr(module, attribute)
@@ -91,10 +91,10 @@ def test_each_stream_is_walked_once_and_each_member_mapped_once(monkeypatch, nam
 
         monkeypatch.setattr(module, attribute, call)
 
-    counted(verify.enumeration, "gen_compositions")
+    counted(verify.enumeration, "gen_class")
     counted(verify.bijection, "odd_to_gt1")
     assert all(result.passed for result in run(name, 9))
-    assert calls == {"gen_compositions": walks, "odd_to_gt1": maps}
+    assert calls == {"gen_class": walks, "odd_to_gt1": maps}
 
 
 def test_a_shared_codec_walk_feeds_the_rows_still_open(monkeypatch):
